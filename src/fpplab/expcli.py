@@ -30,7 +30,7 @@ from .geograph import (BusemannSpec, busemann_separation,
 from .growth import CompetitionConfig, compete
 from .lattice import EdgeField, Window
 from .measure import (ConstructionSchedule, WeightDistribution,
-                      construct_sequence, levy_distance, mk_distribution)
+                      construct_sequence, levy_distance)
 from .oriented import alpha_rotated, estimate_alpha, estimate_pc
 from .shapeest import DirectionPlan, empirical_shape
 
@@ -149,11 +149,6 @@ class ResultArtifact:
         return json.dumps(d, sort_keys=True)
 
 
-def _dist_from_params(d):
-    return mk_distribution([tuple(a) for a in d.get("atoms", [])],
-                           [tuple(p) for p in d.get("pieces", [])])
-
-
 def _line_spec(d):
     return BusemannSpec(v=tuple(d["v"]), w=tuple(d["w"]), n=int(d["n"]))
 
@@ -163,7 +158,7 @@ def _line_spec(d):
 
 def _run_shape(cfg, out_dir, threads):
     p = cfg["params"]
-    dist = _dist_from_params(p["dist"])
+    dist = WeightDistribution.from_dict(p["dist"])
     plan = DirectionPlan.default(D=p["directions"], n=p["n"],
                                  trials=cfg.get("trials", 10),
                                  seed=cfg["seed"])
@@ -179,7 +174,7 @@ def _run_shape(cfg, out_dir, threads):
 
 def _run_construct(cfg, out_dir, threads):
     p = cfg["params"]
-    base = _dist_from_params(p["base"])
+    base = WeightDistribution.from_dict(p["base"])
     sd = dict(p["schedule"])
     sd.setdefault("stages", len(sd["p_seq"]))
     sched = ConstructionSchedule.from_dict(sd)
@@ -203,17 +198,19 @@ def _run_oriented(cfg, out_dir, threads):
     pv = [float(x) for x in p["p_values"]]
 
     def one(i):
-        a, se = estimate_alpha(pv[i], T, trials, derive_seed(cfg["seed"], i))
-        return (pv[i], a, se, alpha_rotated(a))
+        a, se, dead = estimate_alpha(pv[i], T, trials,
+                                     derive_seed(cfg["seed"], i))
+        return (pv[i], a, se, alpha_rotated(a), dead)
 
     rows = _map_indexed(one, len(pv), threads)
     table = os.path.join(out_dir, "alpha.csv")
     _write_csv(table, ["p", "alpha", "stderr", "alpha_rotated"],
-               [[repr(v) for v in r] for r in rows])
+               [[repr(v) for v in r[:4]] for r in rows])
     payload = os.path.join(out_dir, "payload.json")
     obj = {"T": T, "trials": trials,
            "alpha": [{"p": r[0], "alpha": r[1], "stderr": r[2],
-                      "alpha_rotated": r[3]} for r in rows]}
+                      "alpha_rotated": r[3], "dead_runs": r[4]}
+                     for r in rows]}
     if "pc_grid" in p:
         pc = estimate_pc(p["pc_grid"], T, trials,
                          derive_seed(cfg["seed"], len(pv)))
@@ -232,7 +229,7 @@ def _run_oriented(cfg, out_dir, threads):
 
 def _run_compete(cfg, out_dir, threads):
     p = cfg["params"]
-    dist = _dist_from_params(p["dist"])
+    dist = WeightDistribution.from_dict(p["dist"])
     seeds = tuple(tuple(s) for s in p["seeds"])
     window = Window.square(p["window"])
     policy = p.get("tie_policy", "strict")
@@ -245,9 +242,7 @@ def _run_compete(cfg, out_dir, threads):
                               tie_policy=policy,
                               seed=derive_seed(cfg["seed"], t))
         occ = compete(c)
-        alive = sum(1 for i in range(k)
-                    if occ.region_size(i) >= thr and occ.touches_boundary(i))
-        return {"trial": t, "alive": alive,
+        return {"trial": t, "alive": occ.survivors(thr),
                 "sizes": [occ.region_size(i) for i in range(k)],
                 "ties": int(np.count_nonzero(occ.tie_mask))}
 
@@ -264,7 +259,7 @@ def _run_compete(cfg, out_dir, threads):
 
 def _run_ends(cfg, out_dir, threads):
     p = cfg["params"]
-    dist = _dist_from_params(p["dist"])
+    dist = WeightDistribution.from_dict(p["dist"])
     window = Window.square(p["window"])
     m_grid = [int(m) for m in p["m_grid"]]
     trials = cfg.get("trials", 10)
@@ -295,7 +290,7 @@ def _run_ends(cfg, out_dir, threads):
 
 def _run_busemann(cfg, out_dir, threads):
     p = cfg["params"]
-    dist = _dist_from_params(p["dist"])
+    dist = WeightDistribution.from_dict(p["dist"])
     window = Window.square(p["window"])
     specs = [_line_spec(d) for d in p["lines"]]
     seeds = [tuple(s) for s in p["seeds"]]
@@ -308,7 +303,7 @@ def _run_busemann(cfg, out_dir, threads):
 
 def _run_diagnose(cfg, out_dir, threads):
     p = cfg["params"]
-    dist = _dist_from_params(p["dist"])
+    dist = WeightDistribution.from_dict(p["dist"])
     window = Window.square(p["window"])
     targets = [_line_spec(d) for d in p["targets"]]
     m, M = p["m"], p["M"]

@@ -366,7 +366,8 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
             gu_M = gauge(shape, (u[0] / M, u[1] / M))
             gv_M = gauge(shape, (v[0] / M, v[1] / M))
             if gu_m > 1 and gv_m > 1 and gu_M <= 1 and gv_M <= 1:
-                w = field.edge_weight(u, v)
+                i, j = u[0] - window.xmin, u[1] - window.ymin
+                w = ptm.hw[i, j] if v[0] != u[0] else ptm.vw[i, j]
                 if bool(in_q_support(field.dist, w)):
                     count += 1
         n_q.append(count)

@@ -6,7 +6,6 @@ closest in passage time. Sites reached at exactly equal times form the
 tie set and are never colonized under the strict policy.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +79,14 @@ class OccupancyMap:
         return bool((g[0, :] == i).any() or (g[-1, :] == i).any()
                     or (g[:, 0] == i).any() or (g[:, -1] == i).any())
 
+    def survivors(self, threshold) -> int:
+        """Number of surviving species. Species i survives on the finite
+        window when |C_i| >= threshold and C_i touches the window boundary
+        (the desk-scale proxy for an infinite colonized set)."""
+        return sum(1 for i in range(len(self.config.seeds))
+                   if self.region_size(i) >= threshold
+                   and self.touches_boundary(i))
+
 
 def compete(config: CompetitionConfig) -> OccupancyMap:
     """Run the competition to termination on the window.
@@ -125,11 +132,8 @@ class CoexistenceResult:
 
 def coexistence_stats(config: CompetitionConfig, trials: int,
                       survival_threshold: int) -> CoexistenceResult:
-    """Fraction of trials where every species survives.
-
-    Survival of species i on the finite window: |C_i| >= threshold and
-    C_i touches the window boundary (the desk-scale proxy for an
-    infinite colonized set).
+    """Fraction of trials where every species survives
+    (OccupancyMap.survivors).
     """
     if survival_threshold < 1:
         raise GrowthError("survival threshold must be >= 1")
@@ -141,10 +145,7 @@ def coexistence_stats(config: CompetitionConfig, trials: int,
                                 window=config.window,
                                 tie_policy=config.tie_policy,
                                 seed=derive_seed(config.seed, t))
-        occ = compete(cfg)
-        alive = sum(
-            1 for i in range(k)
-            if occ.region_size(i) >= survival_threshold and occ.touches_boundary(i))
+        alive = compete(cfg).survivors(survival_threshold)
         survivals.append(alive)
         if alive == k:
             n_all += 1

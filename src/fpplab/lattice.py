@@ -8,9 +8,11 @@ therefore be shared, queried lazily and reproduced bit-identically.
 Single-source passage times are solved with Dijkstra (scipy's compiled
 implementation on a CSR adjacency of the window); the predecessor
 structure keeps ALL optimal incoming edges so tie unions (the infection
-graph) stay computable.
+graph) stay computable. solve_targets sizes its own window and returns
+exact lattice passage times to a set of targets.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -128,17 +130,14 @@ class EdgeField:
         return self.dist.quantile(hu), self.dist.quantile(vu)
 
 
-def edge_weight(field: EdgeField, e) -> float:
-    return field.edge_weight(e)
-
-
 class GridGraph:
     """Window adjacency of one field, reusable across many solves."""
 
-    def __init__(self, field: EdgeField, window: Window):
+    def __init__(self, field: EdgeField, window: Window, grids=None):
         self.field = field
         self.window = window
-        self.hw, self.vw = field.weight_grids(window)
+        self.hw, self.vw = (field.weight_grids(window) if grids is None
+                            else grids)
         ny = window.ny
         n = window.n_sites
         ix = np.arange(window.nx)
@@ -352,39 +351,6 @@ def ball(ptm: PassageTimeMap, t) -> set:
     return {(int(i) + xmin, int(j) + ymin) for i, j in zip(ii, jj)}
 
 
-def monotone_upper_bound(hw: np.ndarray, vw: np.ndarray, window: Window,
-                         source: Site, target: Site) -> float:
-    """Passage time restricted to coordinate-monotone paths (upper bound).
-
-    Cheap dynamic program used to derive safe Dijkstra pruning limits:
-    the true passage time never exceeds the best monotone path.
-    """
-    sx, sy = source
-    tx, ty = target
-    stepx = 1 if tx >= sx else -1
-    stepy = 1 if ty >= sy else -1
-    xs = sx + stepx * np.arange(abs(tx - sx) + 1)
-    ys = sy + stepy * np.arange(abs(ty - sy) + 1)
-    # H[k, j]: edge between columns xs[k] and xs[k+1] at row ys[j]
-    # V[k, j]: edge between rows ys[j] and ys[j+1] at column xs[k]
-    H = V = None
-    if len(xs) > 1:
-        hx = np.minimum(xs[1:], xs[:-1]) - window.xmin
-        H = hw[hx[:, None], (ys - window.ymin)[None, :]]
-    if len(ys) > 1:
-        vy = np.minimum(ys[1:], ys[:-1]) - window.ymin
-        V = vw[(xs - window.xmin)[:, None], vy[None, :]]
-    # dp over columns; within a column the min over entry rows is a
-    # prefix-min scan against cumulative vertical weights.
-    vs0 = np.concatenate([[0.0], np.cumsum(V[0])]) if V is not None else np.zeros(1)
-    dp = vs0.copy()
-    for k in range(1, len(xs)):
-        c = dp + H[k - 1]
-        vs = np.concatenate([[0.0], np.cumsum(V[k])]) if V is not None else np.zeros(1)
-        dp = vs + np.minimum.accumulate(c - vs)
-    return float(dp[-1])
-
-
 def monotone_upper_bounds(hw, vw, window: Window, source: Site, targets):
     """Monotone-path upper bounds for many targets at once.
 
@@ -404,6 +370,8 @@ def monotone_upper_bounds(hw, vw, window: Window, source: Site, targets):
         ey = max(abs(t[1] - source[1]) for t in ts)
         xs = source[0] + qx * np.arange(ex + 1)
         ys = source[1] + qy * np.arange(ey + 1)
+        # H[k, j]: edge between columns xs[k] and xs[k+1] at row ys[j]
+        # V[k, j]: edge between rows ys[j] and ys[j+1] at column xs[k]
         H = V = None
         if len(xs) > 1:
             hx = np.minimum(xs[1:], xs[:-1]) - window.xmin
@@ -411,6 +379,8 @@ def monotone_upper_bounds(hw, vw, window: Window, source: Site, targets):
         if len(ys) > 1:
             vy = np.minimum(ys[1:], ys[:-1]) - window.ymin
             V = vw[(xs - window.xmin)[:, None], vy[None, :]]
+        # dp over columns; within a column the min over entry rows is a
+        # prefix-min scan against cumulative vertical weights.
         table = np.empty((len(xs), len(ys)))
         dp = np.concatenate([[0.0], np.cumsum(V[0])]) if V is not None else np.zeros(1)
         table[0] = dp
@@ -422,3 +392,73 @@ def monotone_upper_bounds(hw, vw, window: Window, source: Site, targets):
         for t in ts:
             out[t] = float(table[abs(t[0] - source[0]), abs(t[1] - source[1])])
     return out
+
+
+def _grow_grids(field: EdgeField, inner: Window, hw, vw, window: Window):
+    """Weight grids of window, copying those of inner and hashing the rest.
+
+    inner is a square inside the concentric square window. The
+    frame between them is covered by four rectangles: left and right at
+    full height, bottom and top between them. Every window edge lies in
+    inner or in one of them.
+    """
+    if window == inner:
+        return hw, vw
+    out_h = np.empty((window.nx - 1, window.ny))
+    out_v = np.empty((window.nx, window.ny - 1))
+    parts = [(inner, hw, vw)]
+    for r in (Window(window.xmin, inner.xmin, window.ymin, window.ymax),
+              Window(inner.xmax, window.xmax, window.ymin, window.ymax),
+              Window(inner.xmin, inner.xmax, window.ymin, inner.ymin),
+              Window(inner.xmin, inner.xmax, inner.ymax, window.ymax)):
+        parts.append((r,) + field.weight_grids(r))
+    for r, h, v in parts:
+        i, j = r.xmin - window.xmin, r.ymin - window.ymin
+        out_h[i:i + h.shape[0], j:j + h.shape[1]] = h
+        out_v[i:i + v.shape[0], j:j + v.shape[1]] = v
+    return out_h, out_v
+
+
+def solve_targets(field: EdgeField, source: Site, targets):
+    """Exact lattice passage times from the source to each target.
+
+    Returns (times, regrowths): times[k] is tau(source, targets[k]) on all
+    of Z^2, and regrowths counts how often the first window was doubled.
+
+    The bound ub is the largest monotone-path time to a target within
+    the targets' bounding square, of half-width ex + 1 around the source.
+    A site with time <= ub lies within l1 distance ub / a_min of the
+    source, a_min = dist.min_support(), so the window of half-width
+    floor(ub / a_min) + 1 holds every such site off its boundary. That
+    half-width is capped at twice the bounding square's (a_min small or
+    0), and the window doubles while the ball of radius max tau touches
+    its boundary. Once it does not, every path that leaves the window is
+    slower than the in-window times, so these are exact. Each edge weight
+    is hashed once: larger windows copy the weights already computed.
+    """
+    sx, sy = source
+    targets = list(targets)
+    S = 1 + max(max(abs(x - sx), abs(y - sy)) for x, y in targets)
+
+    def square(h):
+        return Window(sx - h, sx + h, sy - h, sy + h)
+
+    inner = square(S)
+    hw, vw = field.weight_grids(inner)
+    ub = max(monotone_upper_bounds(hw, vw, inner, source, targets).values())
+    a_min = field.dist.min_support()
+    # the max with S: rounding in ub can put floor(ub / a_min) below S - 1
+    W = 2 * S if a_min <= 0 else max(S, min(2 * S,
+                                            math.floor(ub / a_min) + 1))
+    regrowths = 0
+    while True:
+        window = square(W)
+        hw, vw = _grow_grids(field, inner, hw, vw, window)
+        inner = window
+        ptm = solve(field, source, window, limit=ub * (1 + 1e-9) + 1e-9,
+                    graph=GridGraph(field, window, grids=(hw, vw)))
+        times = np.array([ptm.time(t) for t in targets])
+        if not ptm.boundary_contact(times.max()):
+            return times, regrowths
+        W *= 2
+        regrowths += 1

@@ -9,7 +9,6 @@ an exactly computed Levy distance between mixtures.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -322,33 +321,12 @@ def _t_star(dist: WeightDistribution, z):
     return z - 1.0  # beyond the support: F = 1
 
 
-def _xi_solve(dist: WeightDistribution, val):
-    """Solve G(x) + x = val for x (xi is strictly increasing with jumps)."""
-    bps = dist.breakpoints()
-    if not bps or val <= dist.cdf_left(bps[0]) + bps[0]:
-        return min(val, bps[0]) if bps else val
-    prev_t = bps[0]
-    prev_xi = dist.cdf(bps[0]) + bps[0]
-    if val <= prev_xi:
-        return bps[0]
-    for t in bps[1:]:
-        xi_left = dist.cdf_left(t) + t
-        if val <= xi_left:
-            slope = (xi_left - prev_xi) / (t - prev_t)
-            return prev_t + (val - prev_xi) / slope
-        xi_right = dist.cdf(t) + t
-        if val <= xi_right:
-            return t
-        prev_t, prev_xi = t, xi_right
-    return val - 1.0
-
-
 def _one_sided(F: WeightDistribution, G: WeightDistribution):
     """sup over x of the smallest eps with G(x) <= F(x + eps) + eps."""
     candidates = set(G.breakpoints())
     for b in F.breakpoints():
         for psi in (F.cdf_left(b) + b, F.cdf(b) + b):
-            candidates.add(_xi_solve(G, psi))
+            candidates.add(_t_star(G, psi))
     best = 0.0
     for x in candidates:
         for y in (G.cdf(x), G.cdf_left(x)):
@@ -365,12 +343,3 @@ def levy_distance(F: WeightDistribution, G: WeightDistribution) -> float:
     mixtures are equal as distributions.
     """
     return max(_one_sided(F, G), _one_sided(G, F))
-
-
-# convenience re-exports used by several modules
-def quantile(dist: WeightDistribution, u):
-    return dist.quantile(u)
-
-
-def distributions_from_json(payload: Sequence[dict]):
-    return [WeightDistribution.from_dict(d) for d in payload]

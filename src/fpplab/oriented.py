@@ -61,10 +61,11 @@ def oriented_cluster(p: float, T: int, seed: int) -> OrientedRun:
 
 
 def estimate_alpha(p: float, T: int, trials: int, seed: int):
-    """Edge speed: mean of r_T / T over surviving runs, with stderr.
+    """Edge speed: (mean of r_T / T over surviving runs, stderr, dead runs).
 
-    Dead runs are excluded (the speed is defined for the supercritical
-    surviving cluster). Raises if every run dies.
+    The speed is defined for the supercritical surviving cluster, so the
+    mean is over the runs that reach level T; the number of runs that
+    died before it is returned with it. Raises if every run dies.
     """
     speeds = []
     for t in range(trials):
@@ -77,7 +78,7 @@ def estimate_alpha(p: float, T: int, trials: int, seed: int):
     speeds = np.array(speeds)
     mean = float(speeds.mean())
     stderr = float(speeds.std(ddof=1) / math.sqrt(len(speeds))) if len(speeds) > 1 else 0.0
-    return mean, stderr
+    return mean, stderr, trials - len(speeds)
 
 
 def alpha_rotated(alpha_st: float) -> float:

@@ -4,7 +4,13 @@ The shape estimate samples first-quadrant directions, measures the
 passage time to round(n * direction) over independent trials, averages
 each direction's full dihedral orbit (lattice symmetry halves the
 variance), and inverts: the boundary point in direction u is u / m(u).
-One Dijkstra solve per trial serves every direction simultaneously.
+
+Every trial is one call to lattice.solve_targets, which serves all
+directions at once and returns exact lattice passage times: it sizes the
+window from a monotone-path bound and the least edge weight, and doubles
+it while the ball of radius max tau touches the boundary. No trial is
+ever dropped; clipped_trials counts the trials whose first window was
+regrown, which is 0 whenever the first window was the exact one.
 """
 
 import math
@@ -15,11 +21,8 @@ import numpy as np
 from ._rng import derive_seed
 from . import convex
 from .convex import ConvexShape, hull, extreme_points, hausdorff, l1
-from .lattice import (EdgeField, GridGraph, Window, round_site, solve,
-                      monotone_upper_bounds)
+from .lattice import EdgeField, round_site, solve_targets
 from .measure import WeightDistribution, levy_distance
-
-WINDOW_FACTOR = 1.6  # window half-width per unit of target l1 radius
 
 
 class ShapeEstimateError(ValueError):
@@ -75,7 +78,7 @@ class ShapeEstimate:
     angles: tuple
     m_hat: tuple
     stderr: tuple
-    clipped_trials: int
+    clipped_trials: int  # trials whose first window was regrown
     dist: WeightDistribution
     n: int
     trials: int
@@ -87,36 +90,36 @@ class ShapeEstimate:
                 "dist": self.dist.to_dict(), "n": self.n, "trials": self.trials}
 
 
+def _trial_times(dist: WeightDistribution, targets, trials: int, seed: int):
+    """Exact passage times from the origin to the targets, one row per
+    trial, and the number of trials whose first window was regrown."""
+    rows = []
+    regrown = 0
+    for t in range(trials):
+        times, regrowths = solve_targets(
+            EdgeField(derive_seed(seed, t), dist), (0, 0), targets)
+        rows.append(times)
+        regrown += int(regrowths > 0)
+    return np.array(rows), regrown
+
+
+def _mean_stderr(vals):
+    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+    return float(vals.mean()), se
+
+
 def time_constant(dist: WeightDistribution, direction, n: int, trials: int,
                   seed: int):
     """Directional time constant: mean of tau(0, round(n*dir))/n, stderr.
 
-    The window half-width is WINDOW_FACTOR * n * |direction|_1 so that
-    geodesics rarely clip; clipped trials are flagged and excluded.
+    Every trial's passage time is exact (lattice.solve_targets), and
+    every trial enters the mean.
     """
-    if direction == (0, 0) or (direction[0] == 0 and direction[1] == 0):
+    if direction[0] == 0 and direction[1] == 0:
         raise ShapeEstimateError("direction must be nonzero")
     target = round_site((n * direction[0], n * direction[1]))
-    W = max(2, math.ceil(WINDOW_FACTOR * n * (abs(direction[0]) + abs(direction[1]))))
-    window = Window.square(W)
-    vals = []
-    clipped = 0
-    for t in range(trials):
-        field = EdgeField(derive_seed(seed, t), dist)
-        graph = GridGraph(field, window)
-        ub = monotone_upper_bounds(graph.hw, graph.vw, window, (0, 0), [target])
-        ptm = solve(field, (0, 0), window, limit=ub[target] * (1 + 1e-9) + 1e-9,
-                    graph=graph)
-        tau = ptm.time(target)
-        if ptm.boundary_contact(tau):
-            clipped += 1
-            continue
-        vals.append(tau / n)
-    if not vals:
-        raise ShapeEstimateError("all %d trials clipped" % trials)
-    vals = np.array(vals)
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return float(vals.mean()), se
+    times, _ = _trial_times(dist, [target], trials, seed)
+    return _mean_stderr(times[:, 0] / n)
 
 
 def empirical_shape(dist: WeightDistribution, plan: DirectionPlan) -> ShapeEstimate:
@@ -124,43 +127,24 @@ def empirical_shape(dist: WeightDistribution, plan: DirectionPlan) -> ShapeEstim
 
     Each trial runs one source solve whose passage times serve every
     direction and its dihedral orbit; per-direction estimates are orbit
-    averages, and the hull of the symmetrized boundary points is returned.
+    averages over all trials, and the hull of the symmetrized boundary
+    points is returned.
     """
     dirs = [_unit_l1(th) for th in plan.angles]
     n = plan.n
-    targets = {}
-    for k, u in enumerate(dirs):
-        base = (n * u[0], n * u[1])
-        orbit = []
-        for g in _DIHEDRAL:
-            orbit.append(round_site(g(*base)))
-        targets[k] = orbit
-    all_targets = sorted({t for orb in targets.values() for t in orb})
-    W = max(2, math.ceil(WINDOW_FACTOR * n))
-    window = Window.square(W)
-    per_dir = [[] for _ in dirs]
-    clipped = 0
-    for t in range(plan.trials):
-        field = EdgeField(derive_seed(plan.seed, t), dist)
-        graph = GridGraph(field, window)
-        ubs = monotone_upper_bounds(graph.hw, graph.vw, window, (0, 0), all_targets)
-        limit = max(ubs.values()) * (1 + 1e-9) + 1e-9
-        ptm = solve(field, (0, 0), window, limit=limit, graph=graph)
-        taus = {s: ptm.time(s) for s in all_targets}
-        if ptm.boundary_contact(max(taus.values())):
-            clipped += 1
-            continue
-        for k in range(len(dirs)):
-            per_dir[k].append(np.mean([taus[s] for s in targets[k]]) / n)
-    if clipped == plan.trials:
-        raise ShapeEstimateError("all %d trials clipped" % plan.trials)
+    orbits = [[round_site(g(n * u[0], n * u[1])) for g in _DIHEDRAL]
+              for u in dirs]
+    all_targets = sorted({t for orb in orbits for t in orb})
+    pos = {s: i for i, s in enumerate(all_targets)}
+    times, regrown = _trial_times(dist, all_targets, plan.trials, plan.seed)
     m_hat = []
     stderr = []
-    for k in range(len(dirs)):
-        vals = np.array(per_dir[k])
-        m_hat.append(float(vals.mean()))
-        stderr.append(float(vals.std(ddof=1) / math.sqrt(len(vals)))
-                      if len(vals) > 1 else 0.0)
+    for orb in orbits:
+        idx = [pos[s] for s in orb]
+        m, se = _mean_stderr(np.array([np.mean(row[idx]) / n
+                                       for row in times]))
+        m_hat.append(m)
+        stderr.append(se)
     pts = []
     for k, u in enumerate(dirs):
         bx, by = u[0] / m_hat[k], u[1] / m_hat[k]
@@ -169,7 +153,7 @@ def empirical_shape(dist: WeightDistribution, plan: DirectionPlan) -> ShapeEstim
     shape = hull(pts)
     return ShapeEstimate(shape=shape, angles=tuple(plan.angles),
                          m_hat=tuple(m_hat), stderr=tuple(stderr),
-                         clipped_trials=clipped, dist=dist, n=n,
+                         clipped_trials=regrown, dist=dist, n=n,
                          trials=plan.trials)
 
 

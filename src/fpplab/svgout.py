@@ -6,8 +6,6 @@ data box to a fixed pixel viewport; output is deterministic (fixed float
 formatting), so figure files are byte-stable across runs.
 """
 
-import math
-
 _FMT = "%.6g"
 
 

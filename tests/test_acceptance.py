@@ -120,7 +120,7 @@ def test_criterion_04_flat_edge_endpoints_and_sides():
     plan = DirectionPlan(angles=tuple(np.linspace(0, math.pi / 2, 65)),
                          n=200, trials=20, seed=3)
     est = empirical_shape(d8, plan)
-    a_hat, _ = estimate_alpha(0.8, T=400, trials=300, seed=4)
+    a_hat, _, _ = estimate_alpha(0.8, T=400, trials=300, seed=4)
     rep = flat_edge_report(est, alpha_rotated(a_hat), tol=0.02)
     assert rep.intersects
     assert rep.discrepancy <= 0.05
@@ -128,7 +128,7 @@ def test_criterion_04_flat_edge_endpoints_and_sides():
 
 
 def test_criterion_05_oriented_speed_and_critical_point():
-    a1, se1 = estimate_alpha(1.0, T=400, trials=100, seed=0)
+    a1, se1, _ = estimate_alpha(1.0, T=400, trials=100, seed=0)
     assert a1 == 1.0 and se1 == 0.0
     est = {p: estimate_alpha(p, T=400, trials=300, seed=6)
            for p in (0.7, 0.8, 0.9)}

@@ -5,12 +5,15 @@ import pytest
 
 from fpplab.lattice import (EdgeField, GridGraph, LatticeError, LatticePath,
                             Window, ball, canonical_edge, geodesic,
-                            monotone_upper_bound, monotone_upper_bounds,
-                            round_site, solve)
+                            monotone_upper_bounds, round_site, solve,
+                            solve_targets)
 from fpplab.measure import mk_distribution, point_mass
 
 UNIF12 = mk_distribution(pieces=[(1.0, 2.0, 1.0)])
 MIX = mk_distribution(atoms=[(1.0, 0.85)], pieces=[(1.1, 1.3, 0.15)])
+ATOMIC = mk_distribution(atoms=[(1.0, 0.8), (3.0, 0.2)])
+EPS_ATOM = mk_distribution(atoms=[(0.05, 0.4), (1.0, 0.6)])
+ZERO_ATOM = mk_distribution(atoms=[(0.0, 0.4), (1.0, 0.6)])
 
 
 def brute_force_times(field, window, source):
@@ -213,9 +216,10 @@ class TestMonotoneBound:
             f = EdgeField(seed, UNIF12)
             g = GridGraph(f, w)
             ptm = solve(f, (0, 0), w, graph=g)
-            for t in [(7, 3), (-4, 8), (-6, -6), (9, 0)]:
-                ub = monotone_upper_bound(g.hw, g.vw, w, (0, 0), t)
-                assert ub >= ptm.time(t) - 1e-12
+            targets = [(7, 3), (-4, 8), (-6, -6), (9, 0)]
+            ubs = monotone_upper_bounds(g.hw, g.vw, w, (0, 0), targets)
+            for t in targets:
+                assert ubs[t] >= ptm.time(t) - 1e-12
 
     def test_exact_for_straight_segments(self):
         # a straight segment has a single monotone path, whose weight the
@@ -224,21 +228,79 @@ class TestMonotoneBound:
         f = EdgeField(4, UNIF12)
         g = GridGraph(f, w)
         total = sum(f.edge_weight((k, 0), (k + 1, 0)) for k in range(5))
-        assert monotone_upper_bound(g.hw, g.vw, w, (0, 0), (5, 0)) == \
-            pytest.approx(total, abs=1e-12)
+        ub = monotone_upper_bounds(g.hw, g.vw, w, (0, 0), [(5, 0)])[(5, 0)]
+        assert ub == pytest.approx(total, abs=1e-12)
 
     def test_multi_target_matches_single(self):
+        # every target's bound is the exhaustive minimum over all
+        # coordinate-monotone paths from the source
+        def best_monotone(f, s, t):
+            dx, dy = t[0] - s[0], t[1] - s[1]
+            sx, sy = (1 if dx >= 0 else -1), (1 if dy >= 0 else -1)
+            n = abs(dx) + abs(dy)
+            best = np.inf
+            for xsteps in itertools.combinations(range(n), abs(dx)):
+                site, cost = s, 0.0
+                for k in range(n):
+                    nxt = ((site[0] + sx, site[1]) if k in xsteps
+                           else (site[0], site[1] + sy))
+                    cost += f.edge_weight(site, nxt)
+                    site = nxt
+                best = min(best, cost)
+            return best
+
         w = Window.square(9)
-        f = EdgeField(2, MIX)
-        g = GridGraph(f, w)
-        targets = [(5, 2), (-3, 7), (4, -4), (0, 0), (-8, -1)]
-        many = monotone_upper_bounds(g.hw, g.vw, w, (0, 0), targets)
-        for t in targets:
-            if t == (0, 0):
-                assert many[t] == 0.0
-            else:
-                assert many[t] == pytest.approx(
-                    monotone_upper_bound(g.hw, g.vw, w, (0, 0), t), abs=1e-12)
+        for seed, source in ((2, (0, 0)), (5, (1, -2))):
+            f = EdgeField(seed, MIX)
+            g = GridGraph(f, w)
+            targets = [(5, 2), (-3, 7), (4, -4), (0, 0), (-8, -1), (1, -2)]
+            many = monotone_upper_bounds(g.hw, g.vw, w, source, targets)
+            for t in targets:
+                assert many[t] == pytest.approx(best_monotone(f, source, t),
+                                                abs=1e-12)
+
+
+class TestSolveTargets:
+    TARGETS = [(12, 0), (9, 4), (6, 6), (-3, 11), (-8, -7), (0, -12),
+               (5, -1), (0, 0)]
+
+    @pytest.mark.parametrize("dist", [ATOMIC, UNIF12, EPS_ATOM, ZERO_ATOM],
+                             ids=["atomic", "unif12", "eps_atom", "zero_atom"])
+    def test_matches_unbounded_solve(self, dist):
+        big = Window.square(60)
+        for seed in range(3):
+            f = EdgeField(seed, dist)
+            times, _ = solve_targets(f, (0, 0), self.TARGETS)
+            ptm = solve(f, (0, 0), big)
+            want = np.array([ptm.time(t) for t in self.TARGETS])
+            assert not ptm.boundary_contact(want.max())
+            assert np.array_equal(times, want)
+
+    def test_exact_first_window_is_not_regrown(self):
+        # a_min = 1: the first window floor(ub) + 1 is below the cap here
+        for dist in (ATOMIC, UNIF12):
+            for seed in range(3):
+                _, regrowths = solve_targets(EdgeField(seed, dist), (0, 0),
+                                             self.TARGETS)
+                assert regrowths == 0
+
+    def test_zero_atom_regrows_first_window(self):
+        # with a_min = 0 the first window is twice the bounding square;
+        # here the ball reaches its boundary and the window doubles
+        f = EdgeField(6, ZERO_ATOM)
+        targets = [(6, 0), (4, 3), (-2, 5), (0, -6)]
+        times, regrowths = solve_targets(f, (0, 0), targets)
+        assert regrowths >= 1
+        ptm = solve(f, (0, 0), Window.square(60))
+        assert not ptm.boundary_contact(times.max())
+        assert np.array_equal(times, [ptm.time(t) for t in targets])
+
+    def test_off_origin_source(self):
+        f = EdgeField(3, UNIF12)
+        source, targets = (7, -4), [(15, 0), (0, -10), (7, -4)]
+        times, _ = solve_targets(f, source, targets)
+        ptm = solve(f, source, Window.square(50))
+        assert np.array_equal(times, [ptm.time(t) for t in targets])
 
 
 class TestMultiSource:

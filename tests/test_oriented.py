@@ -45,9 +45,15 @@ class TestCluster:
 
 class TestAlpha:
     def test_alpha_one_exact(self):
-        a, se = estimate_alpha(1.0, 200, 20, seed=0)
+        a, se, dead = estimate_alpha(1.0, 200, 20, seed=0)
         assert a == 1.0
         assert se == 0.0
+        assert dead == 0
+
+    def test_dead_runs_counted(self):
+        # 96 of the 200 clusters oriented_cluster(0.66, 400,
+        # derive_seed(4, t)) die before level 400; none goes uncounted
+        assert estimate_alpha(0.66, 400, 200, 4)[2] == 96
 
     def test_monotone_in_p(self):
         vals = {}

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from fpplab._rng import derive_seed
 from fpplab.convex import hausdorff, l1_ball
+from fpplab.lattice import EdgeField, Window, round_site, solve
 from fpplab.measure import mk_distribution, point_mass
 from fpplab.shapeest import (DirectionPlan, ShapeEstimateError,
                              continuity_probe, empirical_shape, eps_density,
                              sides_estimate, time_constant)
 
 UNIF12 = mk_distribution(pieces=[(1.0, 2.0, 1.0)])
+EPS_ATOM = mk_distribution(atoms=[(0.05, 0.4), (1.0, 0.6)])
+ZERO_ATOM = mk_distribution(atoms=[(0.0, 0.4), (1.0, 0.6)])
 
 
 class TestPlan:
@@ -85,6 +89,38 @@ class TestEmpiricalShape:
         b = empirical_shape(UNIF12, plan)
         assert a.shape.vertices == b.shape.vertices
         assert a.m_hat == b.m_hat
+
+    def test_every_trial_enters_the_mean(self):
+        # m_hat is the mean over all 10 trials of the exact orbit-averaged
+        # passage times, each solved here on a window far larger than the
+        # ball that holds the targets
+        plan = DirectionPlan.default(D=5, n=40, trials=10, seed=0)
+        est = empirical_shape(EPS_ATOM, plan)
+        big = Window.square(160)
+        orbits = []
+        for th in plan.angles:
+            c, s = math.cos(th), math.sin(th)
+            x, y = 40 * (c / (c + s)), 40 * (s / (c + s))
+            orbits.append([round_site(p) for p in (
+                (x, y), (-x, y), (x, -y), (-x, -y),
+                (y, x), (-y, x), (y, -x), (-y, -x))])
+        per_trial = []
+        for t in range(plan.trials):
+            ptm = solve(EdgeField(derive_seed(0, t), EPS_ATOM), (0, 0), big)
+            times = [[ptm.time(s) for s in orb] for orb in orbits]
+            assert not ptm.boundary_contact(max(map(max, times)))
+            per_trial.append([np.mean(ts) / 40 for ts in times])
+        want = np.mean(per_trial, axis=0)
+        assert np.allclose(est.m_hat, want, rtol=1e-12, atol=0)
+        assert est.trials == 10
+
+    def test_regrown_trials_are_counted_not_dropped(self):
+        # an atom at 0 makes the first window the capped one, which the
+        # ball can reach; such trials are regrown and kept
+        plan = DirectionPlan.default(D=5, n=20, trials=3, seed=0)
+        est = empirical_shape(ZERO_ATOM, plan)
+        assert est.clipped_trials > 0
+        assert all(m > 0 for m in est.m_hat)
 
     def test_to_dict_round_trips_shape(self):
         plan = DirectionPlan.default(D=5, n=40, trials=2, seed=3)
