@@ -14,7 +14,10 @@ _MASK = (1 << 64) - 1
 
 
 def mix64(z):
-    """splitmix64 finalizer, vectorized over uint64 arrays."""
+    """splitmix64 finalizer, vectorized over uint64 arrays.
+
+    Returns a new value: z itself is never written to.
+    """
     z = np.asarray(z, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = (z ^ (z >> np.uint64(30))) * _M1
@@ -22,16 +25,40 @@ def mix64(z):
         return z ^ (z >> np.uint64(31))
 
 
+def _mix64_owned(z):
+    """mix64 computed in place in z, a uint64 array no caller holds.
+
+    Bit-identical to mix64(z); it allocates one scratch array instead of
+    a temporary per operation.
+    """
+    t = np.empty_like(z)
+    with np.errstate(over="ignore"):
+        np.right_shift(z, np.uint64(30), out=t)
+        z ^= t
+        z *= _M1
+        np.right_shift(z, np.uint64(27), out=t)
+        z ^= t
+        z *= _M2
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+    return z
+
+
 def hash_words(seed, *words):
     """Hash a seed together with integer counter words to one uint64.
 
-    Each word may be a scalar or an array; arrays broadcast together.
+    Each word may be a scalar or an array; arrays broadcast together, so
+    a grid is best hashed from an (n, 1) and a (1, m) word: the first is
+    then mixed over the vector alone. The caller's arrays are never
+    written to.
     """
     h = mix64(np.uint64(seed & _MASK))
     for w in words:
         w = np.asarray(w)
         with np.errstate(over="ignore"):
-            h = mix64((h + _GOLDEN) ^ w.astype(np.int64).view(np.uint64))
+            h = (h + _GOLDEN) ^ w.astype(np.int64).view(np.uint64)
+        # h is a fresh result here; scalars keep the cheaper mix64
+        h = _mix64_owned(h) if h.ndim else mix64(h)
     return h
 
 

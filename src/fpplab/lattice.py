@@ -6,7 +6,8 @@ which is pushed through the distribution's inverse CDF. Fields can
 therefore be shared, queried lazily and reproduced bit-identically.
 
 Single-source passage times are solved with Dijkstra (scipy's compiled
-implementation on a CSR adjacency of the window); the predecessor
+implementation on a CSR adjacency of the window, whose int32 arrays are
+assembled directly in sorted row order, with no COO stage); the predecessor
 structure keeps ALL optimal incoming edges so tie unions (the infection
 graph) stay computable. solve_targets sizes its own window and returns
 exact lattice passage times to a set of targets.
@@ -123,10 +124,10 @@ class EdgeField:
         """
         xs = np.arange(window.xmin, window.xmax + 1)
         ys = np.arange(window.ymin, window.ymax + 1)
-        hx, hy = np.meshgrid(xs[:-1], ys, indexing="ij")
-        vx, vy = np.meshgrid(xs, ys[:-1], indexing="ij")
-        hu = uniform01(hash_words(self.seed, hx, hy, np.int64(0)))
-        vu = uniform01(hash_words(self.seed, vx, vy, np.int64(1)))
+        hu = uniform01(hash_words(self.seed, xs[:-1, None], ys[None, :],
+                                  np.int64(0)))
+        vu = uniform01(hash_words(self.seed, xs[:, None], ys[None, :-1],
+                                  np.int64(1)))
         return self.dist.quantile(hu), self.dist.quantile(vu)
 
 
@@ -134,20 +135,40 @@ class GridGraph:
     """Window adjacency of one field, reusable across many solves."""
 
     def __init__(self, field: EdgeField, window: Window, grids=None):
+        if 4 * window.n_sites > np.iinfo(np.int32).max:
+            raise LatticeError(
+                "window of %d sites overflows int32 graph indices"
+                % window.n_sites)
         self.field = field
         self.window = window
         self.hw, self.vw = (field.weight_grids(window) if grids is None
                             else grids)
-        ny = window.ny
-        n = window.n_sites
-        ix = np.arange(window.nx)
-        iy = np.arange(window.ny)
-        hu = (ix[:-1, None] * ny + iy[None, :]).ravel()
-        vu = (ix[:, None] * ny + iy[None, :-1]).ravel()
-        rows = np.concatenate([hu, hu + ny, vu, vu + 1])
-        cols = np.concatenate([hu + ny, hu, vu + 1, vu])
-        data = np.concatenate([self.hw.ravel()] * 2 + [self.vw.ravel()] * 2)
-        self._csr = csr_matrix((data, (rows, cols)), shape=(n, n))
+        nx, ny, n = window.nx, window.ny, window.n_sites
+        # Row k = i * ny + j lists the neighbours k - ny, k - 1, k + 1,
+        # k + ny in this (sorted) order: slot s of (nx, ny, 4) arrays,
+        # present unless it points off the window. Zero weights stay as
+        # explicit entries.
+        present = np.ones((nx, ny, 4), dtype=bool)
+        present[0, :, 0] = present[:, 0, 1] = False
+        present[:, -1, 2] = present[-1, :, 3] = False
+        k = np.arange(n, dtype=np.int32).reshape(nx, ny)
+        nbr = np.empty((nx, ny, 4), dtype=np.int32)
+        for s, offset in enumerate((-ny, -1, 1, ny)):
+            np.add(k, offset, out=nbr[:, :, s])
+        wt = np.empty((nx, ny, 4))
+        wt[1:, :, 0] = self.hw
+        wt[:, 1:, 1] = self.vw
+        wt[:, :-1, 2] = self.vw
+        wt[:-1, :, 3] = self.hw
+        degree = np.full((nx, ny), 4, dtype=np.int32)
+        degree[0] -= 1
+        degree[-1] -= 1
+        degree[:, 0] -= 1
+        degree[:, -1] -= 1
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(degree, out=indptr[1:])
+        self._csr = csr_matrix((wt[present], nbr[present], indptr),
+                               shape=(n, n))
 
     def distances(self, source: Site, limit=None):
         if not self.window.contains(source):

@@ -97,17 +97,22 @@ class WeightDistribution:
     def quantile(self, u):
         """Generalized inverse CDF; u may be a scalar or an array in [0,1)."""
         u_arr = np.asarray(u, dtype=float)
-        if np.any(u_arr < 0) or np.any(u_arr >= 1):
+        # written so that NaN fails too
+        if u_arr.size and not (u_arr.min() >= 0 and u_arr.max() < 1):
             raise ValueError("quantile argument must lie in [0, 1)")
         comps = self._components()
         starts = np.cumsum([0.0] + [c[2] for c in comps[:-1]])
-        lo = np.array([c[0] for c in comps])
-        hi = np.array([c[1] for c in comps])
-        mass = np.array([c[2] for c in comps])
+        # + 0.0 maps an atom at -0.0 to 0.0, as lo + 0 * width would
+        lo = np.array([c[0] for c in comps]) + 0.0
+        # starts[0] == 0 <= u, so idx lies in [0, len(comps) - 1]
         idx = np.searchsorted(starts, u_arr, side="right") - 1
-        idx = np.clip(idx, 0, len(comps) - 1)
-        frac = (u_arr - starts[idx]) / mass[idx]
-        out = lo[idx] + np.clip(frac, 0.0, 1.0) * (hi[idx] - lo[idx])
+        out = lo[idx]
+        if self.pieces:
+            # atoms have zero width: the term adds exactly 0 to them
+            hi = np.array([c[1] for c in comps])
+            mass = np.array([c[2] for c in comps])
+            frac = (u_arr - starts[idx]) / mass[idx]
+            out = out + np.clip(frac, 0.0, 1.0) * (hi[idx] - lo[idx])
         if np.isscalar(u) or u_arr.ndim == 0:
             return float(out)
         return out

@@ -1,8 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
+from fpplab._rng import hash_words
 from fpplab.lattice import (EdgeField, GridGraph, LatticeError, LatticePath,
                             Window, ball, canonical_edge, geodesic,
                             monotone_upper_bounds, round_site, solve,
@@ -14,6 +18,9 @@ MIX = mk_distribution(atoms=[(1.0, 0.85)], pieces=[(1.1, 1.3, 0.15)])
 ATOMIC = mk_distribution(atoms=[(1.0, 0.8), (3.0, 0.2)])
 EPS_ATOM = mk_distribution(atoms=[(0.05, 0.4), (1.0, 0.6)])
 ZERO_ATOM = mk_distribution(atoms=[(0.0, 0.4), (1.0, 0.6)])
+# purely atomic, like the last stage of the staged construction
+STAGE3 = mk_distribution(atoms=[(1.0, 0.66), (1.6, 0.06), (2.0, 0.08),
+                                (2.5, 0.1), (3.0, 0.1)])
 
 
 def brute_force_times(field, window, source):
@@ -75,17 +82,32 @@ class TestEdgeField:
             EdgeField(2, UNIF12).edge_weight(*e)
 
     def test_weight_grids_match_pointwise(self):
-        f = EdgeField(7, MIX)
-        w = Window(-2, 3, -1, 2)
-        hw, vw = f.weight_grids(w)
-        for i in range(w.nx - 1):
-            for j in range(w.ny):
-                u = (w.xmin + i, w.ymin + j)
-                assert hw[i, j] == f.edge_weight(u, (u[0] + 1, u[1]))
-        for i in range(w.nx):
-            for j in range(w.ny - 1):
-                u = (w.xmin + i, w.ymin + j)
-                assert vw[i, j] == f.edge_weight(u, (u[0], u[1] + 1))
+        # grids hash broadcast coordinate vectors; edge_weight hashes
+        # scalars one edge at a time
+        for f, w in ((EdgeField(7, MIX), Window(-2, 3, -1, 2)),
+                     (EdgeField(3, STAGE3), Window(4, 11, -9, -2)),
+                     (EdgeField(8, UNIF12), Window(-13, -7, 2, 10))):
+            hw, vw = f.weight_grids(w)
+            for i in range(w.nx - 1):
+                for j in range(w.ny):
+                    u = (w.xmin + i, w.ymin + j)
+                    assert hw[i, j] == f.edge_weight(u, (u[0] + 1, u[1]))
+            for i in range(w.nx):
+                for j in range(w.ny - 1):
+                    u = (w.xmin + i, w.ymin + j)
+                    assert vw[i, j] == f.edge_weight(u, (u[0], u[1] + 1))
+
+    def test_broadcast_hash_matches_meshgrid(self):
+        xs = np.arange(-17, 9)
+        ys = np.arange(5, 40)
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        for seed in (0, 7, 2**64 - 1):
+            for axis in (np.int64(0), np.int64(1)):
+                full = hash_words(seed, gx, gy, axis)
+                fast = hash_words(seed, xs[:, None], ys[None, :], axis)
+                assert fast.dtype == full.dtype == np.uint64
+                assert fast.shape == full.shape
+                assert np.array_equal(fast, full)
 
     def test_atom_frequency(self):
         # binomial check on a large batch of edges: the atom at 1 carries
@@ -301,6 +323,61 @@ class TestSolveTargets:
         times, _ = solve_targets(f, source, targets)
         ptm = solve(f, source, Window.square(50))
         assert np.array_equal(times, [ptm.time(t) for t in targets])
+
+
+def reference_csr(hw, vw, window):
+    """The window adjacency through COO -> CSR, edge by edge."""
+    rows, cols, data = [], [], []
+    for i in range(window.nx):
+        for j in range(window.ny):
+            k = i * window.ny + j
+            if i < window.nx - 1:
+                rows += [k, k + window.ny]
+                cols += [k + window.ny, k]
+                data += [hw[i, j]] * 2
+            if j < window.ny - 1:
+                rows += [k, k + 1]
+                cols += [k + 1, k]
+                data += [vw[i, j]] * 2
+    n = window.n_sites
+    return csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+class TestGraphBuild:
+    @pytest.mark.parametrize("dist", [STAGE3, ZERO_ATOM, UNIF12],
+                             ids=["stage3", "zero_atom", "unif12"])
+    def test_csr_matches_coo_reference(self, dist):
+        for seed, w in ((0, Window(-3, 5, 2, 4)), (1, Window(10, 11, -6, 6)),
+                        (2, Window(-9, -2, -1, 0)), (3, Window(-7, 7, -4, 9))):
+            f = EdgeField(seed, dist)
+            g = GridGraph(f, w)
+            ref = reference_csr(g.hw, g.vw, w)
+            # zero weights (ZERO_ATOM) stay explicit entries
+            assert g._csr.nnz == 2 * (g.hw.size + g.vw.size)
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(g._csr, name), getattr(ref, name)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            source = (w.xmin + 1, w.ymin)
+            want = dijkstra(ref, directed=True, indices=w.index(source))
+            assert np.array_equal(g.distances(source),
+                                  want.reshape(w.nx, w.ny))
+            sites = [source, (w.xmax, w.ymax)]
+            want = dijkstra(ref, directed=True, min_only=True,
+                            indices=[w.index(s) for s in sites])
+            assert np.array_equal(g.distance_to_set(sites),
+                                  want.reshape(w.nx, w.ny))
+
+    def test_int32_overflow_rejected_before_allocating(self):
+        # 60001^2 sites: 4 * n_sites does not fit the int32 indices
+        tracemalloc.start()
+        try:
+            with pytest.raises(LatticeError):
+                GridGraph(EdgeField(0, ATOMIC), Window.square(30000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestMultiSource:

@@ -86,6 +86,67 @@ class TestQueries:
             d.quantile(-0.1)
 
 
+def reference_quantile(d, u):
+    """Generalized inverse CDF with the width term for every component."""
+    comps = sorted([(x, x, m) for x, m in d.atoms]
+                   + [(a, b, m) for a, b, m in d.pieces],
+                   key=lambda c: (c[0], c[1]))
+    starts = np.cumsum([0.0] + [c[2] for c in comps[:-1]])
+    lo, hi, mass = (np.array([c[k] for c in comps]) for k in range(3))
+    idx = np.clip(np.searchsorted(starts, u, side="right") - 1,
+                  0, len(comps) - 1)
+    frac = (u - starts[idx]) / mass[idx]
+    return lo[idx] + np.clip(frac, 0.0, 1.0) * (hi[idx] - lo[idx])
+
+
+QUANTILE_LAWS = {
+    "atomic": mk_distribution(atoms=[(1.0, 0.3), (2.0, 0.5), (3.0, 0.2)]),
+    "stage3": mk_distribution(atoms=[(1.0, 0.66), (1.6, 0.06), (2.0, 0.08),
+                                     (2.5, 0.1), (3.0, 0.1)]),
+    "zero_atom": mk_distribution(atoms=[(-0.0, 0.4), (1.0, 0.6)]),
+    "point": point_mass(1.0),
+    "mixed": mk_distribution(atoms=[(1.0, 0.3), (3.0, 0.2)],
+                             pieces=[(1.5, 2.5, 0.5)]),
+    "uniform": uniform_piece(1.0, 2.0),
+}
+
+
+class TestQuantileBits:
+    @pytest.mark.parametrize("name", sorted(QUANTILE_LAWS))
+    def test_matches_reference_at_every_boundary(self, name):
+        # u = 0, each cumulative mass exactly (searchsorted side="right"
+        # puts it in the next component), the largest uniform below 1,
+        # and random uniforms
+        d = QUANTILE_LAWS[name]
+        masses = sorted([(x, m) for x, m in d.atoms]
+                        + [(a, m) for a, _, m in d.pieces])
+        cum = np.cumsum([m for _, m in masses])[:-1]
+        u = np.concatenate([[0.0, 1 - 2.0**-53], cum,
+                            np.nextafter(cum, 0),
+                            np.random.default_rng(3).random(1000)])
+        got = d.quantile(u)
+        want = reference_quantile(d, u)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        for v in u[:10]:
+            x = d.quantile(float(v))
+            assert type(x) is float
+            assert np.float64(x).tobytes() == reference_quantile(
+                d, np.float64(v)).tobytes()
+        if d.is_purely_atomic():
+            assert set(got.tolist()) <= {x + 0.0 for x, _ in d.atoms}
+
+    @pytest.mark.parametrize("name", sorted(QUANTILE_LAWS))
+    def test_rejects_outside_unit_interval(self, name):
+        d = QUANTILE_LAWS[name]
+        for bad in (1.0, -0.1, -2.0**-1074, np.nan, np.inf,
+                    np.array([0.5, 1.0]), np.array([[0.2], [-0.5]]),
+                    np.array([0.1, np.nan])):
+            with pytest.raises(ValueError):
+                d.quantile(bad)
+        assert d.quantile(np.array([])).shape == (0,)
+
+
 class TestQuantilePushforward:
     def test_ks_statistic_small(self):
         # pushing uniforms through the inverse CDF must reproduce the

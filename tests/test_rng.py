@@ -1,0 +1,32 @@
+import numpy as np
+
+from fpplab._rng import derive_seed, hash_words, mix64
+
+
+def test_mix64_leaves_its_argument_unchanged():
+    z = np.arange(1000, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    before = z.copy()
+    out = mix64(z)
+    assert np.array_equal(z, before)
+    assert not np.shares_memory(out, z)
+
+
+def test_hash_words_leaves_its_arguments_unchanged():
+    xs = np.arange(-50, 50)[:, None]
+    ys = np.arange(3, 40)[None, :]
+    grid = np.arange(12, dtype=np.int64).reshape(3, 4)
+    saved = [a.copy() for a in (xs, ys, grid)]
+    hash_words(9, xs, ys, 1)
+    hash_words(9, grid)
+    hash_words(9, 5, grid, 2)
+    for a, b in zip((xs, ys, grid), saved):
+        assert np.array_equal(a, b)
+
+
+def test_array_and_scalar_hashing_agree():
+    # the in-place array path and the scalar path are the same function
+    xs = np.arange(-6, 7)
+    arr = hash_words(123, xs, 4, np.int64(1))
+    for x, h in zip(xs, arr):
+        assert hash_words(123, int(x), 4, 1) == h
+        assert derive_seed(123, int(x), 4, 1) == int(h)
