@@ -1,8 +1,10 @@
-"""Counter-based keyed hashing used for edge weights and seed derivation.
+"""Counter-based keyed hashing: the package's one source of randomness.
 
-All randomness in the package flows through splitmix64-style finalizers so
-that every random quantity is a pure function of (seed, counter words) and
-reproduces bit-identically across runs, machines and thread counts.
+Edge weights (lattice), oriented-percolation bonds (oriented) and trial
+seeds (derive_seed) all come from hash_words; no module keeps a stateful
+generator. Every random quantity is thus a pure function of (seed,
+counter words), computed with splitmix64-style finalizers, and reproduces
+bit-identically across runs, machines and thread counts.
 """
 
 import numpy as np

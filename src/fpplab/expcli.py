@@ -31,7 +31,7 @@ from .growth import CompetitionConfig, compete
 from .lattice import EdgeField, Window
 from .measure import (ConstructionSchedule, WeightDistribution,
                       construct_sequence, levy_distance)
-from .oriented import alpha_rotated, estimate_alpha, estimate_pc
+from .oriented import alpha_estimates, alpha_rotated, estimate_pc
 from .shapeest import DirectionPlan, empirical_shape
 
 KINDS = ("shape", "construct", "oriented", "compete", "ends", "busemann",
@@ -117,11 +117,13 @@ def _write_csv(path, header, rows):
 def _map_indexed(fn, count, threads):
     """fn(i) for i in range(count), results ordered by index.
 
+    Runs on at most min(threads, count, os.cpu_count()) worker threads.
     The reduction is by index regardless of scheduling, so results do not
     depend on the thread count.
     """
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads or 1, count, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, range(count)))
     return [fn(i) for i in range(count)]
 
@@ -196,13 +198,9 @@ def _run_oriented(cfg, out_dir, threads):
     trials = cfg.get("trials", 100)
     T = p["T"]
     pv = [float(x) for x in p["p_values"]]
-
-    def one(i):
-        a, se, dead = estimate_alpha(pv[i], T, trials,
-                                     derive_seed(cfg["seed"], i))
-        return (pv[i], a, se, alpha_rotated(a), dead)
-
-    rows = _map_indexed(one, len(pv), threads)
+    # every p reads the same clusters (the monotone coupling)
+    rows = [(q, a, se, alpha_rotated(a), dead) for q, (a, se, dead)
+            in zip(pv, alpha_estimates(pv, T, trials, cfg["seed"]))]
     table = os.path.join(out_dir, "alpha.csv")
     _write_csv(table, ["p", "alpha", "stderr", "alpha_rotated"],
                [[repr(v) for v in r[:4]] for r in rows])
@@ -212,8 +210,7 @@ def _run_oriented(cfg, out_dir, threads):
                       "alpha_rotated": r[3], "dead_runs": r[4]}
                      for r in rows]}
     if "pc_grid" in p:
-        pc = estimate_pc(p["pc_grid"], T, trials,
-                         derive_seed(cfg["seed"], len(pv)))
+        pc = estimate_pc(p["pc_grid"], T, trials, cfg["seed"])
         obj["pc"] = {"p_hat": pc.p_hat, "crossing_T": pc.crossing_T,
                      "crossing_2T": pc.crossing_2T}
     _write_json(payload, obj)
@@ -224,7 +221,8 @@ def _run_oriented(cfg, out_dir, threads):
             [r[0] for r in rows], [r[1] for r in rows],
             title="edge speed").encode())
         figs.append(fig)
-    return [payload, table], figs, {"n_p": len(pv)}
+    return [payload, table], figs, {"n_p": len(pv),
+                                    "dead_runs": sum(r[4] for r in rows)}
 
 
 def _run_compete(cfg, out_dir, threads):

@@ -4,14 +4,27 @@ Simulates clusters grown from the origin in the space-time frame (sites (x, n)
 with x + n even, bonds to (x +/- 1, n + 1) open with probability p),
 estimates the rightmost-site edge speed and the critical parameter, and
 converts the speed to the rotated frame used by flat-edge predictions.
+
+Level n holds the sites x = 2j - n for j = 0..n. The two bonds leaving
+site j of level n in the cluster with seed s come from one counter hash,
+h = hash_words(s, n << 32 | j): the left bond, to site j of level n + 1,
+reads the low 32 bits of h and the right bond, to site j + 1, the high
+32 bits. A bond is open iff its half is < ceil(p * 2^32), so p = 1 opens
+every bond and p = 0 none. Trial t of an estimate with seed m grows from
+s = derive_seed(m, t), so adding trials never changes earlier ones.
+
+Every p of an estimate reads the same bonds. This is the monotone
+coupling: the cluster at p lies inside the cluster at any larger p, so
+survival and the rightmost site are monotone in p trial by trial.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import derive_seed
+from ._rng import derive_seed, hash_words
 
 
 class OrientedError(ValueError):
@@ -32,32 +45,110 @@ class OrientedRun:
         return None if self.survived else len(self.rightmost)
 
 
-def _rng_for(seed):
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
+# where the low and the high 32-bit half of a uint64 sit in its uint32 view
+_LO, _HI = (0, 1) if sys.byteorder == "little" else (1, 0)
 
 
-def oriented_cluster(p: float, T: int, seed: int) -> OrientedRun:
-    """Grow one oriented cluster from the origin for up to T levels."""
+def _threshold(p, T):
+    """Validate (p, T); a bond is open iff its 32-bit half is below this."""
     if not 0.0 <= p <= 1.0:
         raise OrientedError("p must lie in [0, 1]")
     if T < 1:
         raise OrientedError("T must be >= 1")
-    rng = _rng_for(seed)
-    # level n holds positions x = 2j - n for j = 0..n
+    return math.ceil(p * 2.0 ** 32)
+
+
+def _bonds(seed, n, j):
+    """(left, right) bond halves of the sites j of level n, as uint32.
+
+    seed is one seed, or an (R, 1) column of seeds for R rows of bonds.
+    """
+    h = hash_words(seed, (n << 32) | j)
+    u = h.view(np.uint32).reshape(h.shape + (2,))
+    return u[..., _LO], u[..., _HI]
+
+
+def oriented_cluster(p: float, T: int, seed: int) -> OrientedRun:
+    """Grow one oriented cluster from the origin for up to T levels.
+
+    The one-cluster reference for _grow, which reads the same bonds.
+    """
+    thr = _threshold(p, T)
     alive = np.ones(1, dtype=bool)
     rightmost = [0]
     for n in range(T):
-        open_l = rng.random(n + 1) < p
-        open_r = rng.random(n + 1) < p
+        left, right = _bonds(seed, n, np.arange(n + 1))
         nxt = np.zeros(n + 2, dtype=bool)
-        nxt[:-1] = alive & open_l
-        nxt[1:] |= alive & open_r
+        nxt[:-1] = alive & (left < thr)
+        nxt[1:] |= alive & (right < thr)
         if not nxt.any():
             return OrientedRun(p, T, np.array(rightmost), False)
         alive = nxt
         idx = np.flatnonzero(alive)
         rightmost.append(int(2 * idx[-1] - (n + 1)))
     return OrientedRun(p, T, np.array(rightmost), True)
+
+
+def _grow(ps, T, trials, seed):
+    """Grow trials 0..trials-1 at every p in ps for up to T levels.
+
+    Trial t at p is the cluster oriented_cluster(p, T, derive_seed(seed,
+    t)). Returns (died, r_T), two (len(ps), trials) int64 arrays: died is
+    the level at which the cluster has no site left, or T + 1 if it
+    reaches level T, and r_T is its rightmost position at level T (0 if
+    it died).
+
+    All clusters advance together, one level at a time. A level's bonds
+    are hashed once for every p, and only for the trials still alive at
+    some p, between the leftmost and the rightmost site alive in any.
+    """
+    thr = [_threshold(p, T) for p in ps]
+    seeds = np.array([derive_seed(seed, t) for t in range(trials)],
+                     dtype=np.uint64)
+    died = np.full((len(ps), trials), T + 1, dtype=np.int64)
+    r_T = np.zeros((len(ps), trials), dtype=np.int64)
+    # state[k, i, j]: site j of the current level lies in the cluster of
+    # trial live[i] at ps[k]; only columns lo..hi can be True
+    live = np.arange(trials)
+    state = np.zeros((len(ps), trials, T + 2), dtype=bool)
+    state[:, :, 0] = True
+    lo = hi = 0
+    for n in range(T):
+        left, right = _bonds(seeds[live, None], n, np.arange(lo, hi + 1))
+        for k, thr_k in enumerate(thr):
+            cur = state[k, :, lo:hi + 1]
+            to_right = cur & (right < thr_k)
+            cur &= left < thr_k
+            state[k, :, lo + 1:hi + 2] |= to_right
+        alive = state[:, :, lo:hi + 2].any(axis=2)
+        d = died[:, live]
+        died[:, live] = np.where(alive | (d <= n), d, n + 1)
+        rows = alive.any(axis=0)
+        if not rows.all():
+            live, state = live[rows], state[:, rows]
+        if not len(live):
+            return died, r_T
+        cols = np.flatnonzero(state[:, :, lo:hi + 2].any(axis=(0, 1)))
+        lo, hi = lo + int(cols[0]), lo + int(cols[-1])
+    last = T - np.argmax(state[:, :, T::-1], axis=2)
+    r_T[:, live] = np.where(died[:, live] > T, 2 * last - T, 0)
+    return died, r_T
+
+
+def alpha_estimates(p_values, T: int, trials: int, seed: int):
+    """estimate_alpha(p, T, trials, seed) for every p, from one growth."""
+    died, r_T = _grow(p_values, T, trials, seed)
+    out = []
+    for p, d, r in zip(p_values, died, r_T):
+        speeds = r[d > T] / T
+        if not len(speeds):
+            raise OrientedError(
+                "all %d runs died at p=%g, T=%d (p or T too small)"
+                % (trials, p, T))
+        stderr = (float(speeds.std(ddof=1) / math.sqrt(len(speeds)))
+                  if len(speeds) > 1 else 0.0)
+        out.append((float(speeds.mean()), stderr, trials - len(speeds)))
+    return out
 
 
 def estimate_alpha(p: float, T: int, trials: int, seed: int):
@@ -67,18 +158,7 @@ def estimate_alpha(p: float, T: int, trials: int, seed: int):
     mean is over the runs that reach level T; the number of runs that
     died before it is returned with it. Raises if every run dies.
     """
-    speeds = []
-    for t in range(trials):
-        run = oriented_cluster(p, T, derive_seed(seed, t))
-        if run.survived:
-            speeds.append(run.rightmost[-1] / T)
-    if not speeds:
-        raise OrientedError(
-            "all %d runs died at p=%g, T=%d (p or T too small)" % (trials, p, T))
-    speeds = np.array(speeds)
-    mean = float(speeds.mean())
-    stderr = float(speeds.std(ddof=1) / math.sqrt(len(speeds))) if len(speeds) > 1 else 0.0
-    return mean, stderr, trials - len(speeds)
+    return alpha_estimates([p], T, trials, seed)[0]
 
 
 def alpha_rotated(alpha_st: float) -> float:
@@ -98,21 +178,9 @@ def survival_curve(p_grid, T: int, trials: int, seed: int):
     One batch of runs to horizon 2T serves both horizons: a run survives
     to T iff it has not died by level T.
     """
-    surv_T = []
-    surv_2T = []
-    for i, p in enumerate(p_grid):
-        alive_T = alive_2T = 0
-        for t in range(trials):
-            run = oriented_cluster(p, 2 * T, derive_seed(seed, i, t))
-            d = run.died_level
-            if d is None:
-                alive_T += 1
-                alive_2T += 1
-            elif d > T:
-                alive_T += 1
-        surv_T.append(alive_T / trials)
-        surv_2T.append(alive_2T / trials)
-    return np.array(surv_T), np.array(surv_2T)
+    died, _ = _grow(p_grid, 2 * T, trials, seed)
+    return (np.count_nonzero(died > T, axis=1) / trials,
+            np.count_nonzero(died > 2 * T, axis=1) / trials)
 
 
 def _crossing(p_grid, surv, threshold):

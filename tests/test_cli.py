@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from fpplab import expcli
 from fpplab.cli import main
 from fpplab.expcli import (ConfigError, RunError, config_hash, run, sweep,
                            validate_config)
@@ -135,6 +136,23 @@ class TestMain:
         assert main(["oriented", "--config", path,
                      "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("params", [
+        {"p_values": [0.7, 1.5], "T": 50},
+        {"p_values": [-0.1], "T": 50},
+        {"p_values": [0.7], "T": 50, "pc_grid": [0.0, 0.7]},
+        {"p_values": [0.7], "T": 50, "pc_grid": [0.6, 1.0]},
+    ])
+    def test_bad_p_exit_two_before_any_work(self, tmp_path, monkeypatch,
+                                            params):
+        def no_work(*args):
+            raise AssertionError("ran with an invalid p")
+        monkeypatch.setattr(expcli, "alpha_estimates", no_work)
+        monkeypatch.setattr(expcli, "estimate_pc", no_work)
+        path = self.write(tmp_path, {"kind": "oriented", "seed": 0,
+                                     "params": params})
+        assert main(["oriented", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+
     def test_seed_override_changes_hash(self, tmp_path, capsys):
         path = self.write(tmp_path, shape_cfg())
         main(["shape", "--config", path, "--out", str(tmp_path / "o")])
@@ -150,3 +168,44 @@ class TestMain:
         assert main(["shape", "--config", path]) == 0
         out = json.loads(capsys.readouterr().out.strip())
         assert out["out"].startswith(str(tmp_path / "envout"))
+
+
+class TestWorkers:
+    class FakePool:
+        """Records max_workers and maps serially; starts no thread."""
+
+        made = []
+
+        def __init__(self, max_workers):
+            self.made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    @pytest.mark.parametrize("threads,count,cpus,workers", [
+        (8, 3, 16, 3), (8, 10, 2, 2), (2, 10, 16, 2), (8, 10, None, None),
+        (8, 10, 1, None), (1, 10, 16, None), (None, 10, 16, None),
+    ])
+    def test_capped_at_threads_count_and_cpus(self, monkeypatch, threads,
+                                              count, cpus, workers):
+        self.FakePool.made = []
+        monkeypatch.setattr(expcli, "ThreadPoolExecutor", self.FakePool)
+        monkeypatch.setattr(expcli.os, "cpu_count", lambda: cpus)
+        out = expcli._map_indexed(lambda i: i * i, count, threads)
+        assert out == [i * i for i in range(count)]
+        assert self.FakePool.made == ([] if workers is None else [workers])
+
+    def test_oriented_summary_counts_dead_runs(self, tmp_path, capsys):
+        art = run(oriented_cfg([0.66, 0.7, 1.0], T=80),
+                  out_root=str(tmp_path))
+        summary = json.loads(capsys.readouterr().out.strip())
+        with open(art.payloads[0]) as f:
+            rows = json.load(f)["alpha"]
+        assert summary["dead_runs"] == sum(r["dead_runs"] for r in rows)
+        assert summary["dead_runs"] > 0

@@ -3,8 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from fpplab.oriented import (OrientedError, alpha_rotated, estimate_alpha,
-                             estimate_pc, oriented_cluster, survival_curve)
+from fpplab._rng import derive_seed
+from fpplab.oriented import (OrientedError, _grow, alpha_estimates,
+                             alpha_rotated, estimate_alpha, estimate_pc,
+                             oriented_cluster, survival_curve)
+
+
+def reference(p, T, trials, seed):
+    """(died, r_T) of each trial from the one-cluster reference."""
+    died, r_T = [], []
+    for t in range(trials):
+        run = oriented_cluster(p, T, derive_seed(seed, t))
+        died.append(T + 1 if run.survived else run.died_level)
+        r_T.append(int(run.rightmost[-1]) if run.survived else 0)
+    return died, r_T
 
 
 class TestCluster:
@@ -41,6 +53,43 @@ class TestCluster:
             oriented_cluster(1.5, 10, 0)
         with pytest.raises(OrientedError):
             oriented_cluster(0.5, 0, 0)
+        with pytest.raises(OrientedError):
+            alpha_estimates([0.5, 1.5], 10, 5, 0)
+
+
+class TestBatched:
+    PS = (0.0, 0.5, 0.66, 0.8, 1.0)
+
+    @pytest.mark.parametrize("seed", [3, 12])
+    def test_matches_reference_run_by_run(self, seed):
+        T, trials = 70, 40
+        died, r_T = _grow(self.PS, T, trials, seed)
+        for k, p in enumerate(self.PS):
+            ref = reference(p, T, trials, seed)
+            assert died[k].tolist() == ref[0]
+            assert r_T[k].tolist() == ref[1]
+            # alone, p grows the same clusters (other rows die sooner)
+            alone = _grow([p], T, trials, seed)
+            assert np.array_equal(alone[0][0], died[k])
+            assert np.array_equal(alone[1][0], r_T[k])
+
+    def test_coupling_monotone_in_p(self):
+        died, r_T = _grow(self.PS, 100, 60, seed=9)
+        assert np.all(np.diff(died, axis=0) >= 0)
+        # a survivor's cluster lies inside its cluster at any larger p
+        surv = died == 101
+        assert np.all(np.diff(r_T, axis=0)[surv[:-1] & surv[1:]] >= 0)
+
+    def test_trials_are_prefix_stable(self):
+        small = _grow((0.6, 0.7), 50, 10, seed=1)
+        large = _grow((0.6, 0.7), 50, 25, seed=1)
+        assert np.array_equal(small[0], large[0][:, :10])
+        assert np.array_equal(small[1], large[1][:, :10])
+
+    def test_alpha_estimates_match_single_calls(self):
+        ps = [0.7, 0.8, 1.0]
+        assert alpha_estimates(ps, 80, 30, 2) == [
+            estimate_alpha(p, 80, 30, 2) for p in ps]
 
 
 class TestAlpha:
@@ -51,9 +100,12 @@ class TestAlpha:
         assert dead == 0
 
     def test_dead_runs_counted(self):
-        # 96 of the 200 clusters oriented_cluster(0.66, 400,
-        # derive_seed(4, t)) die before level 400; none goes uncounted
-        assert estimate_alpha(0.66, 400, 200, 4)[2] == 96
+        # every cluster oriented_cluster(0.66, 400, derive_seed(4, t))
+        # that dies before level 400 is counted
+        died, _ = reference(0.66, 400, 200, 4)
+        dead = sum(d <= 400 for d in died)
+        assert 0 < dead < 200
+        assert estimate_alpha(0.66, 400, 200, 4)[2] == dead
 
     def test_monotone_in_p(self):
         vals = {}
@@ -78,7 +130,7 @@ class TestCritical:
     def test_survival_monotone_in_p(self):
         grid = [0.55, 0.65, 0.75]
         s_T, s_2T = survival_curve(grid, 100, 200, seed=7)
-        assert s_T[0] <= s_T[-1]
+        assert np.all(np.diff(s_T) >= 0)
         # longer horizon can only lose clusters
         assert np.all(s_2T <= s_T + 1e-12)
 
