@@ -93,9 +93,11 @@ def compete(config: CompetitionConfig) -> OccupancyMap:
 
     owner(y) = argmin_i tau(y, x_i) when unique; equal minima follow the
     tie policy (strict: never colonized; lexicographic: lowest index;
-    random: deterministic seeded choice per site). Tie detection uses
-    exact float equality, which is meaningful because tied times arise as
-    identical sums of identical atom values.
+    random: deterministic seeded choice per site). Ties are decided by
+    float equality of the Dijkstra sums, which can miss ties that exact
+    arithmetic has: sums of the same weights added in different orders
+    may round apart. On mu_3 at W = 150 with 8 species and seed 11, all
+    10 trials disagree with an exact integer-weight oracle.
     """
     field = EdgeField(config.seed, config.dist)
     graph = GridGraph(field, config.window)

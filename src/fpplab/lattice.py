@@ -1,16 +1,23 @@
-"""Seeded edge-weight fields and exact passage times on finite windows.
+"""Seeded edge-weight fields and exact passage times on finite domains.
 
 Edge weights are a pure function of (seed, canonical edge): a keyed
 counter-based hash of the edge coordinates produces a uniform variate
 which is pushed through the distribution's inverse CDF. Fields can
 therefore be shared, queried lazily and reproduced bit-identically.
 
+A domain is a Window (an axis-aligned rectangle) or a Diamond (an l1
+ball, whose rows have ragged y-ranges). Both number their sites row
+after row, so one assembly builds the CSR adjacency of either: int32
+arrays written directly in sorted row order, with no COO stage.
 Single-source passage times are solved with Dijkstra (scipy's compiled
-implementation on a CSR adjacency of the window, whose int32 arrays are
-assembled directly in sorted row order, with no COO stage); the predecessor
-structure keeps ALL optimal incoming edges so tie unions (the infection
-graph) stay computable. solve_targets sizes its own window and returns
-exact lattice passage times to a set of targets.
+implementation); on a Window the predecessor structure keeps ALL optimal
+incoming edges so tie unions (the infection graph) stay computable.
+
+solve_targets returns exact lattice passage times to a set of targets.
+It solves on an l1 diamond around the source and certifies the result
+after the solve: with a least edge weight a_min > 0, any path that
+leaves a diamond of radius R costs at least a_min * (R + 1), so every
+target reached under that limit has its Z^2 time.
 """
 
 import math
@@ -79,6 +86,22 @@ class Window:
     def n_sites(self):
         return self.nx * self.ny
 
+    @property
+    def shape(self):
+        """Shape of the arrays of per-site values, such as solved times."""
+        return (self.nx, self.ny)
+
+    def rows(self):
+        """(ylo, yhi): the y-range of each row x = xmin + i."""
+        return np.full(self.nx, self.ymin), np.full(self.nx, self.ymax)
+
+    def edge_sites(self):
+        """Lower-left endpoints (x, y) of the horizontal and of the vertical
+        edges, as broadcastable words, in GridGraph's edge order."""
+        xs = np.arange(self.xmin, self.xmax + 1)
+        ys = np.arange(self.ymin, self.ymax + 1)
+        return (xs[:-1, None], ys[None, :]), (xs[:, None], ys[None, :-1])
+
     def contains(self, s: Site) -> bool:
         return self.xmin <= s[0] <= self.xmax and self.ymin <= s[1] <= self.ymax
 
@@ -95,6 +118,81 @@ class Window:
         for x in range(self.xmin, self.xmax + 1):
             for y in range(self.ymin, self.ymax + 1):
                 yield (x, y)
+
+
+def _shared(ylo, yhi):
+    """(lo, hi): the y-range that rows i and i + 1 share, where the
+    horizontal edges between them run."""
+    return np.maximum(ylo[:-1], ylo[1:]), np.minimum(yhi[:-1], yhi[1:])
+
+
+def _row_sites(xs, lo, hi):
+    """Flat coordinates of the sites (xs[i], y), lo[i] <= y <= hi[i], row
+    after row with y ascending."""
+    counts = hi - lo + 1
+    ends = np.cumsum(counts)
+    ys = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
+    return np.repeat(xs, counts), ys
+
+
+@dataclass(frozen=True)
+class Diamond:
+    """The l1 ball |x - cx| + |y - cy| <= radius of sites.
+
+    Its rows are ragged: row i holds the sites (cx - radius + i, y) of its
+    own y-range. Sites and edges are numbered as in a Window, row after
+    row with y ascending, so GridGraph builds both the same way. Solved
+    times come back as one flat array in that order.
+    """
+
+    center: Site
+    radius: int
+
+    def __post_init__(self):
+        if self.radius < 1:
+            raise LatticeError("radius must be >= 1")
+
+    @property
+    def xmin(self):
+        return self.center[0] - self.radius
+
+    @property
+    def n_sites(self):
+        return 2 * self.radius * (self.radius + 1) + 1
+
+    @property
+    def shape(self):
+        return (self.n_sites,)
+
+    def rows(self):
+        """(ylo, yhi): the y-range of each row x = xmin + i."""
+        half = self.radius - np.abs(np.arange(-self.radius, self.radius + 1))
+        return self.center[1] - half, self.center[1] + half
+
+    def edge_sites(self):
+        """Lower-left endpoints (x, y) of the horizontal and of the vertical
+        edges, as flat words, in GridGraph's edge order."""
+        ylo, yhi = self.rows()
+        xs = self.xmin + np.arange(2 * self.radius + 1)
+        return (_row_sites(xs[:-1], *_shared(ylo, yhi)),
+                _row_sites(xs, ylo, yhi - 1))
+
+    def contains(self, s: Site) -> bool:
+        return (abs(s[0] - self.center[0]) + abs(s[1] - self.center[1])
+                <= self.radius)
+
+    def index(self, s: Site) -> int:
+        r, i = self.radius, s[0] - self.xmin
+        # rows 0..i-1 hold i^2 sites up to the middle row; past it, rows
+        # i..2r mirror rows 0..2r-i and hold (2r + 1 - i)^2
+        start = i * i if i <= r else self.n_sites - (2 * r + 1 - i) ** 2
+        return start + s[1] - (self.center[1] - (r - abs(i - r)))
+
+    def boundary(self):
+        """Indices of the sites at l1 distance radius: the row ends."""
+        ylo, yhi = self.rows()
+        ends = np.cumsum(yhi - ylo + 1)
+        return np.union1d(ends - (yhi - ylo + 1), ends - 1)
 
 
 @dataclass(frozen=True)
@@ -115,56 +213,72 @@ class EdgeField:
         e = canonical_edge(u, v) if v is not None else u
         return float(self.dist.quantile(self.edge_uniform(e)))
 
-    def weight_grids(self, window: Window):
-        """Vectorized weights of all window edges.
+    def weight_grids(self, window):
+        """Vectorized weights of all edges of a Window or a Diamond.
 
-        Returns (hw, vw): hw[i, j] is the weight of the edge from site
-        (xmin+i, ymin+j) to (xmin+i+1, ymin+j); vw[i, j] of the edge to
-        (xmin+i, ymin+j+1).
+        Returns (hw, vw). On a Window, hw[i, j] is the weight of the edge
+        from site (xmin+i, ymin+j) to (xmin+i+1, ymin+j) and vw[i, j] of
+        the edge to (xmin+i, ymin+j+1). On a Diamond both are flat, in the
+        order of Diamond.edge_sites.
         """
-        xs = np.arange(window.xmin, window.xmax + 1)
-        ys = np.arange(window.ymin, window.ymax + 1)
-        hu = uniform01(hash_words(self.seed, xs[:-1, None], ys[None, :],
-                                  np.int64(0)))
-        vu = uniform01(hash_words(self.seed, xs[:, None], ys[None, :-1],
-                                  np.int64(1)))
+        (hx, hy), (vx, vy) = window.edge_sites()
+        hu = uniform01(hash_words(self.seed, hx, hy, np.int64(0)))
+        vu = uniform01(hash_words(self.seed, vx, vy, np.int64(1)))
         return self.dist.quantile(hu), self.dist.quantile(vu)
 
 
-class GridGraph:
-    """Window adjacency of one field, reusable across many solves."""
+def _runs(lens, before, inside):
+    """Flat mask over rows of the given lengths: in row i, true on the
+    inside[i] sites that follow its first before[i] sites."""
+    counts = np.empty((len(lens), 3), dtype=lens.dtype)
+    counts[:, 0], counts[:, 1] = before, inside
+    counts[:, 2] = lens - counts[:, 0] - counts[:, 1]
+    return np.repeat(np.tile([False, True, False], len(lens)),
+                     counts.ravel())
 
-    def __init__(self, field: EdgeField, window: Window, grids=None):
+
+class GridGraph:
+    """Adjacency of one field on a Window or a Diamond, reusable across
+    many solves."""
+
+    def __init__(self, field: EdgeField, window):
         if 4 * window.n_sites > np.iinfo(np.int32).max:
             raise LatticeError(
                 "window of %d sites overflows int32 graph indices"
                 % window.n_sites)
         self.field = field
         self.window = window
-        self.hw, self.vw = (field.weight_grids(window) if grids is None
-                            else grids)
-        nx, ny, n = window.nx, window.ny, window.n_sites
-        # Row k = i * ny + j lists the neighbours k - ny, k - 1, k + 1,
-        # k + ny in this (sorted) order: slot s of (nx, ny, 4) arrays,
-        # present unless it points off the window. Zero weights stay as
-        # explicit entries.
-        present = np.ones((nx, ny, 4), dtype=bool)
-        present[0, :, 0] = present[:, 0, 1] = False
-        present[:, -1, 2] = present[-1, :, 3] = False
-        k = np.arange(n, dtype=np.int32).reshape(nx, ny)
-        nbr = np.empty((nx, ny, 4), dtype=np.int32)
-        for s, offset in enumerate((-ny, -1, 1, ny)):
-            np.add(k, offset, out=nbr[:, :, s])
-        wt = np.empty((nx, ny, 4))
-        wt[1:, :, 0] = self.hw
-        wt[:, 1:, 1] = self.vw
-        wt[:, :-1, 2] = self.vw
-        wt[:-1, :, 3] = self.hw
-        degree = np.full((nx, ny), 4, dtype=np.int32)
-        degree[0] -= 1
-        degree[-1] -= 1
-        degree[:, 0] -= 1
-        degree[:, -1] -= 1
+        self.hw, self.vw = field.weight_grids(window)
+        n = window.n_sites
+        ylo, yhi = window.rows()
+        lens = yhi - ylo + 1
+        # site (xmin + i, y) is k = base[i] + y; its left and right
+        # neighbours sit at the per-row offsets k - left[i], k + right[i]
+        base = np.cumsum(lens) - lens - ylo
+        left = np.diff(base, prepend=base[0]).astype(np.int32)
+        right = np.diff(base, append=base[-1]).astype(np.int32)
+        lo, hi = _shared(ylo, yhi)
+        shared = hi - lo + 1
+        # Row k lists the neighbours k - left, k - 1, k + 1, k + right in
+        # this (sorted) order: slot s of (n, 4) arrays, present unless it
+        # points off the domain. Zero weights stay as explicit entries.
+        present = np.empty((n, 4), dtype=bool)
+        present[:, 0] = _runs(lens, np.r_[0, lo - ylo[1:]], np.r_[0, shared])
+        present[:, 1] = _runs(lens, 1, lens - 1)
+        present[:, 2] = _runs(lens, 0, lens - 1)
+        present[:, 3] = _runs(lens, np.r_[lo - ylo[:-1], 0], np.r_[shared, 0])
+        k = np.arange(n, dtype=np.int32)
+        nbr = np.empty((n, 4), dtype=np.int32)
+        np.subtract(k, np.repeat(left, lens), out=nbr[:, 0])
+        np.subtract(k, 1, out=nbr[:, 1])
+        np.add(k, 1, out=nbr[:, 2])
+        np.add(k, np.repeat(right, lens), out=nbr[:, 3])
+        wt = np.empty((n, 4))
+        for s, w in enumerate((self.hw, self.vw, self.vw, self.hw)):
+            wt[:, s][present[:, s]] = w.ravel()
+        degree = present[:, 0].astype(np.int32)
+        for s in (1, 2, 3):
+            degree += present[:, s]
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(degree, out=indptr[1:])
         self._csr = csr_matrix((wt[present], nbr[present], indptr),
@@ -176,7 +290,7 @@ class GridGraph:
         d = _csgraph_dijkstra(self._csr, directed=True,
                               indices=self.window.index(source),
                               limit=np.inf if limit is None else float(limit))
-        return d.reshape(self.window.nx, self.window.ny)
+        return d.reshape(self.window.shape)
 
     def distance_to_set(self, sites):
         """min over the site set of the passage time to each window site."""
@@ -185,7 +299,7 @@ class GridGraph:
             raise LatticeError("empty site set")
         d = _csgraph_dijkstra(self._csr, directed=True, indices=idx,
                               min_only=True)
-        return d.reshape(self.window.nx, self.window.ny)
+        return d.reshape(self.window.shape)
 
 
 @dataclass
@@ -377,6 +491,8 @@ def monotone_upper_bounds(hw, vw, window: Window, source: Site, targets):
 
     Runs one dynamic program per quadrant (to the extreme corner spanned
     by that quadrant's targets) and reads each target off the table.
+    solve_targets does not use it; the benchmark's traced run looks it
+    up by name.
     """
     by_quadrant = {}
     out = {}
@@ -415,71 +531,48 @@ def monotone_upper_bounds(hw, vw, window: Window, source: Site, targets):
     return out
 
 
-def _grow_grids(field: EdgeField, inner: Window, hw, vw, window: Window):
-    """Weight grids of window, copying those of inner and hashing the rest.
-
-    inner is a square inside the concentric square window. The
-    frame between them is covered by four rectangles: left and right at
-    full height, bottom and top between them. Every window edge lies in
-    inner or in one of them.
-    """
-    if window == inner:
-        return hw, vw
-    out_h = np.empty((window.nx - 1, window.ny))
-    out_v = np.empty((window.nx, window.ny - 1))
-    parts = [(inner, hw, vw)]
-    for r in (Window(window.xmin, inner.xmin, window.ymin, window.ymax),
-              Window(inner.xmax, window.xmax, window.ymin, window.ymax),
-              Window(inner.xmin, inner.xmax, window.ymin, inner.ymin),
-              Window(inner.xmin, inner.xmax, inner.ymax, window.ymax)):
-        parts.append((r,) + field.weight_grids(r))
-    for r, h, v in parts:
-        i, j = r.xmin - window.xmin, r.ymin - window.ymin
-        out_h[i:i + h.shape[0], j:j + h.shape[1]] = h
-        out_v[i:i + v.shape[0], j:j + v.shape[1]] = v
-    return out_h, out_v
-
-
 def solve_targets(field: EdgeField, source: Site, targets):
     """Exact lattice passage times from the source to each target.
 
     Returns (times, regrowths): times[k] is tau(source, targets[k]) on all
-    of Z^2, and regrowths counts how often the first window was doubled.
+    of Z^2, and regrowths counts how often the first domain was doubled.
 
-    The bound ub is the largest monotone-path time to a target within
-    the targets' bounding square, of half-width ex + 1 around the source.
-    A site with time <= ub lies within l1 distance ub / a_min of the
-    source, a_min = dist.min_support(), so the window of half-width
-    floor(ub / a_min) + 1 holds every such site off its boundary. That
-    half-width is capped at twice the bounding square's (a_min small or
-    0), and the window doubles while the ball of radius max tau touches
-    its boundary. Once it does not, every path that leaves the window is
-    slower than the in-window times, so these are exact. Each edge weight
-    is hashed once: larger windows copy the weights already computed.
+    The domain is the l1 diamond of radius R around the source. A path
+    that leaves it takes at least R + 1 steps of weight at least a_min =
+    dist.min_support(), so it costs at least a_min * (R + 1): solved with
+    that limit, every target the solve reaches has its Z^2 time, ties
+    at the limit included. R starts
+    at max(L, ceil(E[w] * L / a_min)), L the largest l1 distance of a
+    target, and doubles while a target is unreached.
+
+    When a_min is small or 0, that start would exceed twice the targets'
+    extent, 2 * (L + 1). R then starts there instead, the solve has no
+    limit, and R doubles while the ball of radius max tau touches the
+    diamond's boundary. Once it does not, every path that leaves the
+    diamond is slower than the in-diamond times, so these are exact.
+    Every edge weight of each diamond is hashed afresh.
     """
     sx, sy = source
     targets = list(targets)
-    S = 1 + max(max(abs(x - sx), abs(y - sy)) for x, y in targets)
-
-    def square(h):
-        return Window(sx - h, sx + h, sy - h, sy + h)
-
-    inner = square(S)
-    hw, vw = field.weight_grids(inner)
-    ub = max(monotone_upper_bounds(hw, vw, inner, source, targets).values())
+    L = max(abs(x - sx) + abs(y - sy) for x, y in targets)
     a_min = field.dist.min_support()
-    # the max with S: rounding in ub can put floor(ub / a_min) below S - 1
-    W = 2 * S if a_min <= 0 else max(S, min(2 * S,
-                                            math.floor(ub / a_min) + 1))
+    cap = 2 * (L + 1)
+    guess = (max(L, math.ceil(field.dist.mean() * L / a_min))
+             if a_min > 0 else math.inf)
+    certified = guess <= cap
+    R = max(1, guess) if certified else cap
     regrowths = 0
     while True:
-        window = square(W)
-        hw, vw = _grow_grids(field, inner, hw, vw, window)
-        inner = window
-        ptm = solve(field, source, window, limit=ub * (1 + 1e-9) + 1e-9,
-                    graph=GridGraph(field, window, grids=(hw, vw)))
-        times = np.array([ptm.time(t) for t in targets])
-        if not ptm.boundary_contact(times.max()):
+        diamond = Diamond(source, R)
+        graph = GridGraph(field, diamond)
+        # Dijkstra adds weights one at a time, and float addition is
+        # monotone: a path of R + 1 steps >= a_min sums, so rounded, to at
+        # least a_min added to itself R + 1 times in the same way
+        limit = np.cumsum(np.full(R + 1, a_min))[-1] if certified else None
+        d = graph.distances(source, limit=limit)
+        times = d[[diamond.index(t) for t in targets]]
+        if (np.isfinite(times).all() if certified
+                else d[diamond.boundary()].min() > times.max()):
             return times, regrowths
-        W *= 2
+        R *= 2
         regrowths += 1

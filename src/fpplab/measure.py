@@ -52,9 +52,6 @@ class WeightDistribution:
     def max_support(self):
         return max([x for x, _ in self.atoms] + [b for _, b, _ in self.pieces])
 
-    def is_atomless(self):
-        return not self.atoms
-
     def is_purely_atomic(self):
         return not self.pieces
 

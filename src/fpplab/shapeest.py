@@ -6,11 +6,15 @@ each direction's full dihedral orbit (lattice symmetry halves the
 variance), and inverts: the boundary point in direction u is u / m(u).
 
 Every trial is one call to lattice.solve_targets, which serves all
-directions at once and returns exact lattice passage times: it sizes the
-window from a monotone-path bound and the least edge weight, and doubles
-it while the ball of radius max tau touches the boundary. No trial is
-ever dropped; clipped_trials counts the trials whose first window was
-regrown, which is 0 whenever the first window was the exact one.
+directions at once and returns exact lattice passage times. It solves
+on an l1 diamond around the origin, of radius max(L, ceil(E[w] L /
+a_min)) for the targets' largest l1 norm L and least edge weight a_min,
+and certifies the times after the solve: a path that leaves the diamond
+costs at least a_min times one more than the radius. The diamond
+doubles while a target lies beyond that certified limit (or, for a_min
+small or 0, while the ball of radius max tau touches its boundary). No
+trial is ever dropped; clipped_trials counts the trials whose first
+diamond was regrown.
 """
 
 import math
@@ -78,7 +82,7 @@ class ShapeEstimate:
     angles: tuple
     m_hat: tuple
     stderr: tuple
-    clipped_trials: int  # trials whose first window was regrown
+    clipped_trials: int  # trials whose first diamond was regrown
     dist: WeightDistribution
     n: int
     trials: int
@@ -92,7 +96,7 @@ class ShapeEstimate:
 
 def _trial_times(dist: WeightDistribution, targets, trials: int, seed: int):
     """Exact passage times from the origin to the targets, one row per
-    trial, and the number of trials whose first window was regrown."""
+    trial, and the number of trials whose first diamond was regrown."""
     rows = []
     regrown = 0
     for t in range(trials):

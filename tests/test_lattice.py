@@ -7,8 +7,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from fpplab._rng import hash_words
-from fpplab.lattice import (EdgeField, GridGraph, LatticeError, LatticePath,
-                            Window, ball, canonical_edge, geodesic,
+from fpplab.lattice import (Diamond, EdgeField, GridGraph, LatticeError,
+                            LatticePath, Window, ball, canonical_edge, geodesic,
                             monotone_upper_bounds, round_site, solve,
                             solve_targets)
 from fpplab.measure import mk_distribution, point_mass
@@ -317,6 +317,23 @@ class TestSolveTargets:
         assert not ptm.boundary_contact(times.max())
         assert np.array_equal(times, [ptm.time(t) for t in targets])
 
+    def test_too_small_first_diamond_regrows(self):
+        # ATOMIC has a_min = 1 and E[w] = 1.4: the target (2, 0) gets the
+        # first diamond of radius max(2, ceil(2.8)) = 3, whose limit is
+        # 1 * (3 + 1). Exactly the seeds whose passage time exceeds 4
+        # regrow; a time of 4 ties the limit and is already exact.
+        big = Window.square(12)
+        found = 0
+        for seed in range(400):
+            f = EdgeField(seed, ATOMIC)
+            times, regrowths = solve_targets(f, (0, 0), [(2, 0)])
+            ptm = solve(f, (0, 0), big)
+            assert not ptm.boundary_contact(times[0])
+            assert times[0] == ptm.time((2, 0))
+            assert (regrowths > 0) == (times[0] > 4)
+            found += regrowths > 0
+        assert found
+
     def test_off_origin_source(self):
         f = EdgeField(3, UNIF12)
         source, targets = (7, -4), [(15, 0), (0, -10), (7, -4)]
@@ -325,55 +342,81 @@ class TestSolveTargets:
         assert np.array_equal(times, [ptm.time(t) for t in targets])
 
 
-def reference_csr(hw, vw, window):
-    """The window adjacency through COO -> CSR, edge by edge."""
+def domain_sites(domain):
+    """The sites of a Window or a Diamond, row after row, y ascending."""
+    if isinstance(domain, Window):
+        return list(domain.sites())
+    (cx, cy), r = domain.center, domain.radius
+    return [(x, y) for x in range(cx - r, cx + r + 1)
+            for y in range(cy - r, cy + r + 1)
+            if abs(x - cx) + abs(y - cy) <= r]
+
+
+def reference_csr(field, domain):
+    """The domain adjacency through COO -> CSR, edge by edge, with each
+    weight hashed on its own."""
     rows, cols, data = [], [], []
-    for i in range(window.nx):
-        for j in range(window.ny):
-            k = i * window.ny + j
-            if i < window.nx - 1:
-                rows += [k, k + window.ny]
-                cols += [k + window.ny, k]
-                data += [hw[i, j]] * 2
-            if j < window.ny - 1:
-                rows += [k, k + 1]
-                cols += [k + 1, k]
-                data += [vw[i, j]] * 2
-    n = window.n_sites
+    for u in domain_sites(domain):
+        for v in ((u[0] + 1, u[1]), (u[0], u[1] + 1)):
+            if domain.contains(v):
+                a, b = domain.index(u), domain.index(v)
+                rows += [a, b]
+                cols += [b, a]
+                data += [field.edge_weight(u, v)] * 2
+    n = domain.n_sites
     return csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 class TestGraphBuild:
+    DOMAINS = ((0, Window(-3, 5, 2, 4)), (1, Window(10, 11, -6, 6)),
+               (2, Window(-9, -2, -1, 0)), (3, Window(-7, 7, -4, 9)),
+               (4, Diamond((3, -2), 5)), (5, Diamond((-6, 9), 1)),
+               (6, Diamond((0, 0), 8)))
+
     @pytest.mark.parametrize("dist", [STAGE3, ZERO_ATOM, UNIF12],
                              ids=["stage3", "zero_atom", "unif12"])
     def test_csr_matches_coo_reference(self, dist):
-        for seed, w in ((0, Window(-3, 5, 2, 4)), (1, Window(10, 11, -6, 6)),
-                        (2, Window(-9, -2, -1, 0)), (3, Window(-7, 7, -4, 9))):
+        for seed, w in self.DOMAINS:
             f = EdgeField(seed, dist)
+            sites = domain_sites(w)
+            assert [w.index(s) for s in sites] == list(range(w.n_sites))
             g = GridGraph(f, w)
-            ref = reference_csr(g.hw, g.vw, w)
+            ref = reference_csr(f, w)
             # zero weights (ZERO_ATOM) stay explicit entries
-            assert g._csr.nnz == 2 * (g.hw.size + g.vw.size)
+            assert g._csr.nnz == 2 * (g.hw.size + g.vw.size) == ref.nnz
             for name in ("indptr", "indices", "data"):
                 got, want = getattr(g._csr, name), getattr(ref, name)
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
-            source = (w.xmin + 1, w.ymin)
+            source = sites[len(sites) // 3]  # off the origin and centre
             want = dijkstra(ref, directed=True, indices=w.index(source))
-            assert np.array_equal(g.distances(source),
-                                  want.reshape(w.nx, w.ny))
-            sites = [source, (w.xmax, w.ymax)]
+            assert np.array_equal(g.distances(source), want.reshape(w.shape))
+            targets = [source, sites[-1]]
             want = dijkstra(ref, directed=True, min_only=True,
-                            indices=[w.index(s) for s in sites])
-            assert np.array_equal(g.distance_to_set(sites),
-                                  want.reshape(w.nx, w.ny))
+                            indices=[w.index(s) for s in targets])
+            assert np.array_equal(g.distance_to_set(targets),
+                                  want.reshape(w.shape))
+
+    def test_diamond_boundary_is_its_l1_sphere(self):
+        d = Diamond((4, -1), 6)
+        sphere = {d.index(s) for s in domain_sites(d)
+                  if abs(s[0] - 4) + abs(s[1] + 1) == 6}
+        assert sorted(d.boundary()) == sorted(sphere)
+        assert len(sphere) == 4 * 6
 
     def test_int32_overflow_rejected_before_allocating(self):
-        # 60001^2 sites: 4 * n_sites does not fit the int32 indices
+        # 60001^2 sites, or the 2 r (r + 1) + 1 sites of a diamond of
+        # radius 16384: 4 * n_sites does not fit the int32 indices.
+        # solve_targets' first diamond for a target at l1 distance 16000
+        # has radius ceil(1.4 * 16000) = 22400.
+        f = EdgeField(0, ATOMIC)
         tracemalloc.start()
         try:
+            for domain in (Window.square(30000), Diamond((0, 0), 16384)):
+                with pytest.raises(LatticeError):
+                    GridGraph(f, domain)
             with pytest.raises(LatticeError):
-                GridGraph(EdgeField(0, ATOMIC), Window.square(30000))
+                solve_targets(f, (0, 0), [(16000, 0)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
