@@ -1,10 +1,12 @@
 """Command line interface.
 
-fpplab <kind> --config FILE [--seed N] [--trials N] [--out DIR] [--threads N]
+fpplab <kind> --config FILE [--seed N] [--trials N] [--out DIR]
 
 The config file holds one experiment config (or a list of them, which is
 run as a sweep). Command line flags override the corresponding config
-fields. Exit codes: 0 success, 2 config error, 3 runtime error.
+fields. Trials run serially; --threads is accepted and ignored, so
+existing command lines keep working. Exit codes: 0 success, 2 config
+error, 3 runtime error.
 """
 
 import argparse
@@ -24,7 +26,8 @@ def build_parser():
         sp.add_argument("--seed", type=int, help="override the master seed")
         sp.add_argument("--trials", type=int, help="override the trial count")
         sp.add_argument("--out", help="override the output directory")
-        sp.add_argument("--threads", type=int, help="worker thread hint")
+        sp.add_argument("--threads", type=int,
+                        help="accepted and ignored: trials run serially")
     return parser
 
 
@@ -47,15 +50,14 @@ def main(argv=None):
                         "config kind %r does not match the %s subcommand"
                         % (c.get("kind"), args.kind))
             arts = sweep([_apply_overrides(c, args) for c in cfg],
-                         out_root=args.out, threads=args.threads)
+                         out_root=args.out)
             if any(a.error for a in arts):
                 return 3
             return 0
         if cfg.get("kind") != args.kind:
             raise ConfigError("config kind %r does not match the %s subcommand"
                               % (cfg.get("kind"), args.kind))
-        run(_apply_overrides(cfg, args), out_root=args.out,
-            threads=args.threads)
+        run(_apply_overrides(cfg, args), out_root=args.out)
         return 0
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)

@@ -3,9 +3,9 @@
 A config is a JSON object with kind, seed, optional trials/threads/out and
 a kind-specific params block, validated against the schemas shipped with
 the package. run() dispatches, derives per-trial seeds from the master
-seed, writes payloads atomically and prints a one-line JSON summary.
-Payload bytes depend only on the config (never on the thread count or
-completion order).
+seed, runs the trials serially, writes payloads atomically and prints a
+one-line JSON summary. Payload bytes depend only on the config; threads
+is an accepted hint that changes nothing.
 """
 
 import csv
@@ -15,7 +15,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import jsonschema
@@ -27,7 +26,7 @@ from .convex import l1_ball
 from .geograph import (BusemannSpec, busemann_separation,
                        disjointness_diagnostic, ends_estimate,
                        infection_graph)
-from .growth import CompetitionConfig, compete
+from .growth import CompetitionConfig, coexistence_stats
 from .lattice import EdgeField, Window
 from .measure import (ConstructionSchedule, WeightDistribution,
                       construct_sequence, levy_distance)
@@ -114,20 +113,6 @@ def _write_csv(path, header, rows):
     _atomic_write(path, buf.getvalue().encode())
 
 
-def _map_indexed(fn, count, threads):
-    """fn(i) for i in range(count), results ordered by index.
-
-    Runs on at most min(threads, count, os.cpu_count()) worker threads.
-    The reduction is by index regardless of scheduling, so results do not
-    depend on the thread count.
-    """
-    workers = min(threads or 1, count, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(i) for i in range(count)]
-
-
 @dataclass
 class ResultArtifact:
     kind: str
@@ -158,7 +143,7 @@ def _line_spec(d):
 # --- per-kind runners -------------------------------------------------
 
 
-def _run_shape(cfg, out_dir, threads):
+def _run_shape(cfg, out_dir):
     p = cfg["params"]
     dist = WeightDistribution.from_dict(p["dist"])
     plan = DirectionPlan.default(D=p["directions"], n=p["n"],
@@ -174,7 +159,7 @@ def _run_shape(cfg, out_dir, threads):
                               "clipped_trials": est.clipped_trials}
 
 
-def _run_construct(cfg, out_dir, threads):
+def _run_construct(cfg, out_dir):
     p = cfg["params"]
     base = WeightDistribution.from_dict(p["base"])
     sd = dict(p["schedule"])
@@ -193,7 +178,7 @@ def _run_construct(cfg, out_dir, threads):
     return payloads, [], {"stages": sched.stages}
 
 
-def _run_oriented(cfg, out_dir, threads):
+def _run_oriented(cfg, out_dir):
     p = cfg["params"]
     trials = cfg.get("trials", 100)
     T = p["T"]
@@ -225,52 +210,43 @@ def _run_oriented(cfg, out_dir, threads):
                                     "dead_runs": sum(r[4] for r in rows)}
 
 
-def _run_compete(cfg, out_dir, threads):
+def _run_compete(cfg, out_dir):
     p = cfg["params"]
-    dist = WeightDistribution.from_dict(p["dist"])
-    seeds = tuple(tuple(s) for s in p["seeds"])
-    window = Window.square(p["window"])
-    policy = p.get("tie_policy", "strict")
-    thr = p["survival_threshold"]
+    config = CompetitionConfig(dist=WeightDistribution.from_dict(p["dist"]),
+                               seeds=tuple(tuple(s) for s in p["seeds"]),
+                               window=Window.square(p["window"]),
+                               tie_policy=p.get("tie_policy", "strict"),
+                               seed=cfg["seed"])
     trials = cfg.get("trials", 10)
-    k = len(seeds)
-
-    def one(t):
-        c = CompetitionConfig(dist=dist, seeds=seeds, window=window,
-                              tie_policy=policy,
-                              seed=derive_seed(cfg["seed"], t))
-        occ = compete(c)
-        return {"trial": t, "alive": occ.survivors(thr),
-                "sizes": [occ.region_size(i) for i in range(k)],
-                "ties": int(np.count_nonzero(occ.tie_mask))}
-
-    results = _map_indexed(one, trials, threads)
-    frac = sum(1 for r in results if r["alive"] == k) / trials
+    res = coexistence_stats(config, trials, p["survival_threshold"])
+    rows = [{"trial": t, "alive": alive, "sizes": list(sizes), "ties": ties}
+            for t, (alive, sizes, ties)
+            in enumerate(zip(res.survivals, res.sizes, res.ties))]
     payload = os.path.join(out_dir, "payload.json")
-    _write_json(payload, {"trials": trials, "coexistence_fraction": frac,
-                          "per_trial": results})
+    _write_json(payload, {"trials": trials,
+                          "coexistence_fraction": res.fraction,
+                          "per_trial": rows})
     table = os.path.join(out_dir, "survival.csv")
     _write_csv(table, ["trial", "alive", "ties"],
-               [[r["trial"], r["alive"], r["ties"]] for r in results])
-    return [payload, table], [], {"coexistence_fraction": frac}
+               [[r["trial"], r["alive"], r["ties"]] for r in rows])
+    return [payload, table], [], {"coexistence_fraction": res.fraction}
 
 
-def _run_ends(cfg, out_dir, threads):
+def _run_ends(cfg, out_dir):
     p = cfg["params"]
     dist = WeightDistribution.from_dict(p["dist"])
     window = Window.square(p["window"])
     m_grid = [int(m) for m in p["m_grid"]]
     trials = cfg.get("trials", 10)
 
-    def one(t):
+    results = []
+    for t in range(trials):
         field = EdgeField(derive_seed(cfg["seed"], t), dist)
         g = infection_graph(field, window)
         counts = {m: ends_estimate(g, m) for m in m_grid}
         best_m = max(m_grid, key=lambda m: (counts[m], -m))
-        return {"trial": t, "counts": counts, "best_m": best_m,
-                "ends": counts[best_m]}
-
-    results = _map_indexed(one, trials, threads)
+        results.append({"trial": t, "counts": counts, "best_m": best_m,
+                        "ends": counts[best_m]})
     payload = os.path.join(out_dir, "payload.json")
     _write_json(payload, {"trials": trials, "m_grid": m_grid,
                           "per_trial": [
@@ -286,7 +262,7 @@ def _run_ends(cfg, out_dir, threads):
     return [payload, table], [], {"median_ends": med}
 
 
-def _run_busemann(cfg, out_dir, threads):
+def _run_busemann(cfg, out_dir):
     p = cfg["params"]
     dist = WeightDistribution.from_dict(p["dist"])
     window = Window.square(p["window"])
@@ -299,7 +275,7 @@ def _run_busemann(cfg, out_dir, threads):
     return [payload], [], {"alpha": rep.alpha}
 
 
-def _run_diagnose(cfg, out_dir, threads):
+def _run_diagnose(cfg, out_dir):
     p = cfg["params"]
     dist = WeightDistribution.from_dict(p["dist"])
     window = Window.square(p["window"])
@@ -308,12 +284,9 @@ def _run_diagnose(cfg, out_dir, threads):
     ahw = p.get("arc_halfwidth", 0.25)
     trials = cfg.get("trials", 1)
 
-    def one(t):
-        field = EdgeField(derive_seed(cfg["seed"], t), dist)
-        return disjointness_diagnostic(field, targets, m, M, window,
-                                       arc_halfwidth=ahw)
-
-    reports = _map_indexed(one, trials, threads)
+    reports = [disjointness_diagnostic(
+        EdgeField(derive_seed(cfg["seed"], t), dist), targets, m, M, window,
+        arc_halfwidth=ahw) for t in range(trials)]
     payload = os.path.join(out_dir, "payload.json")
     _write_json(payload, {"trials": trials,
                           "reports": [r.to_dict() for r in reports]})
@@ -331,18 +304,20 @@ _RUNNERS = {"shape": _run_shape, "construct": _run_construct,
 
 
 def run(cfg, out_root=None, threads=None, echo=True) -> ResultArtifact:
-    """Validate, dispatch and persist one experiment."""
+    """Validate, dispatch and persist one experiment.
+
+    threads is an accepted hint, like the config's threads field: trials
+    run serially and the hint changes nothing.
+    """
     validate_config(cfg)
     h = config_hash(cfg)
     kind = cfg["kind"]
     root = output_root(cfg, out_root)
     out_dir = os.path.join(root, "%s-%s" % (kind, h[:12]))
     os.makedirs(out_dir, exist_ok=True)
-    if threads is None:
-        threads = cfg.get("threads", 1)
     t0 = time.monotonic()
     try:
-        payloads, figures, summary = _RUNNERS[kind](cfg, out_dir, threads)
+        payloads, figures, summary = _RUNNERS[kind](cfg, out_dir)
     except ConfigError:
         raise
     except Exception as e:
@@ -356,7 +331,7 @@ def run(cfg, out_root=None, threads=None, echo=True) -> ResultArtifact:
     return art
 
 
-def sweep(configs, out_root=None, threads=None, echo=True):
+def sweep(configs, out_root=None, echo=True):
     """Run a homogeneous list of configs with per-config isolation.
 
     A failing config becomes an error row in the merged CSV instead of
@@ -372,8 +347,7 @@ def sweep(configs, out_root=None, threads=None, echo=True):
     arts = []
     for cfg in configs:
         try:
-            arts.append(run(cfg, out_root=out_root, threads=threads,
-                            echo=echo))
+            arts.append(run(cfg, out_root=out_root, echo=echo))
         except (ConfigError, RunError) as e:
             arts.append(ResultArtifact(kind=str(kind),
                                        config_hash=config_hash(cfg),

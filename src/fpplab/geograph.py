@@ -109,9 +109,10 @@ def infection_graph(field: EdgeField, window: Window,
     """
     if ptm is None:
         ptm = solve(field, (0, 0), window)
-    g, hw, vw = ptm.grid, ptm.hw, ptm.vw
-    h_mask = (g[:-1, :] + hw == g[1:, :]) | (g[1:, :] + hw == g[:-1, :])
-    v_mask = (g[:, :-1] + vw == g[:, 1:]) | (g[:, 1:] + vw == g[:, :-1])
+    opt_right, opt_left, opt_up, opt_down = ptm._opt_masks()
+    h_mask = opt_right | opt_left
+    v_mask = opt_up | opt_down
+    hw, vw = ptm.hw, ptm.vw
     qh = in_q_support(field.dist, hw) & h_mask
     qv = in_q_support(field.dist, vw) & v_mask
     return InfectionGraph(window=window, h_mask=h_mask, v_mask=v_mask,
@@ -294,8 +295,7 @@ def _first_crossing(path_sites, shape: ConvexShape, radius):
 
 def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
                             window: Window, shape: ConvexShape = None,
-                            arc_halfwidth: float = 0.25,
-                            samples_per_arc: int = 2) -> DisjointnessReport:
+                            arc_halfwidth: float = 0.25) -> DisjointnessReport:
     """Geodesic diagnostics for one configuration.
 
     One geodesic per target line; pairwise disjointness outside the inner
@@ -305,7 +305,8 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
 
       B: the geodesic crosses the inner and outer boundaries inside the
          arc around its own direction;
-      C: |tau(0, x) - m| < m*alpha/10 for sampled arc sites x;
+      C: |tau(0, x) - m| < m*alpha/10 for the two arc sites x, m times
+         the boundary points at +-arc_halfwidth/2 along the tangent;
       D: tau(y, x) < m*alpha/5 for perturbed arc sites y near x;
       E: at least one Q-edge in the annulus.
 
@@ -385,14 +386,13 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
             in_arc = in_arc and l1(b, spec.v) <= arc_halfwidth
         ev["B"].append(in_arc)
 
-        # sampled arc sites mD_i: spread boundary points around v_i
+        # sampled arc sites mD_i: two boundary points around v_i
         if alpha <= 0 or not math.isfinite(alpha):
             ev["C"].append(False)
             ev["D"].append(False)
             continue
         arc_pts = []
-        for a in np.linspace(-arc_halfwidth / 2, arc_halfwidth / 2,
-                             samples_per_arc):
+        for a in (-arc_halfwidth / 2, arc_halfwidth / 2):
             p = (spec.v[0] + a * spec.w[0], spec.v[1] + a * spec.w[1])
             arc_pts.append(boundary_project(shape, p))
         c_ok = True

@@ -126,33 +126,40 @@ class CoexistenceResult:
     fraction: float
     trials: int
     survivals: tuple  # per-trial count of surviving species
+    sizes: tuple      # per-trial tuple of region sizes, one per species
+    ties: tuple       # per-trial tie-site count
 
     def to_dict(self):
         return {"fraction": self.fraction, "trials": self.trials,
-                "survivals": list(self.survivals)}
+                "survivals": list(self.survivals),
+                "sizes": [list(s) for s in self.sizes],
+                "ties": list(self.ties)}
 
 
 def coexistence_stats(config: CompetitionConfig, trials: int,
                       survival_threshold: int) -> CoexistenceResult:
     """Fraction of trials where every species survives
-    (OccupancyMap.survivors).
+    (OccupancyMap.survivors). Trial t runs config with the seed
+    derive_seed(config.seed, t).
     """
     if survival_threshold < 1:
         raise GrowthError("survival threshold must be >= 1")
     k = len(config.seeds)
-    n_all = 0
-    survivals = []
+    survivals, sizes, ties = [], [], []
     for t in range(trials):
         cfg = CompetitionConfig(dist=config.dist, seeds=config.seeds,
                                 window=config.window,
                                 tie_policy=config.tie_policy,
                                 seed=derive_seed(config.seed, t))
-        alive = compete(cfg).survivors(survival_threshold)
-        survivals.append(alive)
-        if alive == k:
-            n_all += 1
+        occ = compete(cfg)
+        survivals.append(occ.survivors(survival_threshold))
+        sizes.append(tuple(occ.region_size(i) for i in range(k)))
+        ties.append(int(np.count_nonzero(occ.tie_mask)))
+        del occ  # free this trial's grids before the next trial's solves
+    n_all = sum(1 for alive in survivals if alive == k)
     return CoexistenceResult(fraction=n_all / trials, trials=trials,
-                             survivals=tuple(survivals))
+                             survivals=tuple(survivals), sizes=tuple(sizes),
+                             ties=tuple(ties))
 
 
 def place_seeds(shape: ConvexShape, extreme_dirs, R_seq):

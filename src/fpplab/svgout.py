@@ -68,21 +68,18 @@ class SvgCanvas:
         return "\n".join([head] + self.elements + ["</svg>"]) + "\n"
 
 
-def shape_figure(shape, reference=None, title=None):
-    """Polygon figure of a convex shape, optionally over a reference shape."""
+def shape_figure(shape, reference):
+    """Polygon figure of a convex shape over a reference shape."""
     verts = list(shape.vertices)
     xs = [v[0] for v in verts]
     ys = [v[1] for v in verts]
     pad = 0.1 * max(max(xs) - min(xs), max(ys) - min(ys))
     canvas = SvgCanvas((min(xs) - pad, min(ys) - pad,
                         max(xs) + pad, max(ys) + pad))
-    if reference is not None:
-        canvas.polygon(list(reference.vertices), stroke="#888", width=1.0)
+    canvas.polygon(list(reference.vertices), stroke="#888", width=1.0)
     canvas.polygon(verts, stroke="#1030c0", width=1.8)
     for v in verts:
         canvas.circle(v, r=2.0, fill="#1030c0")
-    if title:
-        canvas.text((min(xs) - pad / 2, max(ys) + pad / 2), title)
     return canvas.document()
 
 
@@ -105,7 +102,7 @@ def curve_figure(xs, ys, title=None):
     return canvas.document()
 
 
-def path_figure(site_lists, window_half, title=None):
+def path_figure(site_lists, window_half):
     """Lattice paths (e.g. geodesics) drawn inside a centered window."""
     W = float(window_half)
     canvas = SvgCanvas((-W, -W, W, W))
@@ -115,6 +112,4 @@ def path_figure(site_lists, window_half, title=None):
     for i, sites in enumerate(site_lists):
         canvas.polyline(sites, stroke=palette[i % len(palette)], width=1.2)
     canvas.circle((0, 0), r=3.0, fill="black")
-    if title:
-        canvas.text((-W, W), title)
     return canvas.document()

@@ -1,5 +1,6 @@
 import json
 import os
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -18,6 +19,15 @@ def shape_cfg(seed=1, trials=2):
 def oriented_cfg(p_values, seed=2, trials=30, T=50):
     return {"kind": "oriented", "seed": seed, "trials": trials,
             "params": {"p_values": p_values, "T": T}}
+
+
+def diagnose_cfg(seed=1, trials=2):
+    targets = [{"v": [1.0, 0.0], "w": [0.0, 1.0], "n": 22},
+               {"v": [0.0, 1.0], "w": [1.0, 0.0], "n": 22}]
+    return {"kind": "diagnose", "seed": seed, "trials": trials,
+            "params": {"dist": {"atoms": [[1.0, 0.85]],
+                                "pieces": [[1.1, 1.3, 0.15]]},
+                       "window": 30, "m": 5, "M": 18, "targets": targets}}
 
 
 class TestValidation:
@@ -162,6 +172,23 @@ class TestMain:
         h2 = json.loads(capsys.readouterr().out.strip())["hash"]
         assert h1 != h2
 
+    def test_threads_flag_accepted_and_ignored(self, tmp_path, capsys):
+        path = self.write(tmp_path, shape_cfg())
+        payloads = []
+        for out, extra in (("a", []), ("b", ["--threads", "4"])):
+            assert main(["shape", "--config", path,
+                         "--out", str(tmp_path / out)] + extra) == 0
+            line = json.loads(capsys.readouterr().out.strip())
+            payloads.append([open(p, "rb").read() for p in line["payloads"]])
+        assert payloads[0] == payloads[1]
+
+    def test_zero_threads_in_config_exit_two(self, tmp_path):
+        cfg = dict(shape_cfg(), threads=0)
+        path = self.write(tmp_path, cfg)
+        assert main(["shape", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_env_output_root(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FPPLAB_OUT", str(tmp_path / "envout"))
         path = self.write(tmp_path, shape_cfg())
@@ -171,36 +198,6 @@ class TestMain:
 
 
 class TestWorkers:
-    class FakePool:
-        """Records max_workers and maps serially; starts no thread."""
-
-        made = []
-
-        def __init__(self, max_workers):
-            self.made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    @pytest.mark.parametrize("threads,count,cpus,workers", [
-        (8, 3, 16, 3), (8, 10, 2, 2), (2, 10, 16, 2), (8, 10, None, None),
-        (8, 10, 1, None), (1, 10, 16, None), (None, 10, 16, None),
-    ])
-    def test_capped_at_threads_count_and_cpus(self, monkeypatch, threads,
-                                              count, cpus, workers):
-        self.FakePool.made = []
-        monkeypatch.setattr(expcli, "ThreadPoolExecutor", self.FakePool)
-        monkeypatch.setattr(expcli.os, "cpu_count", lambda: cpus)
-        out = expcli._map_indexed(lambda i: i * i, count, threads)
-        assert out == [i * i for i in range(count)]
-        assert self.FakePool.made == ([] if workers is None else [workers])
-
     def test_oriented_summary_counts_dead_runs(self, tmp_path, capsys):
         art = run(oriented_cfg([0.66, 0.7, 1.0], T=80),
                   out_root=str(tmp_path))
@@ -209,3 +206,19 @@ class TestWorkers:
             rows = json.load(f)["alpha"]
         assert summary["dead_runs"] == sum(r["dead_runs"] for r in rows)
         assert summary["dead_runs"] > 0
+
+
+class TestFigures:
+    @pytest.mark.parametrize("cfg", [
+        shape_cfg(), oriented_cfg([0.7, 0.8, 0.9]), diagnose_cfg(),
+    ], ids=["shape", "oriented", "diagnose"])
+    def test_svg_parses_and_is_byte_stable(self, tmp_path, cfg):
+        a = run(cfg, out_root=str(tmp_path / "a"), echo=False)
+        b = run(cfg, out_root=str(tmp_path / "b"), echo=False)
+        assert len(a.figures) == 1
+        for fa, fb in zip(a.figures, b.figures):
+            data = open(fa, "rb").read()
+            assert data == open(fb, "rb").read()
+            root = ET.fromstring(data)
+            assert root.tag == "{http://www.w3.org/2000/svg}svg"
+            assert len(root) > 1

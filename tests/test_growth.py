@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fpplab._rng import derive_seed
 from fpplab.convex import hull, l1_ball
 from fpplab.growth import (CompetitionConfig, GrowthError, NONE_OWNER,
                            coexistence_stats, compete, place_seeds,
@@ -102,6 +103,20 @@ class TestCoexistence:
         a = coexistence_stats(c, trials=5, survival_threshold=30)
         b = coexistence_stats(c, trials=5, survival_threshold=30)
         assert a == b
+
+    def test_per_trial_sizes_and_ties_match_compete(self):
+        atomic = mk_distribution(atoms=[(1.0, 0.5), (2.0, 0.5)])
+        c = cfg([(-5, 0), (5, 0), (0, 5)], W=10, dist=atomic, seed=4)
+        res = coexistence_stats(c, trials=4, survival_threshold=10)
+        assert len(res.sizes) == len(res.ties) == 4
+        for t in range(4):
+            occ = compete(cfg(c.seeds, W=10, dist=atomic,
+                              seed=derive_seed(4, t)))
+            assert res.sizes[t] == tuple(occ.region_size(i)
+                                         for i in range(3))
+            assert res.ties[t] == len(occ.tie_set)
+            assert res.survivals[t] == occ.survivors(10)
+        assert sum(res.ties) > 0  # atomic weights: ties do occur
 
     def test_threshold_validation(self):
         c = cfg([(0, 0)])
