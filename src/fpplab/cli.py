@@ -4,15 +4,26 @@ fpplab <kind> --config FILE [--seed N] [--trials N] [--out DIR]
 
 The config file holds one experiment config (or a list of them, which is
 run as a sweep). Command line flags override the corresponding config
-fields. Trials run serially; --threads is accepted and ignored, so
-existing command lines keep working. Exit codes: 0 success, 2 config
-error, 3 runtime error.
+fields. Trials run serially; --threads N is accepted and ignored, so
+existing command lines keep working, but N must be >= 1 as in a config.
+Exit codes: 0 success, 2 config error (a bad flag too), 3 runtime error.
 """
 
 import argparse
 import sys
 
 from .expcli import KINDS, ConfigError, RunError, load_config, run, sweep
+
+
+def positive_int(text):
+    """argparse type: an integer >= 1, as the schemas' threads field."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("%r is not an integer >= 1" % text)
+    return value
 
 
 def build_parser():
@@ -26,7 +37,7 @@ def build_parser():
         sp.add_argument("--seed", type=int, help="override the master seed")
         sp.add_argument("--trials", type=int, help="override the trial count")
         sp.add_argument("--out", help="override the output directory")
-        sp.add_argument("--threads", type=int,
+        sp.add_argument("--threads", type=positive_int,
                         help="accepted and ignored: trials run serially")
     return parser
 

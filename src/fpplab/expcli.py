@@ -26,10 +26,10 @@ from .convex import l1_ball
 from .geograph import (BusemannSpec, busemann_separation,
                        disjointness_diagnostic, ends_estimate,
                        infection_graph)
-from .growth import CompetitionConfig, coexistence_stats
-from .lattice import EdgeField, Window
-from .measure import (ConstructionSchedule, WeightDistribution,
-                      construct_sequence, levy_distance)
+from .growth import CompetitionConfig, coexistence_stats, graph_seeds
+from .lattice import DomainError, EdgeField, Window, check_domain
+from .measure import (ConstructionSchedule, DistributionError,
+                      WeightDistribution, construct_sequence, levy_distance)
 from .oriented import alpha_estimates, alpha_rotated, estimate_pc
 from .shapeest import DirectionPlan, empirical_shape
 
@@ -72,6 +72,32 @@ def validate_config(cfg):
     except jsonschema.ValidationError as e:
         raise ConfigError("config invalid for kind %s: %s" % (kind, e.message))
     return cfg
+
+
+def admit(cfg):
+    """Refuse, before any work, what the solves cannot do exactly.
+
+    A solving kind's law must have integer ticks (a DistributionError of
+    measure.WeightDistribution.ticks_per_unit), and a window must keep
+    every Dijkstra sum below 2^53 ticks (lattice.check_domain, with the
+    seeds growth.graph_seeds joins to compete's graph). The shape kind's
+    diamonds are sized per trial: check_domain refuses each before it is
+    built, and run() reports that as a config error too, before any
+    output is written.
+    """
+    p = cfg["params"]
+    if "dist" not in p:  # construct and oriented solve nothing
+        return
+    try:
+        dist = WeightDistribution.from_dict(p["dist"])
+        dist.ticks_per_unit
+        if "window" in p:
+            seeds = (graph_seeds(p["seeds"], p.get("tie_policy", "strict"))
+                     if cfg["kind"] == "compete" else ())
+            check_domain(dist, Window.square(p["window"]), len(seeds))
+    except (DistributionError, DomainError) as e:
+        raise ConfigError("config refused for kind %s: %s"
+                          % (cfg["kind"], e))
 
 
 def config_hash(cfg) -> str:
@@ -203,8 +229,7 @@ def _run_oriented(cfg, out_dir):
     if len(rows) >= 2:
         fig = os.path.join(out_dir, "alpha.svg")
         _atomic_write(fig, svgout.curve_figure(
-            [r[0] for r in rows], [r[1] for r in rows],
-            title="edge speed").encode())
+            [r[0] for r in rows], [r[1] for r in rows]).encode())
         figs.append(fig)
     return [payload, table], figs, {"n_p": len(pv),
                                     "dead_runs": sum(r[4] for r in rows)}
@@ -310,16 +335,18 @@ def run(cfg, out_root=None, threads=None, echo=True) -> ResultArtifact:
     run serially and the hint changes nothing.
     """
     validate_config(cfg)
+    admit(cfg)
     h = config_hash(cfg)
     kind = cfg["kind"]
     root = output_root(cfg, out_root)
-    out_dir = os.path.join(root, "%s-%s" % (kind, h[:12]))
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = os.path.join(root, "%s-%s" % (kind, h[:12]))  # made on write
     t0 = time.monotonic()
     try:
         payloads, figures, summary = _RUNNERS[kind](cfg, out_dir)
     except ConfigError:
         raise
+    except DomainError as e:
+        raise ConfigError("config refused for kind %s: %s" % (kind, e))
     except Exception as e:
         raise RunError("%s experiment failed: %s" % (kind, e)) from e
     art = ResultArtifact(kind=kind, config_hash=h, version=__version__,

@@ -207,14 +207,15 @@ def discretize_line(spec: BusemannSpec, window: Window):
 def busemann(field: EdgeField, spec: BusemannSpec, x, y, window: Window,
              graph: GridGraph = None) -> float:
     """B_S(x, y): difference of minimal passage times from x and y to the
-    discretized line (two single-source solves)."""
+    discretized line (two single-source solves), exact in ticks."""
     sites = discretize_line(spec, window)
     if graph is None:
         graph = GridGraph(field, window)
     dx = graph.distances(x)
     dy = graph.distances(y)
     idx = np.array([window.index(s) for s in sites])
-    return float(dx.ravel()[idx].min() - dy.ravel()[idx].min())
+    return float((dx.ravel()[idx].min() - dy.ravel()[idx].min())
+                 / graph.unit)
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,8 @@ def busemann_separation(field: EdgeField, specs, seeds, window: Window,
     """Full k x k Busemann matrix for the spec lines against the seeds.
 
     Row i uses line L_i + n v_i (one multi-source solve per line; weights
-    are symmetric so distance-from-the-line equals distance-to-it).
+    are symmetric so distance-from-the-line equals distance-to-it). Each
+    entry is a difference of tick times, converted once.
     Projections pi_{v_i}(x_i - x_j) use the tangent from the spec.
     """
     k = len(seeds)
@@ -253,7 +255,7 @@ def busemann_separation(field: EdgeField, specs, seeds, window: Window,
         di = d[seeds[i][0] - window.xmin, seeds[i][1] - window.ymin]
         for j in range(k):
             dj = d[seeds[j][0] - window.xmin, seeds[j][1] - window.ymin]
-            mat[i, j] = float(dj - di)
+            mat[i, j] = (dj - di) / graph.unit
             if j != i:
                 proj[i, j] = projection_coefficient(
                     spec.v, spec.w,
@@ -328,7 +330,7 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
     geodesics = []
     for spec in targets:
         sites = discretize_line(spec, window)
-        best = min(sites, key=lambda s: (ptm.time(s), s))
+        best = min(sites, key=lambda s: (ptm.tick_time(s), s))
         path = geodesic(ptm, best)
         if window.on_boundary(path.sites[-1]) or any(
                 window.on_boundary(s) for s in path.sites):
@@ -433,7 +435,7 @@ def nested_geodesic_agreement(field: EdgeField, spec: BusemannSpec,
     paths = []
     for sp in (spec, spec_far):
         sites = discretize_line(sp, window)
-        best = min(sites, key=lambda s: (ptm.time(s), s))
+        best = min(sites, key=lambda s: (ptm.tick_time(s), s))
         paths.append(geodesic(ptm, best))
     boxes = [{s for s in p.sites if max(abs(s[0]), abs(s[1])) <= r}
              for p in paths]

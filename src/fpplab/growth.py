@@ -2,8 +2,9 @@
 
 k species grow simultaneously from seed sites through one shared
 edge-weight field; a site belongs to the species whose seed is strictly
-closest in passage time. Sites reached at exactly equal times form the
-tie set and are never colonized under the strict policy.
+closest in passage time. Sites reached at exactly equal times (passage
+times are exact integer ticks) form the tie set and are never colonized
+under the strict policy.
 """
 
 from dataclasses import dataclass
@@ -88,36 +89,58 @@ class OccupancyMap:
                    and self.touches_boundary(i))
 
 
+def graph_seeds(seeds, tie_policy):
+    """The seeds compete joins to its graph's super-source: all of them
+    under strict and lexicographic, which take two offset solves, and
+    none under random, which takes one solve per species."""
+    return () if tie_policy == "random" else tuple(seeds)
+
+
 def compete(config: CompetitionConfig) -> OccupancyMap:
     """Run the competition to termination on the window.
 
     owner(y) = argmin_i tau(y, x_i) when unique; equal minima follow the
     tie policy (strict: never colonized; lexicographic: lowest index;
-    random: deterministic seeded choice per site). Ties are decided by
-    float equality of the Dijkstra sums, which can miss ties that exact
-    arithmetic has: sums of the same weights added in different orders
-    may round apart. On mu_3 at W = 150 with 8 species and seed 11, all
-    10 trials disagree with an exact integer-weight oracle.
+    random: deterministic seeded choice per site). Passage times are
+    integer ticks (lattice), so ties are exact equalities.
+
+    strict and lexicographic take two solves on one graph whose tick
+    weights are scaled by K, the least power of two >= k (lattice
+    offset_scale), with a super-source joined
+    to seed i by an edge of weight i. The solve gives min_i(i + K d_i),
+    so the reach is its quotient by K and the lowest minimiser its
+    remainder; with the offsets reversed to k - 1 - i the remainder gives
+    the highest minimiser. A site ties exactly when the two differ.
+    random needs every minimiser and takes one solve per species.
     """
     field = EdgeField(config.seed, config.dist)
-    graph = GridGraph(field, config.window)
-    dists = np.stack([graph.distances(s) for s in config.seeds])
-    reach = dists.min(axis=0)
-    is_min = dists == reach[None, :, :]
-    n_min = is_min.sum(axis=0)
-    owner = np.asarray(is_min.argmax(axis=0), dtype=np.int64)
-    tie = n_min > 1
-    if config.tie_policy == "strict":
-        owner[tie] = NONE_OWNER
-    elif config.tie_policy == "random":
+    k = len(config.seeds)
+    graph = GridGraph(field, config.window,
+                      seeds=graph_seeds(config.seeds, config.tie_policy))
+    if not graph.seeds:  # random
+        dists = np.stack([graph.distances(s) for s in config.seeds])
+        reach = dists.min(axis=0)
+        is_min = dists == reach[None, :, :]
+        tie = is_min.sum(axis=0) > 1
+        owner = np.asarray(is_min.argmax(axis=0), dtype=np.int64)
         w = config.window
         ii, jj = np.nonzero(tie)
         for i, j in zip(ii, jj):
             cands = np.flatnonzero(is_min[:, i, j])
             h = int(hash_words(config.seed, i + w.xmin, j + w.ymin, 7))
             owner[i, j] = cands[h % len(cands)]
-    # lexicographic: argmax already picks the lowest tied index
-    return OccupancyMap(config=config, owner_grid=owner, reach_grid=reach,
+    else:
+        K = graph.scale
+        offsets = np.arange(k)
+        low = graph.distance_to_set(offsets=offsets)
+        reach = low // K
+        owner = (low % K).astype(np.int64)
+        high = graph.distance_to_set(offsets=k - 1 - offsets)
+        tie = owner != k - 1 - high % K
+        if config.tie_policy == "strict":
+            owner[tie] = NONE_OWNER
+    return OccupancyMap(config=config, owner_grid=owner,
+                        reach_grid=reach / field.dist.ticks_per_unit,
                         tie_mask=tie)
 
 

@@ -5,6 +5,15 @@ counter-based hash of the edge coordinates produces a uniform variate
 which is pushed through the distribution's inverse CDF. Fields can
 therefore be shared, queried lazily and reproduced bit-identically.
 
+Solves run on integer ticks. Every weight is a whole number of ticks of
+its law (measure.WeightDistribution.ticks_per_unit, D), and Dijkstra adds
+them in float64, which is exact below 2^53. So equal passage times
+compare equal whatever order the sums were made in, and integer
+equality is the one tie predicate (optimal-edge masks, geodesics,
+competition). Public times are converted once, as ticks / D. A domain on
+which a Dijkstra sum could reach 2^53 ticks is refused before anything
+is allocated (check_domain).
+
 A domain is a Window (an axis-aligned rectangle) or a Diamond (an l1
 ball, whose rows have ragged y-ranges). Both number their sites row
 after row, so one assembly builds the CSR adjacency of either: int32
@@ -23,19 +32,25 @@ target reached under that limit has its Z^2 time.
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from ._rng import hash_words, uniform01
-from .measure import WeightDistribution
+from .measure import TICK_LIMIT, WeightDistribution
 
 Site = tuple  # (x, y) integer lattice coordinates
 
 
 class LatticeError(ValueError):
     pass
+
+
+class DomainError(LatticeError):
+    """A domain refused by check_domain, before anything is allocated."""
 
 
 def round_site(point) -> Site:
@@ -90,6 +105,11 @@ class Window:
     def shape(self):
         """Shape of the arrays of per-site values, such as solved times."""
         return (self.nx, self.ny)
+
+    @property
+    def diameter(self):
+        """The largest l1 distance between two of its sites."""
+        return self.nx + self.ny - 2
 
     def rows(self):
         """(ylo, yhi): the y-range of each row x = xmin + i."""
@@ -164,6 +184,10 @@ class Diamond:
     def shape(self):
         return (self.n_sites,)
 
+    @property
+    def diameter(self):
+        return 2 * self.radius
+
     def rows(self):
         """(ylo, yhi): the y-range of each row x = xmin + i."""
         half = self.radius - np.abs(np.arange(-self.radius, self.radius + 1))
@@ -213,8 +237,9 @@ class EdgeField:
         e = canonical_edge(u, v) if v is not None else u
         return float(self.dist.quantile(self.edge_uniform(e)))
 
-    def weight_grids(self, window):
-        """Vectorized weights of all edges of a Window or a Diamond.
+    def weight_grids(self, window, ticks=False):
+        """Vectorized weights of all edges of a Window or a Diamond, in
+        real units, or in ticks (whole numbers in float64) with ticks=True.
 
         Returns (hw, vw). On a Window, hw[i, j] is the weight of the edge
         from site (xmin+i, ymin+j) to (xmin+i+1, ymin+j) and vw[i, j] of
@@ -224,7 +249,8 @@ class EdgeField:
         (hx, hy), (vx, vy) = window.edge_sites()
         hu = uniform01(hash_words(self.seed, hx, hy, np.int64(0)))
         vu = uniform01(hash_words(self.seed, vx, vy, np.int64(1)))
-        return self.dist.quantile(hu), self.dist.quantile(vu)
+        return (self.dist.quantile(hu, ticks=ticks),
+                self.dist.quantile(vu, ticks=ticks))
 
 
 def _runs(lens, before, inside):
@@ -237,18 +263,56 @@ def _runs(lens, before, inside):
                      counts.ravel())
 
 
-class GridGraph:
-    """Adjacency of one field on a Window or a Diamond, reusable across
-    many solves."""
+def offset_scale(n_seeds: int) -> int:
+    """K, the least power of two >= n_seeds (1 without seeds), by which a
+    graph with seeds scales its tick weights, so that seed offsets
+    0 .. n_seeds - 1 stay below one scaled tick."""
+    return 1 << max(n_seeds - 1, 0).bit_length()
 
-    def __init__(self, field: EdgeField, window):
-        if 4 * window.n_sites > np.iinfo(np.int32).max:
-            raise LatticeError(
-                "window of %d sites overflows int32 graph indices"
-                % window.n_sites)
+
+def check_domain(dist: WeightDistribution, domain, n_seeds=0):
+    """Refuse a domain before anything is allocated for it.
+
+    Raises DomainError when 4 * n_sites does not fit the int32 graph
+    indices, or when a Dijkstra sum on it could reach 2^53 ticks, past
+    which float64 no longer adds integers exactly. A settled site's time
+    is at most the weight of a monotone path, max_ticks * diameter, and a
+    relaxation adds one edge to it. A graph with n_seeds seeds scales
+    every weight by offset_scale(n_seeds), and its seed offsets stay
+    below that scale.
+    """
+    if 4 * domain.n_sites > np.iinfo(np.int32).max:
+        raise DomainError(
+            "window of %d sites overflows int32 graph indices"
+            % domain.n_sites)
+    top = offset_scale(n_seeds) * (
+        dist.tick(dist.max_support()) * (domain.diameter + 1) + 1)
+    if top >= TICK_LIMIT:
+        raise DomainError(
+            "passage times on a domain of l1 diameter %d reach 2^53 ticks "
+            "of %s" % (domain.diameter, dist))
+
+
+class GridGraph:
+    """Adjacency of one field on a Window or a Diamond, in ticks,
+    reusable across many solves.
+
+    th, tv are the field's weight grids in ticks. seeds adds a
+    super-source, node n_sites, with one edge to each seed; its weights
+    are the offsets of distance_to_set, rewritten for each solve. Every
+    other weight is then scaled by scale = offset_scale(len(seeds)).
+    Solves return times in ticks of this graph: unit ticks make a time
+    of 1.
+    """
+
+    def __init__(self, field: EdgeField, window, seeds=()):
+        check_domain(field.dist, window, len(seeds))
         self.field = field
         self.window = window
-        self.hw, self.vw = field.weight_grids(window)
+        self.seeds = tuple(tuple(s) for s in seeds)
+        self.scale = scale = offset_scale(len(self.seeds))
+        self.unit = field.dist.ticks_per_unit * scale  # weight 1 in ticks
+        self.th, self.tv = field.weight_grids(window, ticks=True)
         n = window.n_sites
         ylo, yhi = window.rows()
         lens = yhi - ylo + 1
@@ -262,77 +326,136 @@ class GridGraph:
         # Row k lists the neighbours k - left, k - 1, k + 1, k + right in
         # this (sorted) order: slot s of (n, 4) arrays, present unless it
         # points off the domain. Zero weights stay as explicit entries.
-        present = np.empty((n, 4), dtype=bool)
-        present[:, 0] = _runs(lens, np.r_[0, lo - ylo[1:]], np.r_[0, shared])
-        present[:, 1] = _runs(lens, 1, lens - 1)
-        present[:, 2] = _runs(lens, 0, lens - 1)
-        present[:, 3] = _runs(lens, np.r_[lo - ylo[:-1], 0], np.r_[shared, 0])
+        # The super-source's row, if any, comes last: its entries follow
+        # the (n, 4) slots in the flat arrays.
+        n_seeds = len(self.seeds)
+        flat = 4 * n + n_seeds
+        present = np.empty(flat, dtype=bool)
+        nbr = np.empty(flat, dtype=np.int32)
+        wt = np.empty(flat)
+        present[4 * n:] = True
+        nbr[4 * n:] = [window.index(s) for s in self.seeds]
+        wt[4 * n:] = 0
+        slots, nbr4, wt4 = (a[:4 * n].reshape(n, 4) for a in (present, nbr, wt))
+        slots[:, 0] = _runs(lens, np.r_[0, lo - ylo[1:]], np.r_[0, shared])
+        slots[:, 1] = _runs(lens, 1, lens - 1)
+        slots[:, 2] = _runs(lens, 0, lens - 1)
+        slots[:, 3] = _runs(lens, np.r_[lo - ylo[:-1], 0], np.r_[shared, 0])
         k = np.arange(n, dtype=np.int32)
-        nbr = np.empty((n, 4), dtype=np.int32)
-        np.subtract(k, np.repeat(left, lens), out=nbr[:, 0])
-        np.subtract(k, 1, out=nbr[:, 1])
-        np.add(k, 1, out=nbr[:, 2])
-        np.add(k, np.repeat(right, lens), out=nbr[:, 3])
-        wt = np.empty((n, 4))
-        for s, w in enumerate((self.hw, self.vw, self.vw, self.hw)):
-            wt[:, s][present[:, s]] = w.ravel()
-        degree = present[:, 0].astype(np.int32)
+        np.subtract(k, np.repeat(left, lens), out=nbr4[:, 0])
+        np.subtract(k, 1, out=nbr4[:, 1])
+        np.add(k, 1, out=nbr4[:, 2])
+        np.add(k, np.repeat(right, lens), out=nbr4[:, 3])
+        for s, w in enumerate((self.th, self.tv, self.tv, self.th)):
+            wt4[:, s][slots[:, s]] = w.ravel()
+        degree = slots[:, 0].astype(np.int32)
         for s in (1, 2, 3):
-            degree += present[:, s]
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(degree, out=indptr[1:])
-        self._csr = csr_matrix((wt[present], nbr[present], indptr),
-                               shape=(n, n))
+            degree += slots[:, s]
+        nodes = n + 1 if n_seeds else n
+        indptr = np.empty(nodes + 1, dtype=np.int32)
+        indptr[0] = 0
+        np.cumsum(degree, out=indptr[1:n + 1])
+        indptr[-1] = indptr[n] + n_seeds
+        data = wt[present]
+        if scale != 1:
+            data *= scale
+        indices = nbr[present]
+        self._csr = csr_matrix((data, indices, indptr), shape=(nodes, nodes))
+
+    def _times(self, d):
+        """Solved ticks as per-site times."""
+        return d[:self.window.n_sites].reshape(self.window.shape)
 
     def distances(self, source: Site, limit=None):
+        """Passage times in ticks (exact float64 integers) from the source
+        to every domain site. limit, in ticks, prunes the search: sites
+        beyond it come back inf."""
         if not self.window.contains(source):
             raise LatticeError("source %s outside window" % (source,))
         d = _csgraph_dijkstra(self._csr, directed=True,
                               indices=self.window.index(source),
                               limit=np.inf if limit is None else float(limit))
-        return d.reshape(self.window.shape)
+        return self._times(d)
 
-    def distance_to_set(self, sites):
-        """min over the site set of the passage time to each window site."""
-        idx = [self.window.index(s) for s in sites]
-        if not idx:
-            raise LatticeError("empty site set")
-        d = _csgraph_dijkstra(self._csr, directed=True, indices=idx,
-                              min_only=True)
-        return d.reshape(self.window.shape)
+    def distance_to_set(self, sites=None, offsets=None):
+        """min over a site set of the passage time, in ticks, to each
+        domain site.
+
+        With sites, every site starts at 0. With offsets instead, one
+        per seed of the graph, the set is the seeds and seed i starts at
+        offsets[i] ticks: the result is min_i(offsets[i] + tau(seeds[i],
+        .)), solved from the super-source.
+        """
+        if offsets is None:
+            idx = [self.window.index(s) for s in sites or ()]
+            if not idx:
+                raise LatticeError("empty site set")
+            d = _csgraph_dijkstra(self._csr, directed=True, indices=idx,
+                                  min_only=True)
+            return self._times(d)
+        if sites is not None or not self.seeds or \
+                len(offsets) != len(self.seeds):
+            raise LatticeError("offsets need one entry per graph seed, "
+                               "and no sites")
+        self._csr.data[-len(self.seeds):] = offsets
+        d = _csgraph_dijkstra(self._csr, directed=True,
+                              indices=self.window.n_sites)
+        return self._times(d)
 
 
 @dataclass
 class PassageTimeMap:
-    """Solved single-source passage times plus all-optimal predecessors."""
+    """Solved single-source passage times plus all-optimal predecessors.
+
+    ticks, th and tv are the times and the edge weights in ticks (exact;
+    times are inf where the limit cut the solve); grid, hw and vw are the
+    same in real units, ticks / D.
+    """
 
     field: EdgeField
     window: Window
     source: Site
-    grid: np.ndarray  # (nx, ny) times, inf where unexplored (limit cut)
-    hw: np.ndarray
-    vw: np.ndarray
+    ticks: np.ndarray  # (nx, ny)
+    th: np.ndarray
+    tv: np.ndarray
     limit: float = np.inf
     _masks: tuple = dc_field(default=None, repr=False)
 
-    def time(self, s: Site) -> float:
+    @cached_property
+    def grid(self):
+        return self.ticks / self.field.dist.ticks_per_unit
+
+    @cached_property
+    def hw(self):
+        return self.th / self.field.dist.ticks_per_unit
+
+    @cached_property
+    def vw(self):
+        return self.tv / self.field.dist.ticks_per_unit
+
+    def tick_time(self, s: Site):
+        """The passage time to s in ticks, exact."""
         if not self.window.contains(s):
             raise LatticeError("site %s outside window" % (s,))
-        t = self.grid[s[0] - self.window.xmin, s[1] - self.window.ymin]
+        t = self.ticks[s[0] - self.window.xmin, s[1] - self.window.ymin]
         if not np.isfinite(t):
             raise LatticeError(
                 "site %s beyond the solve limit %g" % (s, self.limit))
-        return float(t)
+        return t
+
+    def time(self, s: Site) -> float:
+        return float(self.tick_time(s) / self.field.dist.ticks_per_unit)
 
     def _opt_masks(self):
         # opt_right[i,j]: edge (i,j)->(i+1,j) is an optimal incoming edge
-        # of (i+1,j); analogously for the other three directions.
+        # of (i+1,j); analogously for the other three directions. Sums of
+        # ticks are exact, so == is exact equality of passage times.
         if self._masks is None:
-            g, hw, vw = self.grid, self.hw, self.vw
-            opt_right = g[:-1, :] + hw == g[1:, :]
-            opt_left = g[1:, :] + hw == g[:-1, :]
-            opt_up = g[:, :-1] + vw == g[:, 1:]
-            opt_down = g[:, 1:] + vw == g[:, :-1]
+            g, th, tv = self.ticks, self.th, self.tv
+            opt_right = g[:-1, :] + th == g[1:, :]
+            opt_left = g[1:, :] + th == g[:-1, :]
+            opt_up = g[:, :-1] + tv == g[:, 1:]
+            opt_down = g[:, 1:] + tv == g[:, :-1]
             self._masks = (opt_right, opt_left, opt_up, opt_down)
         return self._masks
 
@@ -368,13 +491,15 @@ def solve(field: EdgeField, source: Site, window: Window,
     limit optionally prunes the search: sites with time > limit come back
     as unexplored (their true time exceeds limit, which callers must only
     use when they query nearer sites). graph allows reuse of a prebuilt
-    GridGraph for repeated solves on one field.
+    GridGraph (without seeds) for repeated solves on one field.
     """
     if graph is None:
         graph = GridGraph(field, window)
-    grid = graph.distances(source, limit=limit)
+    ticks = graph.distances(
+        source, limit=None if limit is None or limit == math.inf
+        else math.floor(Fraction(limit) * graph.unit))
     return PassageTimeMap(field=field, window=window, source=source,
-                          grid=grid, hw=graph.hw, vw=graph.vw,
+                          ticks=ticks, th=graph.th, tv=graph.tv,
                           limit=np.inf if limit is None else float(limit))
 
 
@@ -406,21 +531,22 @@ def _plateau_escape(ptm: PassageTimeMap, v: Site, visited):
     neighbors are explored in sorted order.
     """
     from collections import deque
-    t_v = ptm.time(v)
+    t_v = ptm.tick_time(v)
     q = deque([v])
     parent = {v: None}
     while q:
         u = q.popleft()
         if u != v:
             if u == ptm.source or any(
-                    ptm.time(w) < t_v for w in ptm.pred_sites(u)):
+                    ptm.tick_time(w) < t_v for w in ptm.pred_sites(u)):
                 path = []
                 while u is not None:
                     path.append(u)
                     u = parent[u]
                 return path[::-1][1:]  # drop v itself
         for w in sorted(ptm.pred_sites(u)):
-            if w not in parent and w not in visited and ptm.time(w) == t_v:
+            if (w not in parent and w not in visited
+                    and ptm.tick_time(w) == t_v):
                 parent[w] = u
                 q.append(w)
     raise LatticeError("stuck on a zero-weight plateau at %s" % (v,))
@@ -456,7 +582,9 @@ def geodesic(ptm: PassageTimeMap, target: Site, tie_policy="lexicographic"):
     visited = {target}
     v = target
     while v != ptm.source:
-        strict = sorted(u for u in ptm.pred_sites(v) if ptm.time(u) < ptm.time(v))
+        t_v = ptm.tick_time(v)
+        strict = sorted(u for u in ptm.pred_sites(v)
+                        if ptm.tick_time(u) < t_v)
         if strict:
             v = strict[0]
             rev.append(v)
@@ -540,10 +668,10 @@ def solve_targets(field: EdgeField, source: Site, targets):
     The domain is the l1 diamond of radius R around the source. A path
     that leaves it takes at least R + 1 steps of weight at least a_min =
     dist.min_support(), so it costs at least a_min * (R + 1): solved with
-    that limit, every target the solve reaches has its Z^2 time, ties
-    at the limit included. R starts
-    at max(L, ceil(E[w] * L / a_min)), L the largest l1 distance of a
-    target, and doubles while a target is unreached.
+    that limit, exact in ticks, every target the solve reaches has its
+    Z^2 time, ties at the limit included. R starts at max(L, ceil(E[w] *
+    L / a_min)), L the largest l1 distance of a target, and doubles while
+    a target is unreached.
 
     When a_min is small or 0, that start would exceed twice the targets'
     extent, 2 * (L + 1). R then starts there instead, the solve has no
@@ -561,18 +689,16 @@ def solve_targets(field: EdgeField, source: Site, targets):
              if a_min > 0 else math.inf)
     certified = guess <= cap
     R = max(1, guess) if certified else cap
+    a_ticks = field.dist.tick(a_min)
     regrowths = 0
     while True:
         diamond = Diamond(source, R)
         graph = GridGraph(field, diamond)
-        # Dijkstra adds weights one at a time, and float addition is
-        # monotone: a path of R + 1 steps >= a_min sums, so rounded, to at
-        # least a_min added to itself R + 1 times in the same way
-        limit = np.cumsum(np.full(R + 1, a_min))[-1] if certified else None
+        limit = a_ticks * (R + 1) if certified else None
         d = graph.distances(source, limit=limit)
         times = d[[diamond.index(t) for t in targets]]
         if (np.isfinite(times).all() if certified
                 else d[diamond.boundary()].min() > times.max()):
-            return times, regrowths
+            return times / graph.unit, regrowths
         R *= 2
         regrowths += 1

@@ -6,14 +6,28 @@ All measure arithmetic works directly on this representation; nothing is
 ever histogrammed. The module also provides the staged mass-moving
 construction (move mass r from the atom at 1 out to y at each stage) and
 an exactly computed Levy distance between mixtures.
+
+Solvers see a law on an integer grid: every weight is a whole number of
+ticks, 1/D each. A purely atomic law takes D = the lcm of its atoms'
+denominators (the atoms rationalized with a bounded denominator; D = 10
+for 1, 1.6, 2, 2.5, 3), so its weights are its atoms exactly. A law with
+pieces takes D = d * 2^32, d the lcm over its atoms and piece ends, and
+rounds each continuous value down onto that grid. Sums of ticks are
+exact in float64 below 2^53, so equal passage times compare equal.
 """
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 BOND_PC = 0.5  # critical probability for bond percolation on Z^2
 _MASS_TOL = 1e-12
+MAX_DENOMINATOR = 10**6  # bound for rationalizing atoms and piece ends
+PIECE_TICKS = 2**32      # ticks per 1/d of a law with pieces
+TICK_LIMIT = 2**53       # float64 adds integers exactly below this
 
 
 class DistributionError(ValueError):
@@ -83,6 +97,36 @@ class WeightDistribution:
             pts.add(b)
         return sorted(pts)
 
+    # -- ticks -----------------------------------------------------------
+
+    @cached_property
+    def ticks_per_unit(self):
+        """D: every weight of the law is a whole number of ticks 1/D.
+
+        Raises DistributionError when an atom or piece end is not a ratio
+        with denominator at most MAX_DENOMINATOR (one that rounds to the
+        float exactly), or when the largest weight reaches 2^53 ticks.
+        """
+        d = 1
+        for x in self.breakpoints():
+            r = Fraction(x).limit_denominator(MAX_DENOMINATOR)
+            if float(r) != x:
+                raise DistributionError(
+                    "%r is not a ratio with denominator <= %d"
+                    % (x, MAX_DENOMINATOR))
+            d = math.lcm(d, r.denominator)
+        D = d * PIECE_TICKS if self.pieces else d
+        if Fraction(max(self.max_support(), 1.0)) * D >= TICK_LIMIT:
+            raise DistributionError("weights of %s reach 2^53 ticks" % self)
+        return D
+
+    def tick(self, x):
+        """x, an atom or piece end of the law, in ticks."""
+        r = Fraction(x).limit_denominator(MAX_DENOMINATOR) * self.ticks_per_unit
+        if r.denominator != 1:
+            raise DistributionError("%r is not on the law's tick grid" % x)
+        return r.numerator
+
     # -- quantiles -----------------------------------------------------
 
     def _components(self):
@@ -91,28 +135,54 @@ class WeightDistribution:
         comps.sort(key=lambda c: (c[0], c[1]))
         return comps
 
-    def quantile(self, u):
-        """Generalized inverse CDF; u may be a scalar or an array in [0,1)."""
+    @cached_property
+    def _tick_table(self):
+        """Per component, sorted: the start of its mass, its mass, its
+        first tick and that tick in real units, its width in ticks and its
+        last tick's offset. Ticks are whole numbers held in float64."""
+        comps = self._components()
+        starts = np.cumsum([0.0] + [c[2] for c in comps[:-1]])
+        mass = np.array([c[2] for c in comps])
+        lo = np.array([float(self.tick(c[0])) for c in comps])
+        span = np.array([float(self.tick(c[1])) for c in comps]) - lo
+        return (starts, mass, lo, lo / self.ticks_per_unit, span,
+                np.maximum(span - 1, 0.0))
+
+    def quantile(self, u, ticks=False):
+        """Generalized inverse CDF; u may be a scalar or an array in [0,1).
+
+        The value is in ticks with ticks=True (whole numbers, held exactly
+        in float64 as the solvers add them; an int for a scalar u), else in
+        real units, ticks / D: for an atom that is the atom's float
+        exactly. A piece [a, b) takes the tick at or below its exact
+        quantile, so each of its (b - a) D ticks is about equally likely
+        and every value lies in [a, b).
+        """
         u_arr = np.asarray(u, dtype=float)
         # written so that NaN fails too
         if u_arr.size and not (u_arr.min() >= 0 and u_arr.max() < 1):
             raise ValueError("quantile argument must lie in [0, 1)")
-        comps = self._components()
-        starts = np.cumsum([0.0] + [c[2] for c in comps[:-1]])
-        # + 0.0 maps an atom at -0.0 to 0.0, as lo + 0 * width would
-        lo = np.array([c[0] for c in comps]) + 0.0
-        # starts[0] == 0 <= u, so idx lies in [0, len(comps) - 1]
-        idx = np.searchsorted(starts, u_arr, side="right") - 1
-        out = lo[idx]
-        if self.pieces:
-            # atoms have zero width: the term adds exactly 0 to them
-            hi = np.array([c[1] for c in comps])
-            mass = np.array([c[2] for c in comps])
-            frac = (u_arr - starts[idx]) / mass[idx]
-            out = out + np.clip(frac, 0.0, 1.0) * (hi[idx] - lo[idx])
+        starts, mass, lo, real, span, last = self._tick_table
+        flat = u_arr.reshape(-1)
+        # starts[0] == 0 <= u, so idx lies in [0, len(starts) - 1]
+        idx = np.searchsorted(starts, flat, side="right") - 1
+        if not self.pieces:
+            # one gather, of the atoms' ticks or of their floats
+            out = (lo if ticks else real)[idx]
+        else:
+            # atoms have zero span: the step adds exactly 0 to them
+            out = lo[idx]
+            step = flat - starts[idx]
+            step /= mass[idx]
+            step *= span[idx]
+            np.floor(step, out=step)
+            np.minimum(step, last[idx], out=step)
+            out += step
+            if not ticks:
+                out = out / self.ticks_per_unit
         if np.isscalar(u) or u_arr.ndim == 0:
-            return float(out)
-        return out
+            return int(out[0]) if ticks else float(out[0])
+        return out.reshape(u_arr.shape)
 
     # -- serialization -------------------------------------------------
 

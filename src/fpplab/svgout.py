@@ -83,8 +83,8 @@ def shape_figure(shape, reference):
     return canvas.document()
 
 
-def curve_figure(xs, ys, title=None):
-    """Simple polyline plot of y against x with endpoint labels."""
+def curve_figure(xs, ys):
+    """Edge-speed polyline plot of y against x with endpoint labels."""
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need matching x/y sequences of length >= 2")
     xpad = 0.05 * (max(xs) - min(xs)) or 0.5
@@ -97,8 +97,7 @@ def curve_figure(xs, ys, title=None):
         canvas.circle(p, r=2.0, fill="#c03010")
     canvas.text((min(xs), min(ys) - ypad / 2), _f(min(xs)))
     canvas.text((max(xs), min(ys) - ypad / 2), _f(max(xs)))
-    if title:
-        canvas.text((min(xs), max(ys) + ypad / 2), title)
+    canvas.text((min(xs), max(ys) + ypad / 2), "edge speed")
     return canvas.document()
 
 

@@ -55,14 +55,16 @@ class TestInfectionGraph:
 
     def test_edge_soundness(self):
         # every graph edge connects sites whose times differ by its weight
-        # (exact float identity in the direction the edge was relaxed)
+        # (exact identity in ticks, in the direction the edge was relaxed)
         w = Window.square(8)
         f = EdgeField(3, MIX)
         ptm = solve(f, (0, 0), w)
         g = infection_graph(f, w, ptm=ptm)
         for u, v, wt, _ in g.edges():
-            tu, tv = ptm.time(u), ptm.time(v)
-            assert tu + wt == tv or tv + wt == tu
+            ticks = MIX.quantile(f.edge_uniform((u, v)), ticks=True)
+            assert wt == ticks / MIX.ticks_per_unit
+            tu, tv = ptm.tick_time(u), ptm.tick_time(v)
+            assert tu + ticks == tv or tv + ticks == tu
 
     def test_q_flags(self):
         w = Window.square(6)

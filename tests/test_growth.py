@@ -87,7 +87,7 @@ class TestCompete:
         field = EdgeField(c.seed, c.dist)
         g = GridGraph(field, c.window)
         d = np.stack([g.distances(s) for s in c.seeds])
-        assert np.allclose(occ.reach_grid, d.min(axis=0))
+        assert np.allclose(occ.reach_grid, d.min(axis=0) / g.unit)
 
 
 class TestCoexistence:

@@ -236,10 +236,10 @@ class TestMonotoneBound:
         w = Window.square(10)
         for seed in range(10):
             f = EdgeField(seed, UNIF12)
-            g = GridGraph(f, w)
-            ptm = solve(f, (0, 0), w, graph=g)
+            ptm = solve(f, (0, 0), w)
             targets = [(7, 3), (-4, 8), (-6, -6), (9, 0)]
-            ubs = monotone_upper_bounds(g.hw, g.vw, w, (0, 0), targets)
+            hw, vw = f.weight_grids(w)
+            ubs = monotone_upper_bounds(hw, vw, w, (0, 0), targets)
             for t in targets:
                 assert ubs[t] >= ptm.time(t) - 1e-12
 
@@ -248,9 +248,9 @@ class TestMonotoneBound:
         # dynamic program must reproduce exactly
         w = Window.square(6)
         f = EdgeField(4, UNIF12)
-        g = GridGraph(f, w)
         total = sum(f.edge_weight((k, 0), (k + 1, 0)) for k in range(5))
-        ub = monotone_upper_bounds(g.hw, g.vw, w, (0, 0), [(5, 0)])[(5, 0)]
+        hw, vw = f.weight_grids(w)
+        ub = monotone_upper_bounds(hw, vw, w, (0, 0), [(5, 0)])[(5, 0)]
         assert ub == pytest.approx(total, abs=1e-12)
 
     def test_multi_target_matches_single(self):
@@ -274,9 +274,9 @@ class TestMonotoneBound:
         w = Window.square(9)
         for seed, source in ((2, (0, 0)), (5, (1, -2))):
             f = EdgeField(seed, MIX)
-            g = GridGraph(f, w)
+            hw, vw = f.weight_grids(w)
             targets = [(5, 2), (-3, 7), (4, -4), (0, 0), (-8, -1), (1, -2)]
-            many = monotone_upper_bounds(g.hw, g.vw, w, source, targets)
+            many = monotone_upper_bounds(hw, vw, w, source, targets)
             for t in targets:
                 assert many[t] == pytest.approx(best_monotone(f, source, t),
                                                 abs=1e-12)
@@ -352,9 +352,15 @@ def domain_sites(domain):
             if abs(x - cx) + abs(y - cy) <= r]
 
 
+def edge_ticks(field, u, v):
+    """The weight of one edge in ticks, hashed on its own."""
+    return field.dist.quantile(field.edge_uniform(canonical_edge(u, v)),
+                               ticks=True)
+
+
 def reference_csr(field, domain):
-    """The domain adjacency through COO -> CSR, edge by edge, with each
-    weight hashed on its own."""
+    """The domain adjacency in ticks through COO -> CSR, edge by edge,
+    with each weight hashed on its own."""
     rows, cols, data = [], [], []
     for u in domain_sites(domain):
         for v in ((u[0] + 1, u[1]), (u[0], u[1] + 1)):
@@ -362,7 +368,7 @@ def reference_csr(field, domain):
                 a, b = domain.index(u), domain.index(v)
                 rows += [a, b]
                 cols += [b, a]
-                data += [field.edge_weight(u, v)] * 2
+                data += [float(edge_ticks(field, u, v))] * 2
     n = domain.n_sites
     return csr_matrix((data, (rows, cols)), shape=(n, n))
 
@@ -383,14 +389,15 @@ class TestGraphBuild:
             g = GridGraph(f, w)
             ref = reference_csr(f, w)
             # zero weights (ZERO_ATOM) stay explicit entries
-            assert g._csr.nnz == 2 * (g.hw.size + g.vw.size) == ref.nnz
+            assert g._csr.nnz == 2 * (g.th.size + g.tv.size) == ref.nnz
             for name in ("indptr", "indices", "data"):
                 got, want = getattr(g._csr, name), getattr(ref, name)
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
             source = sites[len(sites) // 3]  # off the origin and centre
-            want = dijkstra(ref, directed=True, indices=w.index(source))
-            assert np.array_equal(g.distances(source), want.reshape(w.shape))
+            want = dijkstra(ref, directed=True,
+                            indices=w.index(source)).reshape(w.shape)
+            assert np.array_equal(g.distances(source), want)
             targets = [source, sites[-1]]
             want = dijkstra(ref, directed=True, min_only=True,
                             indices=[w.index(s) for s in targets])

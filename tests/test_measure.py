@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,10 +73,14 @@ class TestQueries:
     def test_quantile_matches_cdf_inverse(self):
         d = mk_distribution(atoms=[(1.0, 0.3), (3.0, 0.2)],
                             pieces=[(1.5, 2.5, 0.5)])
+        # a continuous value is rounded down onto the tick grid, by less
+        # than one tick of the piece, which carries this much mass
+        tick_mass = 0.5 / (1.0 * d.ticks_per_unit)
         for u in [0.0, 0.1, 0.299, 0.3, 0.55, 0.79, 0.8, 0.99]:
             x = d.quantile(u)
+            assert x * d.ticks_per_unit == d.quantile(u, ticks=True)
             # generalized inverse: F(x) >= u and F(x-) <= u
-            assert d.cdf(x) >= u - 1e-12
+            assert d.cdf(x) >= u - tick_mass - 1e-12
             assert d.cdf_left(x) <= u + 1e-12
 
     def test_quantile_rejects_out_of_range(self):
@@ -87,7 +92,12 @@ class TestQueries:
 
 
 def reference_quantile(d, u):
-    """Generalized inverse CDF with the width term for every component."""
+    """Generalized inverse CDF with the width term for every component.
+
+    A law with pieces has its value rounded down onto the grid of
+    1 / ticks_per_unit, in exact rational arithmetic, and kept inside its
+    piece.
+    """
     comps = sorted([(x, x, m) for x, m in d.atoms]
                    + [(a, b, m) for a, b, m in d.pieces],
                    key=lambda c: (c[0], c[1]))
@@ -96,7 +106,16 @@ def reference_quantile(d, u):
     idx = np.clip(np.searchsorted(starts, u, side="right") - 1,
                   0, len(comps) - 1)
     frac = (u - starts[idx]) / mass[idx]
-    return lo[idx] + np.clip(frac, 0.0, 1.0) * (hi[idx] - lo[idx])
+    if d.is_purely_atomic():
+        return lo[idx] + np.clip(frac, 0.0, 1.0) * (hi[idx] - lo[idx])
+    D = d.ticks_per_unit
+    out = []
+    for k, f in zip(np.atleast_1d(idx), np.atleast_1d(frac)):
+        a, b = Fraction(lo[k]) * D, Fraction(hi[k]) * D
+        t = min(math.floor(a + Fraction(float(f)) * (b - a)),
+                max(a, b - 1))
+        out.append(float(t) / D)
+    return np.array(out).reshape(np.shape(u))
 
 
 QUANTILE_LAWS = {
