@@ -16,7 +16,7 @@ from .expcli import KINDS, ConfigError, RunError, load_config, run, sweep
 
 
 def positive_int(text):
-    """argparse type: an integer >= 1, as the schemas' threads field."""
+    """argparse type: an integer >= 1, as a config's threads field."""
     try:
         value = int(text)
     except ValueError:

@@ -1,11 +1,19 @@
 """Experiment runner: config validation, dispatch, persistence.
 
 A config is a JSON object with kind, seed, optional trials/threads/out and
-a kind-specific params block, validated against the schemas shipped with
-the package. run() dispatches, derives per-trial seeds from the master
-seed, runs the trials serially, writes payloads atomically and prints a
-one-line JSON summary. Payload bytes depend only on the config; threads
-is an accepted hint that changes nothing.
+a kind-specific params block. SCHEMAS holds one JSON Schema per kind,
+composed from single definitions of the parts the kinds share: the
+envelope, the law, the seed-site list and the line spec. run()
+validates, dispatches, derives per-trial seeds from the master seed, runs
+the trials serially, writes payloads atomically and prints a one-line
+JSON summary. Payload bytes depend only on the config; threads is an
+accepted hint that changes nothing.
+
+What the schema cannot see is refused where it is parsed: a malformed law
+or schedule by measure (DistributionError), a domain on which the solves
+would not be exact by lattice.check_domain (DomainError), which every
+graph calls before it allocates. run() reports both as a ConfigError,
+before any output is written.
 """
 
 import csv
@@ -26,15 +34,12 @@ from .convex import l1_ball
 from .geograph import (BusemannSpec, busemann_separation,
                        disjointness_diagnostic, ends_estimate,
                        infection_graph)
-from .growth import CompetitionConfig, coexistence_stats, graph_seeds
-from .lattice import DomainError, EdgeField, Window, check_domain
+from .growth import TIE_POLICIES, CompetitionConfig, coexistence_stats
+from .lattice import DomainError, EdgeField, Window
 from .measure import (ConstructionSchedule, DistributionError,
                       WeightDistribution, construct_sequence, levy_distance)
 from .oriented import alpha_estimates, alpha_rotated, estimate_pc
 from .shapeest import DirectionPlan, empirical_shape
-
-KINDS = ("shape", "construct", "oriented", "compete", "ends", "busemann",
-         "diagnose")
 
 
 class ConfigError(ValueError):
@@ -45,10 +50,80 @@ class RunError(RuntimeError):
     pass
 
 
-def _schema_for(kind):
-    path = os.path.join(os.path.dirname(__file__), "schemas", kind + ".json")
-    with open(path) as f:
-        return json.load(f)
+def _of(type_, **keywords):
+    """A schema for one value: its type and keywords, keys sorted, since
+    the validator reports its errors in the order it reads the keys."""
+    return dict(sorted({"type": type_, **keywords}.items()))
+
+
+def _count(minimum):
+    return _of("integer", minimum=minimum)
+
+
+def _tuple(type_, n):
+    return _of("array", items=_of(type_), minItems=n, maxItems=n)
+
+
+def _object(properties, *required):
+    keywords = {"required": list(required)} if required else {}
+    return _of("object", additionalProperties=False,
+               properties=dict(sorted(properties.items())), **keywords)
+
+
+# The parts the kinds share, each defined once: the law
+# (measure.WeightDistribution.from_dict), the seed-site list, the line
+# spec (geograph.BusemannSpec) and the envelope around the params.
+_LAW = _object({"atoms": _of("array", items=_tuple("number", 2)),
+                "pieces": _of("array", items=_tuple("number", 3))})
+_SITES = _of("array", items=_tuple("integer", 2), minItems=1)
+_LINES = _of("array", minItems=1, items=_object(
+    {"v": _tuple("number", 2), "w": _tuple("number", 2), "n": _count(1)},
+    "v", "w", "n"))
+
+
+def _config(kind, params, *required):
+    return {"$schema": "http://json-schema.org/draft-07/schema#",
+            **_object({"kind": {"const": kind}, "out": _of("string"),
+                       "params": _object(params, *required),
+                       "seed": _count(0), "threads": _count(1),
+                       "trials": _count(1)},
+                      "kind", "seed", "params")}
+
+
+SCHEMAS = {
+    "shape": _config("shape", {
+        "dist": _LAW, "directions": _count(3), "n": _count(16)},
+        "dist", "directions", "n"),
+    "construct": _config("construct", {"base": _LAW, "schedule": _object({
+        "p0": _of("number"), "p_seq": _of("array", items=_of("number")),
+        "y_seq": _of("array", items=_of("number")), "stages": _count(0),
+        "spread": _of("number", minimum=0)}, "p0", "p_seq", "y_seq")},
+        "base", "schedule"),
+    "oriented": _config("oriented", {
+        "p_values": _of("array", minItems=1,
+                        items=_of("number", minimum=0, maximum=1)),
+        "T": _count(1),
+        "pc_grid": _of("array", items=_of("number", exclusiveMinimum=0,
+                                          exclusiveMaximum=1))},
+        "p_values", "T"),
+    "compete": _config("compete", {
+        "dist": _LAW, "seeds": _SITES, "window": _count(2),
+        "survival_threshold": _count(1),
+        "tie_policy": {"enum": list(TIE_POLICIES)}},
+        "dist", "seeds", "window", "survival_threshold"),
+    "ends": _config("ends", {
+        "dist": _LAW, "window": _count(4),
+        "m_grid": _of("array", items=_count(1), minItems=1)},
+        "dist", "window", "m_grid"),
+    "busemann": _config("busemann", {
+        "dist": _LAW, "window": _count(2), "lines": _LINES,
+        "seeds": _SITES}, "dist", "window", "lines", "seeds"),
+    "diagnose": _config("diagnose", {
+        "dist": _LAW, "window": _count(4), "m": _count(1), "M": _count(2),
+        "targets": _LINES, "arc_halfwidth": _of("number", exclusiveMinimum=0)},
+        "dist", "window", "m", "M", "targets"),
+}
+KINDS = tuple(SCHEMAS)
 
 
 def load_config(path):
@@ -68,36 +143,10 @@ def validate_config(cfg):
         raise ConfigError("unknown kind %r (expected one of %s)"
                           % (kind, ", ".join(KINDS)))
     try:
-        jsonschema.validate(cfg, _schema_for(kind))
+        jsonschema.validate(cfg, SCHEMAS[kind])
     except jsonschema.ValidationError as e:
         raise ConfigError("config invalid for kind %s: %s" % (kind, e.message))
     return cfg
-
-
-def admit(cfg):
-    """Refuse, before any work, what the solves cannot do exactly.
-
-    A solving kind's law must have integer ticks (a DistributionError of
-    measure.WeightDistribution.ticks_per_unit), and a window must keep
-    every Dijkstra sum below 2^53 ticks (lattice.check_domain, with the
-    seeds growth.graph_seeds joins to compete's graph). The shape kind's
-    diamonds are sized per trial: check_domain refuses each before it is
-    built, and run() reports that as a config error too, before any
-    output is written.
-    """
-    p = cfg["params"]
-    if "dist" not in p:  # construct and oriented solve nothing
-        return
-    try:
-        dist = WeightDistribution.from_dict(p["dist"])
-        dist.ticks_per_unit
-        if "window" in p:
-            seeds = (graph_seeds(p["seeds"], p.get("tie_policy", "strict"))
-                     if cfg["kind"] == "compete" else ())
-            check_domain(dist, Window.square(p["window"]), len(seeds))
-    except (DistributionError, DomainError) as e:
-        raise ConfigError("config refused for kind %s: %s"
-                          % (cfg["kind"], e))
 
 
 def config_hash(cfg) -> str:
@@ -188,9 +237,7 @@ def _run_shape(cfg, out_dir):
 def _run_construct(cfg, out_dir):
     p = cfg["params"]
     base = WeightDistribution.from_dict(p["base"])
-    sd = dict(p["schedule"])
-    sd.setdefault("stages", len(sd["p_seq"]))
-    sched = ConstructionSchedule.from_dict(sd)
+    sched = ConstructionSchedule.from_dict(p["schedule"])
     seq = construct_sequence(base, sched)
     payloads = []
     for i, mu in enumerate(seq):
@@ -332,10 +379,10 @@ def run(cfg, out_root=None, threads=None, echo=True) -> ResultArtifact:
     """Validate, dispatch and persist one experiment.
 
     threads is an accepted hint, like the config's threads field: trials
-    run serially and the hint changes nothing.
+    run serially and the hint changes nothing. A DistributionError or
+    DomainError from the runner is a ConfigError.
     """
     validate_config(cfg)
-    admit(cfg)
     h = config_hash(cfg)
     kind = cfg["kind"]
     root = output_root(cfg, out_root)
@@ -343,9 +390,7 @@ def run(cfg, out_root=None, threads=None, echo=True) -> ResultArtifact:
     t0 = time.monotonic()
     try:
         payloads, figures, summary = _RUNNERS[kind](cfg, out_dir)
-    except ConfigError:
-        raise
-    except DomainError as e:
+    except (DistributionError, DomainError) as e:
         raise ConfigError("config refused for kind %s: %s" % (kind, e))
     except Exception as e:
         raise RunError("%s experiment failed: %s" % (kind, e)) from e

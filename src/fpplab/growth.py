@@ -89,13 +89,6 @@ class OccupancyMap:
                    and self.touches_boundary(i))
 
 
-def graph_seeds(seeds, tie_policy):
-    """The seeds compete joins to its graph's super-source: all of them
-    under strict and lexicographic, which take two offset solves, and
-    none under random, which takes one solve per species."""
-    return () if tie_policy == "random" else tuple(seeds)
-
-
 def compete(config: CompetitionConfig) -> OccupancyMap:
     """Run the competition to termination on the window.
 
@@ -115,9 +108,10 @@ def compete(config: CompetitionConfig) -> OccupancyMap:
     """
     field = EdgeField(config.seed, config.dist)
     k = len(config.seeds)
+    random = config.tie_policy == "random"
     graph = GridGraph(field, config.window,
-                      seeds=graph_seeds(config.seeds, config.tie_policy))
-    if not graph.seeds:  # random
+                      seeds=() if random else config.seeds)
+    if random:
         dists = np.stack([graph.distances(s) for s in config.seeds])
         reach = dists.min(axis=0)
         is_min = dists == reach[None, :, :]

@@ -449,13 +449,16 @@ class PassageTimeMap:
     def _opt_masks(self):
         # opt_right[i,j]: edge (i,j)->(i+1,j) is an optimal incoming edge
         # of (i+1,j); analogously for the other three directions. Sums of
-        # ticks are exact, so == is exact equality of passage times.
+        # ticks are exact, so == is exact equality of passage times. A site
+        # beyond the limit (inf) has no optimal incoming edge, though
+        # inf + w == inf.
         if self._masks is None:
             g, th, tv = self.ticks, self.th, self.tv
-            opt_right = g[:-1, :] + th == g[1:, :]
-            opt_left = g[1:, :] + th == g[:-1, :]
-            opt_up = g[:, :-1] + tv == g[:, 1:]
-            opt_down = g[:, 1:] + tv == g[:, :-1]
+            reached = np.isfinite(g)
+            opt_right = (g[:-1, :] + th == g[1:, :]) & reached[1:, :]
+            opt_left = (g[1:, :] + th == g[:-1, :]) & reached[:-1, :]
+            opt_up = (g[:, :-1] + tv == g[:, 1:]) & reached[:, 1:]
+            opt_down = (g[:, 1:] + tv == g[:, :-1]) & reached[:, :-1]
             self._masks = (opt_right, opt_left, opt_up, opt_down)
         return self._masks
 

@@ -23,46 +23,7 @@ from fpplab.oriented import alpha_rotated, estimate_alpha, estimate_pc
 from fpplab.shapeest import (DirectionPlan, empirical_shape, flat_edge_report,
                              sides_estimate, time_constant)
 from fpplab import expcli
-
-UNIF12 = mk_distribution(pieces=[(1.0, 2.0, 1.0)])
-MIX15 = mk_distribution(atoms=[(1.0, 0.85)], pieces=[(1.1, 1.3, 0.15)])
-
-
-def exhaustive_times(field, window, source):
-    """True exhaustive simple-path enumeration (tiny windows only)."""
-    best = {s: np.inf for s in window.sites()}
-
-    def visit(site, cost, seen):
-        if cost < best[site]:
-            best[site] = cost
-        for d in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nb = (site[0] + d[0], site[1] + d[1])
-            if nb in seen or not window.contains(nb):
-                continue
-            visit(nb, cost + field.edge_weight(site, nb), seen | {nb})
-
-    visit(source, 0.0, {source})
-    return best
-
-
-def pruned_search_times(field, window, source):
-    """Label-correcting path search: exact, solver-independent oracle."""
-    best = {s: np.inf for s in window.sites()}
-    best[source] = 0.0
-    stack = [(source, 0.0)]
-    while stack:
-        site, cost = stack.pop()
-        if cost > best[site]:
-            continue
-        for d in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nb = (site[0] + d[0], site[1] + d[1])
-            if not window.contains(nb):
-                continue
-            c = cost + field.edge_weight(site, nb)
-            if c < best[nb]:
-                best[nb] = c
-                stack.append((nb, c))
-    return best
+from oracles import MIX, UNIF12, exhaustive_times, pruned_search_times
 
 
 def test_criterion_01_solver_matches_exhaustive_enumeration():
@@ -71,7 +32,7 @@ def test_criterion_01_solver_matches_exhaustive_enumeration():
     w = Window(0, 3, 0, 3)
     dists = [UNIF12,
              mk_distribution(atoms=[(1.0, 0.5), (2.0, 0.5)]),
-             MIX15]
+             MIX]
     checked = 0
     for seed in range(34):
         for d in dists:
@@ -163,7 +124,7 @@ def test_criterion_07_busemann_identities():
           (1.0, 1.0), (1.0, -1.0)]
     n_instances = 0
     for fs in range(25):
-        f = EdgeField(fs, MIX15)
+        f = EdgeField(fs, MIX)
         g = GridGraph(f, w)
         for _ in range(40):
             v = vs[rng.integers(len(vs))]
@@ -225,7 +186,7 @@ def test_criterion_09_four_species_coexistence():
                     (-0.4, -1), (0.4, -1), (1, -0.4)])
     dirs = [octagon.vertices[i] for i in (0, 2, 4, 6)]
     sites = place_seeds(octagon, dirs, 40.0)
-    cfg = CompetitionConfig(dist=MIX15, seeds=tuple(sites),
+    cfg = CompetitionConfig(dist=MIX, seeds=tuple(sites),
                             window=Window.square(100), seed=9)
     res = coexistence_stats(cfg, trials=200, survival_threshold=1000)
     assert res.fraction > 0.0
@@ -257,7 +218,7 @@ def test_criterion_11_annulus_q_edge_density():
     all_e = 0
     rhos = []
     for seed in range(100):
-        rep = disjointness_diagnostic(EdgeField(seed, MIX15), targets,
+        rep = disjointness_diagnostic(EdgeField(seed, MIX), targets,
                                       30, 150, window)
         if all(rep.events["E"]):
             all_e += 1

@@ -197,6 +197,67 @@ class TestMain:
         assert out["out"].startswith(str(tmp_path / "envout"))
 
 
+UNIT = {"atoms": [[1.0, 1.0]]}
+LINE = {"v": [1.0, 0.0], "w": [0.0, 1.0], "n": 5}
+SCHEDULE = {"p0": 0.9, "p_seq": [0.8, 0.72], "y_seq": [2.0, 1.5]}
+VALID = {
+    "shape": shape_cfg(),
+    "construct": {"kind": "construct", "seed": 0, "params": {
+        "base": {"atoms": [[1.0, 0.9], [3.0, 0.1]]}, "schedule": SCHEDULE}},
+    "oriented": oriented_cfg([0.7]),
+    "compete": {"kind": "compete", "seed": 0, "params": {
+        "dist": UNIT, "seeds": [[-5, 0], [5, 0]], "window": 10,
+        "survival_threshold": 10}},
+    "ends": {"kind": "ends", "seed": 0, "params": {
+        "dist": UNIT, "window": 10, "m_grid": [3]}},
+    "busemann": {"kind": "busemann", "seed": 0, "params": {
+        "dist": UNIT, "window": 10, "lines": [LINE], "seeds": [[0, 0]]}},
+    "diagnose": diagnose_cfg(),
+}
+LAW_KEY = {kind: "base" if kind == "construct" else "dist"
+           for kind in VALID if kind != "oriented"}
+
+
+class TestSharedDefinitions:
+    """Each part the kinds share is defined once, so every kind refuses
+    the same faults with exit code 2 and writes nothing."""
+
+    def exit_code(self, tmp_path, cfg):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        code = main([cfg["kind"], "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()
+        return code
+
+    def test_covers_every_kind(self):
+        assert tuple(VALID) == expcli.KINDS
+        for cfg in VALID.values():
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("kind", expcli.KINDS)
+    def test_unknown_top_level_key(self, tmp_path, kind):
+        cfg = dict(VALID[kind], workers=2)
+        assert self.exit_code(tmp_path, cfg) == 2
+
+    @pytest.mark.parametrize("kind", LAW_KEY)
+    def test_unknown_key_in_law(self, tmp_path, kind):
+        cfg = json.loads(json.dumps(VALID[kind]))
+        cfg["params"][LAW_KEY[kind]]["atom"] = [[1.0, 1.0]]
+        assert self.exit_code(tmp_path, cfg) == 2
+
+    @pytest.mark.parametrize("kind", LAW_KEY)
+    def test_law_mass_below_one(self, tmp_path, kind):
+        cfg = json.loads(json.dumps(VALID[kind]))
+        cfg["params"][LAW_KEY[kind]] = {"atoms": [[1.0, 0.5], [3.0, 0.4]]}
+        assert self.exit_code(tmp_path, cfg) == 2
+
+    def test_construct_schedule_not_decreasing(self, tmp_path):
+        cfg = json.loads(json.dumps(VALID["construct"]))
+        cfg["params"]["schedule"]["p_seq"] = [0.8, 0.85]
+        assert self.exit_code(tmp_path, cfg) == 2
+
+
 class TestWorkers:
     def test_oriented_summary_counts_dead_runs(self, tmp_path, capsys):
         art = run(oriented_cfg([0.66, 0.7, 1.0], T=80),

@@ -10,34 +10,7 @@ from fpplab.geograph import (BusemannSpec, GeoGraphError, InfectionGraph,
                              nested_geodesic_agreement)
 from fpplab.lattice import EdgeField, GridGraph, Window, solve
 from fpplab.measure import mk_distribution, point_mass
-
-UNIF12 = mk_distribution(pieces=[(1.0, 2.0, 1.0)])
-MIX = mk_distribution(atoms=[(1.0, 0.85)], pieces=[(1.1, 1.3, 0.15)])
-
-
-def brute_force_times(field, window, source):
-    """Exact path-search oracle with dominance pruning.
-
-    Depth-first over paths, abandoning any prefix that reaches a site no
-    cheaper than a previously found path (label-correcting search; exact
-    for nonnegative weights, independent of the compiled solver).
-    """
-    best = {s: np.inf for s in window.sites()}
-    best[source] = 0.0
-    stack = [(source, 0.0)]
-    while stack:
-        site, cost = stack.pop()
-        if cost > best[site]:
-            continue
-        for d in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nb = (site[0] + d[0], site[1] + d[1])
-            if not window.contains(nb):
-                continue
-            c = cost + field.edge_weight(site, nb)
-            if c < best[nb]:
-                best[nb] = c
-                stack.append((nb, c))
-    return best
+from oracles import MIX, UNIF12, pruned_search_times
 
 
 class TestInfectionGraph:
@@ -46,6 +19,18 @@ class TestInfectionGraph:
         w = Window.square(4)
         g = infection_graph(EdgeField(0, point_mass(1.0)), w)
         assert g.h_mask.all() and g.v_mask.all()
+
+    def test_limited_solve_keeps_unexplored_sites_out(self):
+        # unit weights, limit 3: the 25 sites of the l1 ball of radius 3
+        # are solved and carry its 4 * 3^2 edges; an edge between two
+        # unexplored sites (inf + 1 == inf) is not optimal
+        f = EdgeField(0, point_mass(1.0))
+        w = Window.square(10)
+        ptm = solve(f, (0, 0), w, limit=3)
+        assert np.isfinite(ptm.ticks).sum() == 25
+        g = infection_graph(f, w, ptm=ptm)
+        assert g.n_edges == 36
+        assert g.vertex_count() == 25
 
     def test_continuous_weights_give_tree(self):
         w = Window.square(15)
@@ -193,8 +178,8 @@ class TestBusemann:
         spec = BusemannSpec(v=(1.0, 0.0), w=(0.0, 1.0), n=4)
         for seed in range(10):
             f = EdgeField(seed, UNIF12)
-            oracle = brute_force_times(f, w, (0, 0))
-            oracle_y = brute_force_times(f, w, (1, 2))
+            oracle = pruned_search_times(f, w, (0, 0))
+            oracle_y = pruned_search_times(f, w, (1, 2))
             S = discretize_line(spec, w)
             want = min(oracle[s] for s in S) - min(oracle_y[s] for s in S)
             got = busemann(f, spec, (0, 0), (1, 2), w)

@@ -8,8 +8,7 @@ from fpplab.growth import (CompetitionConfig, GrowthError, NONE_OWNER,
                            seed_projections)
 from fpplab.lattice import EdgeField, GridGraph, Window
 from fpplab.measure import mk_distribution, point_mass
-
-UNIF12 = mk_distribution(pieces=[(1.0, 2.0, 1.0)])
+from oracles import UNIF12
 
 
 def cfg(seeds, W=10, dist=UNIF12, policy="strict", seed=0):

@@ -12,36 +12,9 @@ from fpplab.lattice import (Diamond, EdgeField, GridGraph, LatticeError,
                             monotone_upper_bounds, round_site, solve,
                             solve_targets)
 from fpplab.measure import mk_distribution, point_mass
+from oracles import EPS_ATOM, MIX, STAGE3, UNIF12, ZERO_ATOM, exhaustive_times
 
-UNIF12 = mk_distribution(pieces=[(1.0, 2.0, 1.0)])
-MIX = mk_distribution(atoms=[(1.0, 0.85)], pieces=[(1.1, 1.3, 0.15)])
 ATOMIC = mk_distribution(atoms=[(1.0, 0.8), (3.0, 0.2)])
-EPS_ATOM = mk_distribution(atoms=[(0.05, 0.4), (1.0, 0.6)])
-ZERO_ATOM = mk_distribution(atoms=[(0.0, 0.4), (1.0, 0.6)])
-# purely atomic, like the last stage of the staged construction
-STAGE3 = mk_distribution(atoms=[(1.0, 0.66), (1.6, 0.06), (2.0, 0.08),
-                                (2.5, 0.1), (3.0, 0.1)])
-
-
-def brute_force_times(field, window, source):
-    """Exhaustive simple-path minimization, for oracle-grade comparison.
-
-    DFS over all simple paths; exponential, only for tiny windows.
-    """
-    best = {s: np.inf for s in window.sites()}
-    best[source] = 0.0
-
-    def visit(site, cost, seen):
-        if cost < best[site]:
-            best[site] = cost
-        for d in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nb = (site[0] + d[0], site[1] + d[1])
-            if nb in seen or not window.contains(nb):
-                continue
-            visit(nb, cost + field.edge_weight(site, nb), seen | {nb})
-
-    visit(source, 0.0, {source})
-    return best
 
 
 class TestBasics:
@@ -129,7 +102,7 @@ class TestSolveOracle:
         for seed in range(30):
             f = EdgeField(seed, UNIF12)
             ptm = solve(f, (0, 0), w)
-            oracle = brute_force_times(f, w, (0, 0))
+            oracle = exhaustive_times(f, w, (0, 0))
             for s in w.sites():
                 assert ptm.time(s) == pytest.approx(oracle[s], abs=1e-12)
 
@@ -139,7 +112,7 @@ class TestSolveOracle:
         for seed in range(20):
             f = EdgeField(seed, d)
             ptm = solve(f, (1, 1), w)
-            oracle = brute_force_times(f, w, (1, 1))
+            oracle = exhaustive_times(f, w, (1, 1))
             for s in w.sites():
                 assert ptm.time(s) == oracle[s]
 

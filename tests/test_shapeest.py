@@ -10,10 +10,7 @@ from fpplab.measure import mk_distribution, point_mass
 from fpplab.shapeest import (DirectionPlan, ShapeEstimateError,
                              continuity_probe, empirical_shape, eps_density,
                              sides_estimate, time_constant)
-
-UNIF12 = mk_distribution(pieces=[(1.0, 2.0, 1.0)])
-EPS_ATOM = mk_distribution(atoms=[(0.05, 0.4), (1.0, 0.6)])
-ZERO_ATOM = mk_distribution(atoms=[(0.0, 0.4), (1.0, 0.6)])
+from oracles import EPS_ATOM, UNIF12, ZERO_ATOM
 
 
 class TestPlan:

@@ -1,6 +1,7 @@
 """Exact ticks: oracles in rational arithmetic, scale invariance, the
 two-solve competition, and the limits refused before any allocation."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -9,25 +10,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fpplab import expcli
+from fpplab import expcli, growth
 from fpplab.cli import main
 from fpplab.geograph import infection_graph
 from fpplab.growth import NONE_OWNER, CompetitionConfig, compete
-from fpplab.lattice import (EdgeField, GridGraph, LatticeError, Window,
-                            canonical_edge, check_domain, offset_scale,
-                            solve)
+from fpplab.lattice import (DomainError, EdgeField, GridGraph, LatticeError,
+                            Window, canonical_edge, check_domain,
+                            offset_scale, solve)
 from fpplab.measure import DistributionError, TICK_LIMIT, mk_distribution
+from oracles import NEIGHBOURS, STAGE3, UNIF12, ZERO_ATOM
 
-STAGE3 = mk_distribution(atoms=[(1.0, 0.66), (1.6, 0.06), (2.0, 0.08),
-                                (2.5, 0.1), (3.0, 0.1)])
 STAGE3_X10 = mk_distribution(atoms=[(10.0, 0.66), (16.0, 0.06),
                                     (20.0, 0.08), (25.0, 0.1), (30.0, 0.1)])
-ZERO_ATOM = mk_distribution(atoms=[(0.0, 0.4), (1.0, 0.6)])
 # atoms tie often; the piece's values lie on the grid 2^-33
 ATOM_PIECE = mk_distribution(atoms=[(1.0, 0.6)], pieces=[(1.5, 2.5, 0.4)])
-UNIF12 = mk_distribution(pieces=[(1.0, 2.0, 1.0)])
 LAWS = {"stage3": STAGE3, "zero_atom": ZERO_ATOM, "atom_piece": ATOM_PIECE}
-NEIGHBOURS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 def exact_weight(field, u, v):
@@ -268,19 +265,37 @@ class TestAdmission:
                      "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
-    def test_compete_checks_its_scaled_weights(self):
+    def test_compete_checks_its_scaled_weights(self, monkeypatch):
         # 100 * 2^32 ticks: half-width 1000 fits at scale 1 but not at
         # compete's scale 8 for five species
-        law = {"pieces": [[1.0, 100.0, 1.0]]}
-        seeds = [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
-        ends = {"kind": "ends", "seed": 1,
-                "params": {"dist": law, "window": 1000, "m_grid": [10]}}
-        expcli.admit(ends)
-        with pytest.raises(expcli.ConfigError):
-            expcli.admit(compete_cfg(law, 1000, seeds))
-        random = compete_cfg(law, 1000, seeds)
-        random["params"]["tie_policy"] = "random"
-        expcli.admit(random)
+        law = mk_distribution(pieces=[(1.0, 100.0, 1.0)])
+        window = Window.square(1000)
+        strict = CompetitionConfig(dist=law, window=window,
+                                   seeds=tuple((i, 0) for i in range(5)))
+
+        def ends():  # one source, no seeds: scale 1
+            check_domain(law, window)
+
+        def scaled():
+            with pytest.raises(DomainError):
+                compete(strict)
+        assert peak_while(ends) < 1 << 20
+        assert peak_while(scaled) < 1 << 20
+
+        # random joins no seed to its graph, so its weights stay unscaled:
+        # the graph admits the domain, then is stopped before it builds
+        class Admitted(Exception):
+            pass
+
+        def admit_only(field, window, seeds=()):
+            check_domain(field.dist, window, len(seeds))
+            raise Admitted(len(seeds))
+
+        def unscaled():
+            with pytest.raises(Admitted, match="^0$"):
+                compete(dataclasses.replace(strict, tie_policy="random"))
+        monkeypatch.setattr(growth, "GridGraph", admit_only)
+        assert peak_while(unscaled) < 1 << 20
 
 
 class TestThreadsFlag:
