@@ -54,20 +54,18 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        for c in cfg if isinstance(cfg, list) else [cfg]:
+            kind = c.get("kind") if isinstance(c, dict) else None
+            if kind != args.kind:
+                raise ConfigError(
+                    "config kind %r does not match the %s subcommand"
+                    % (kind, args.kind))
         if isinstance(cfg, list):
-            for c in cfg:
-                if c.get("kind") != args.kind:
-                    raise ConfigError(
-                        "config kind %r does not match the %s subcommand"
-                        % (c.get("kind"), args.kind))
             arts = sweep([_apply_overrides(c, args) for c in cfg],
                          out_root=args.out)
             if any(a.error for a in arts):
                 return 3
             return 0
-        if cfg.get("kind") != args.kind:
-            raise ConfigError("config kind %r does not match the %s subcommand"
-                              % (cfg.get("kind"), args.kind))
         run(_apply_overrides(cfg, args), out_root=args.out)
         return 0
     except ConfigError as e:

@@ -252,20 +252,22 @@ def tangent_at(shape: ConvexShape, vertex):
     return (float(t[0] / n), float(t[1] / n))
 
 
-def gauge(shape: ConvexShape, p) -> float:
+def gauge(shape: ConvexShape, p):
     """Minkowski functional of a shape with the origin in its interior.
 
     gauge(p) <= 1 iff p is in the shape; p / gauge(p) is the radial
-    projection of p onto the boundary.
+    projection of p onto the boundary. p is one point, which gives a
+    float, or an (N, 2) array of points, which gives an (N,) array.
     """
-    g = 0.0
+    q = np.asarray(p, dtype=float)
+    g = np.zeros(q.shape[:-1])
     for a, b in shape.edges():
         nx, ny = b[1] - a[1], a[0] - b[0]  # outward normal of a ccw edge
         c = nx * a[0] + ny * a[1]
         if c <= 0:
             raise GeometryError("origin not interior to the shape")
-        g = max(g, (nx * p[0] + ny * p[1]) / c)
-    return g
+        np.maximum(g, (nx * q[..., 0] + ny * q[..., 1]) / c, out=g)
+    return g if g.ndim else float(g)
 
 
 def boundary_project(shape: ConvexShape, p):

@@ -9,11 +9,13 @@ the trials serially, writes payloads atomically and prints a one-line
 JSON summary. Payload bytes depend only on the config; threads is an
 accepted hint that changes nothing.
 
-What the schema cannot see is refused where it is parsed: a malformed law
-or schedule by measure (DistributionError), a domain on which the solves
-would not be exact by lattice.check_domain (DomainError), which every
-graph calls before it allocates. run() reports both as a ConfigError,
-before any output is written.
+What the schema cannot see is refused where it is parsed, by a
+measure.InputError that run() reports as a ConfigError before any output
+is written: a malformed law or schedule (DistributionError), a domain on
+which the solves would not be exact (DomainError, from check_domain,
+which every graph calls before it allocates), a compete seed off its
+window or repeated (GrowthError), and busemann or diagnose lines, seeds
+or scales that do not fit (GeoGraphError).
 """
 
 import csv
@@ -35,9 +37,9 @@ from .geograph import (BusemannSpec, busemann_separation,
                        disjointness_diagnostic, ends_estimate,
                        infection_graph)
 from .growth import TIE_POLICIES, CompetitionConfig, coexistence_stats
-from .lattice import DomainError, EdgeField, Window
-from .measure import (ConstructionSchedule, DistributionError,
-                      WeightDistribution, construct_sequence, levy_distance)
+from .lattice import EdgeField, Window
+from .measure import (ConstructionSchedule, InputError, WeightDistribution,
+                      construct_sequence, levy_distance)
 from .oriented import alpha_estimates, alpha_rotated, estimate_pc
 from .shapeest import DirectionPlan, empirical_shape
 
@@ -379,8 +381,8 @@ def run(cfg, out_root=None, threads=None, echo=True) -> ResultArtifact:
     """Validate, dispatch and persist one experiment.
 
     threads is an accepted hint, like the config's threads field: trials
-    run serially and the hint changes nothing. A DistributionError or
-    DomainError from the runner is a ConfigError.
+    run serially and the hint changes nothing. An InputError from the
+    runner is a ConfigError.
     """
     validate_config(cfg)
     h = config_hash(cfg)
@@ -390,7 +392,7 @@ def run(cfg, out_root=None, threads=None, echo=True) -> ResultArtifact:
     t0 = time.monotonic()
     try:
         payloads, figures, summary = _RUNNERS[kind](cfg, out_dir)
-    except (DistributionError, DomainError) as e:
+    except InputError as e:
         raise ConfigError("config refused for kind %s: %s" % (kind, e))
     except Exception as e:
         raise RunError("%s experiment failed: %s" % (kind, e)) from e

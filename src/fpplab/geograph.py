@@ -4,7 +4,9 @@ The infection graph is the union over all in-window sites of every
 optimal incoming edge of a single-source solve (ties included). Ends are
 proxied by counting boundary-touching components after removing a scaled
 ball around the origin. Busemann functions are differences of minimal
-passage times to a discretized line.
+passage times to a discretized line, read from one solve from the line.
+A GeoGraphError refuses an input; a geodesic clipped by the window,
+which depends on the field, is a RuntimeError.
 """
 
 import math
@@ -14,14 +16,25 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .convex import ConvexShape, boundary_project, l1, l1_ball, projection_coefficient
+from .convex import (ConvexShape, boundary_project, gauge, l1, l1_ball,
+                     projection_coefficient)
 from .lattice import (EdgeField, GridGraph, LatticeError, PassageTimeMap,
                       Window, geodesic, round_site, solve)
-from .measure import in_q_support
+from .measure import InputError, in_q_support
 
 
-class GeoGraphError(ValueError):
+class GeoGraphError(InputError):
     pass
+
+
+def _vertices(h_mask, v_mask):
+    """Sites that are an endpoint of an edge of the masks."""
+    verts = np.zeros((v_mask.shape[0], h_mask.shape[1]), dtype=bool)
+    verts[:-1, :] |= h_mask
+    verts[1:, :] |= h_mask
+    verts[:, :-1] |= v_mask
+    verts[:, 1:] |= v_mask
+    return verts
 
 
 @dataclass
@@ -41,13 +54,7 @@ class InfectionGraph:
         return int(self.h_mask.sum() + self.v_mask.sum())
 
     def vertex_count(self) -> int:
-        nx, ny = self.window.nx, self.window.ny
-        verts = np.zeros((nx, ny), dtype=bool)
-        verts[:-1, :] |= self.h_mask
-        verts[1:, :] |= self.h_mask
-        verts[:, :-1] |= self.v_mask
-        verts[:, 1:] |= self.v_mask
-        return int(verts.sum())
+        return int(_vertices(self.h_mask, self.v_mask).sum())
 
     def edges(self):
         """Iterate (u, v, weight, q_member) over canonical edges."""
@@ -143,16 +150,10 @@ def ends_estimate(graph: InfectionGraph, removal_radius: int) -> int:
     n = win.n_sites
     adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     n_comp, labels = connected_components(adj, directed=False)
-    # graph vertices = endpoints of surviving edges
-    verts = np.zeros((nx, ny), dtype=bool)
-    verts[:-1, :] |= hm
-    verts[1:, :] |= hm
-    verts[:, :-1] |= vm
-    verts[:, 1:] |= vm
     boundary = np.zeros((nx, ny), dtype=bool)
     boundary[0, :] = boundary[-1, :] = True
     boundary[:, 0] = boundary[:, -1] = True
-    touching = verts & boundary
+    touching = _vertices(hm, vm) & boundary
     return len(np.unique(labels.reshape(nx, ny)[touching]))
 
 
@@ -204,18 +205,47 @@ def discretize_line(spec: BusemannSpec, window: Window):
     return sites
 
 
+def _cells(window: Window, sites):
+    """Grid indices of the sites, refused off the window (they would wrap)."""
+    for s in sites:
+        if not window.contains(s):
+            raise GeoGraphError("site %s outside window" % (s,))
+    a = np.array(sites).reshape(-1, 2)
+    return a[:, 0] - window.xmin, a[:, 1] - window.ymin
+
+
+def _line_ticks(graph: GridGraph, spec: BusemannSpec, window: Window):
+    """Ticks between the discretized line L + n*v and every window site, in
+    one solve from the line: the graph is symmetric and sums ticks exactly,
+    so the time from the line to x is the time from x to it."""
+    return graph.distance_to_set(discretize_line(spec, window))
+
+
+def _projections(specs, points):
+    """[i, j] = pi_{v_i}(points[i] - points[j]) off the diagonal, and alpha,
+    half the least such entry (inf for a single spec)."""
+    k = len(specs)
+    proj = np.zeros((k, k))
+    for i, spec in enumerate(specs):
+        for j in range(k):
+            if j != i:
+                proj[i, j] = projection_coefficient(
+                    spec.v, spec.w, (points[i][0] - points[j][0],
+                                     points[i][1] - points[j][1]))
+    if k == 1:
+        return proj, math.inf
+    return proj, 0.5 * float(proj[~np.eye(k, dtype=bool)].min())
+
+
 def busemann(field: EdgeField, spec: BusemannSpec, x, y, window: Window,
              graph: GridGraph = None) -> float:
-    """B_S(x, y): difference of minimal passage times from x and y to the
-    discretized line (two single-source solves), exact in ticks."""
-    sites = discretize_line(spec, window)
+    """B_S(x, y): the minimal passage time from x to the discretized line
+    minus that from y, exact in ticks, from one solve from the line."""
+    cells = _cells(window, (x, y))
     if graph is None:
         graph = GridGraph(field, window)
-    dx = graph.distances(x)
-    dy = graph.distances(y)
-    idx = np.array([window.index(s) for s in sites])
-    return float((dx.ravel()[idx].min() - dy.ravel()[idx].min())
-                 / graph.unit)
+    tx, ty = _line_ticks(graph, spec, window)[cells]
+    return float((tx - ty) / graph.unit)
 
 
 @dataclass(frozen=True)
@@ -234,34 +264,21 @@ def busemann_separation(field: EdgeField, specs, seeds, window: Window,
                         graph: GridGraph = None) -> SeparationReport:
     """Full k x k Busemann matrix for the spec lines against the seeds.
 
-    Row i uses line L_i + n v_i (one multi-source solve per line; weights
-    are symmetric so distance-from-the-line equals distance-to-it). Each
-    entry is a difference of tick times, converted once.
-    Projections pi_{v_i}(x_i - x_j) use the tangent from the spec.
+    Row i reads every seed's time to line L_i + n v_i from one solve from
+    that line, and each entry is a difference of tick times, converted
+    once. Projections pi_{v_i}(x_i - x_j) use the tangent from the spec.
     """
     k = len(seeds)
     if len(specs) != k:
         raise GeoGraphError("need one line spec per seed")
+    cells = _cells(window, seeds)
     if graph is None:
         graph = GridGraph(field, window)
-    for s in seeds:
-        if not window.contains(s):
-            raise GeoGraphError("seed %s outside window" % (s,))
     mat = np.zeros((k, k))
-    proj = np.zeros((k, k))
     for i, spec in enumerate(specs):
-        sites = discretize_line(spec, window)
-        d = graph.distance_to_set(sites)
-        di = d[seeds[i][0] - window.xmin, seeds[i][1] - window.ymin]
-        for j in range(k):
-            dj = d[seeds[j][0] - window.xmin, seeds[j][1] - window.ymin]
-            mat[i, j] = (dj - di) / graph.unit
-            if j != i:
-                proj[i, j] = projection_coefficient(
-                    spec.v, spec.w,
-                    (seeds[i][0] - seeds[j][0], seeds[i][1] - seeds[j][1]))
-    off = proj[~np.eye(k, dtype=bool)] if k > 1 else np.array([0.0])
-    alpha = 0.5 * float(off.min()) if k > 1 else math.inf
+        ticks = _line_ticks(graph, spec, window)[cells]
+        mat[i] = (ticks - ticks[i]) / graph.unit
+    proj, alpha = _projections(specs, seeds)
     return SeparationReport(matrix=mat, projections=proj, alpha=alpha)
 
 
@@ -286,13 +303,12 @@ class DisjointnessReport:
                 "events": {k: list(v) for k, v in self.events.items()}}
 
 
-def _first_crossing(path_sites, shape: ConvexShape, radius):
-    """First site along the path with gauge(site / radius) > 1."""
-    from .convex import gauge
-    for s in path_sites:
-        if gauge(shape, (s[0] / radius, s[1] / radius)) > 1.0:
-            return s
-    return None
+def _line_geodesic(ptm: PassageTimeMap, spec: BusemannSpec, window: Window):
+    """The lexicographic geodesic from the solve's source to the site of
+    the discretized line L + n*v with the least tick time (the least such
+    site on a tie)."""
+    sites = discretize_line(spec, window)
+    return geodesic(ptm, min(sites, key=lambda s: (ptm.tick_time(s), s)))
 
 
 def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
@@ -314,7 +330,8 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
 
     shape is the limit-shape proxy used for all scalings (default: the
     l1 unit ball). alpha is half the minimal pairwise projection
-    separation of the arc directions.
+    separation of the arc directions. Each geodesic's gauge is evaluated
+    once at scale m and once at M, for all of its sites.
     """
     if not (0 < m < M):
         raise GeoGraphError("need 0 < m < M")
@@ -329,64 +346,39 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
 
     geodesics = []
     for spec in targets:
-        sites = discretize_line(spec, window)
-        best = min(sites, key=lambda s: (ptm.tick_time(s), s))
-        path = geodesic(ptm, best)
-        if window.on_boundary(path.sites[-1]) or any(
-                window.on_boundary(s) for s in path.sites):
-            raise GeoGraphError("geodesic clipped by the window")
+        path = _line_geodesic(ptm, spec, window)
+        if any(window.on_boundary(s) for s in path.sites):
+            raise RuntimeError("geodesic clipped by the window")
         geodesics.append(path)
+    alpha = _projections(targets, [spec.v for spec in targets])[1]
 
-    from .convex import gauge
     outside = []
-    for path in geodesics:
-        outside.append({s for s in path.sites
-                        if gauge(shape, (s[0] / m, s[1] / m)) > 1.0})
-    disjoint = np.ones((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = not (outside[i] & outside[j])
-            disjoint[i, j] = disjoint[j, i] = d
-
-    # projections / alpha over the target directions
-    alpha = math.inf
-    if k > 1:
-        vals = []
-        for i, si in enumerate(targets):
-            for j, sj in enumerate(targets):
-                if i != j:
-                    d = (si.v[0] - sj.v[0], si.v[1] - sj.v[1])
-                    vals.append(projection_coefficient(si.v, si.w, d))
-        alpha = 0.5 * min(vals)
-
     n_q = []
     ev = {"B": [], "C": [], "D": [], "E": []}
-    for idx, path in enumerate(geodesics):
-        count = 0
-        for (u, v) in path.edges():
-            gu_m = gauge(shape, (u[0] / m, u[1] / m))
-            gv_m = gauge(shape, (v[0] / m, v[1] / m))
-            gu_M = gauge(shape, (u[0] / M, u[1] / M))
-            gv_M = gauge(shape, (v[0] / M, v[1] / M))
-            if gu_m > 1 and gv_m > 1 and gu_M <= 1 and gv_M <= 1:
-                i, j = u[0] - window.xmin, u[1] - window.ymin
-                w = ptm.hw[i, j] if v[0] != u[0] else ptm.vw[i, j]
-                if bool(in_q_support(field.dist, w)):
-                    count += 1
+    for spec, path in zip(targets, geodesics):
+        sites = np.array(path.sites)
+        beyond_m = gauge(shape, sites / m) > 1.0
+        beyond_M = gauge(shape, sites / M) > 1.0
+        outside.append({s for s, b in zip(path.sites, beyond_m) if b})
+
+        # Q-edges with both ends in the annulus, read at their lower-left
+        # end: no path site is on the boundary, so it indexes both grids
+        annulus = beyond_m & ~beyond_M
+        along = annulus[:-1] & annulus[1:]
+        lo = np.minimum(sites[:-1], sites[1:])[along]
+        ix, iy = lo[:, 0] - window.xmin, lo[:, 1] - window.ymin
+        horizontal = (sites[:-1, 0] != sites[1:, 0])[along]
+        w = np.where(horizontal, ptm.hw[ix, iy], ptm.vw[ix, iy])
+        count = int(np.count_nonzero(in_q_support(field.dist, w)))
         n_q.append(count)
         ev["E"].append(count >= 1)
 
-        spec = targets[idx]
-        cross_m = _first_crossing(path.sites, shape, m)
-        cross_M = _first_crossing(path.sites, shape, M)
-        in_arc = True
-        for cross, radius in ((cross_m, m), (cross_M, M)):
-            if cross is None:
-                in_arc = False
-                continue
-            b = boundary_project(shape, (cross[0] / radius, cross[1] / radius))
-            in_arc = in_arc and l1(b, spec.v) <= arc_halfwidth
-        ev["B"].append(in_arc)
+        # the first sites beyond m * shape and beyond M * shape, scaled
+        firsts = [sites[beyond.argmax()] / radius for beyond, radius
+                  in ((beyond_m, m), (beyond_M, M)) if beyond.any()]
+        ev["B"].append(len(firsts) == 2 and all(
+            l1(boundary_project(shape, p), spec.v) <= arc_halfwidth
+            for p in firsts))
 
         # sampled arc sites mD_i: two boundary points around v_i
         if alpha <= 0 or not math.isfinite(alpha):
@@ -416,6 +408,11 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
         ev["C"].append(c_ok)
         ev["D"].append(d_ok)
 
+    disjoint = np.ones((k, k), dtype=bool)
+    for i in range(k):
+        for j in range(i + 1, k):
+            disjoint[i, j] = disjoint[j, i] = not (outside[i] & outside[j])
+
     return DisjointnessReport(disjoint=disjoint, n_q=tuple(n_q),
                               rho_hat=tuple(c / M for c in n_q),
                               alpha=alpha, events=ev,
@@ -430,13 +427,7 @@ def nested_geodesic_agreement(field: EdgeField, spec: BusemannSpec,
     Finite-window probe of subsequence convergence of geodesics toward a
     boundary direction.
     """
-    graph = GridGraph(field, window)
-    ptm = solve(field, (0, 0), window, graph=graph)
-    paths = []
-    for sp in (spec, spec_far):
-        sites = discretize_line(sp, window)
-        best = min(sites, key=lambda s: (ptm.tick_time(s), s))
-        paths.append(geodesic(ptm, best))
-    boxes = [{s for s in p.sites if max(abs(s[0]), abs(s[1])) <= r}
-             for p in paths]
+    ptm = solve(field, (0, 0), window)
+    boxes = [{s for s in _line_geodesic(ptm, sp, window).sites
+              if max(abs(s[0]), abs(s[1])) <= r} for sp in (spec, spec_far)]
     return boxes[0] == boxes[1]

@@ -14,13 +14,13 @@ import numpy as np
 from ._rng import derive_seed, hash_words
 from .convex import ConvexShape, projection_coefficient, tangent_at
 from .lattice import EdgeField, GridGraph, Window, round_site
-from .measure import WeightDistribution
+from .measure import InputError, WeightDistribution
 
 NONE_OWNER = -1
 TIE_POLICIES = ("strict", "lexicographic", "random")
 
 
-class GrowthError(ValueError):
+class GrowthError(InputError):
     pass
 
 

@@ -40,7 +40,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from ._rng import hash_words, uniform01
-from .measure import TICK_LIMIT, WeightDistribution
+from .measure import TICK_LIMIT, InputError, WeightDistribution
 
 Site = tuple  # (x, y) integer lattice coordinates
 
@@ -49,7 +49,7 @@ class LatticeError(ValueError):
     pass
 
 
-class DomainError(LatticeError):
+class DomainError(LatticeError, InputError):
     """A domain refused by check_domain, before anything is allocated."""
 
 

@@ -30,7 +30,11 @@ PIECE_TICKS = 2**32      # ticks per 1/d of a law with pieces
 TICK_LIMIT = 2**53       # float64 adds integers exactly below this
 
 
-class DistributionError(ValueError):
+class InputError(ValueError):
+    """An input refused; the experiment runner reports it as a config error."""
+
+
+class DistributionError(InputError):
     pass
 
 

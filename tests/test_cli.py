@@ -141,6 +141,17 @@ class TestMain:
         path = self.write(tmp_path, shape_cfg())
         assert main(["oriented", "--config", path]) == 2
 
+    @pytest.mark.parametrize("cfg", [5, [5]])
+    def test_config_not_an_object_exit_two(self, tmp_path, cfg):
+        path = self.write(tmp_path, cfg)
+        assert main(["shape", "--config", path]) == 2
+
+    def test_kind_mismatch_in_list_exit_two(self, tmp_path):
+        path = self.write(tmp_path, [oriented_cfg([0.7]), shape_cfg()])
+        assert main(["oriented", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_runtime_error_exit_three(self, tmp_path):
         path = self.write(tmp_path, oriented_cfg([0.3], T=80))
         assert main(["oriented", "--config", path,
@@ -218,17 +229,19 @@ LAW_KEY = {kind: "base" if kind == "construct" else "dist"
            for kind in VALID if kind != "oriented"}
 
 
+def exit_code(tmp_path, cfg):
+    """main's exit code for cfg; no output directory may be written."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    code = main([cfg["kind"], "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
+    return code
+
+
 class TestSharedDefinitions:
     """Each part the kinds share is defined once, so every kind refuses
     the same faults with exit code 2 and writes nothing."""
-
-    def exit_code(self, tmp_path, cfg):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(cfg))
-        code = main([cfg["kind"], "--config", str(path),
-                     "--out", str(tmp_path / "o")])
-        assert not (tmp_path / "o").exists()
-        return code
 
     def test_covers_every_kind(self):
         assert tuple(VALID) == expcli.KINDS
@@ -238,24 +251,59 @@ class TestSharedDefinitions:
     @pytest.mark.parametrize("kind", expcli.KINDS)
     def test_unknown_top_level_key(self, tmp_path, kind):
         cfg = dict(VALID[kind], workers=2)
-        assert self.exit_code(tmp_path, cfg) == 2
+        assert exit_code(tmp_path, cfg) == 2
 
     @pytest.mark.parametrize("kind", LAW_KEY)
     def test_unknown_key_in_law(self, tmp_path, kind):
         cfg = json.loads(json.dumps(VALID[kind]))
         cfg["params"][LAW_KEY[kind]]["atom"] = [[1.0, 1.0]]
-        assert self.exit_code(tmp_path, cfg) == 2
+        assert exit_code(tmp_path, cfg) == 2
 
     @pytest.mark.parametrize("kind", LAW_KEY)
     def test_law_mass_below_one(self, tmp_path, kind):
         cfg = json.loads(json.dumps(VALID[kind]))
         cfg["params"][LAW_KEY[kind]] = {"atoms": [[1.0, 0.5], [3.0, 0.4]]}
-        assert self.exit_code(tmp_path, cfg) == 2
+        assert exit_code(tmp_path, cfg) == 2
 
     def test_construct_schedule_not_decreasing(self, tmp_path):
         cfg = json.loads(json.dumps(VALID["construct"]))
         cfg["params"]["schedule"]["p_seq"] = [0.8, 0.85]
-        assert self.exit_code(tmp_path, cfg) == 2
+        assert exit_code(tmp_path, cfg) == 2
+
+
+def with_params(kind, **params):
+    cfg = json.loads(json.dumps(VALID[kind]))
+    cfg["params"].update(params)
+    return cfg
+
+
+class TestRunnerChecks:
+    """Faults that only a runner can see (they need two fields at once)
+    are config errors too: exit 2, no output. A geodesic clipped by the
+    window depends on the field and stays a runtime error."""
+
+    @pytest.mark.parametrize("cfg", [
+        with_params("compete", seeds=[[-5, 0], [50, 0]]),
+        with_params("compete", seeds=[[5, 0], [-5, 0], [5, 0]]),
+        with_params("busemann", seeds=[[0, 0], [1, 1]]),
+        with_params("busemann", seeds=[[0, 11]]),
+        with_params("diagnose", m=18, M=18),
+        with_params("diagnose", M=30),
+        with_params("busemann", lines=[dict(LINE, n=50)]),
+        with_params("ends", m_grid=[3, 5]),
+    ], ids=["compete_seed_outside", "compete_seed_repeated",
+            "busemann_line_count", "busemann_seed_outside",
+            "diagnose_m_not_below_M", "diagnose_M_not_below_half_width",
+            "busemann_line_misses_window", "ends_radius_too_large"])
+    def test_config_fault_exit_two(self, tmp_path, cfg):
+        assert exit_code(tmp_path, cfg) == 2
+
+    def test_clipped_geodesic_exit_three(self, tmp_path):
+        # the line x = 30 is the window's edge, so every geodesic to it
+        # ends on the boundary
+        cfg = with_params("diagnose", targets=[
+            {"v": [1.0, 0.0], "w": [0.0, 1.0], "n": 30}])
+        assert exit_code(tmp_path, cfg) == 3
 
 
 class TestWorkers:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fpplab.convex import (ConvexShape, GeometryError, boundary_project,
@@ -157,6 +158,32 @@ class TestGauge:
         off = hull([(1, 1), (2, 1), (2, 2), (1, 2)])
         with pytest.raises(GeometryError):
             gauge(off, (1.5, 1.5))
+        with pytest.raises(GeometryError):
+            gauge(off, np.array([[1.5, 1.5], [0.0, 0.0]]))
+
+    @staticmethod
+    def loop_gauge(shape, p):
+        """The per-point definition: the largest ratio of an edge's normal
+        functional at p to its value on the edge."""
+        g = 0.0
+        for a, b in shape.edges():
+            nx, ny = b[1] - a[1], a[0] - b[0]
+            g = max(g, (nx * p[0] + ny * p[1]) / (nx * a[0] + ny * a[1]))
+        return g
+
+    @pytest.mark.parametrize("shape", [
+        l1_ball(1.0),
+        hull([(1, 0.4), (0.4, 1), (-0.4, 1), (-1, 0.4), (-1, -0.4),
+              (-0.4, -1), (0.4, -1), (1, -0.4)]),
+    ], ids=["l1_ball", "octagon"])
+    def test_array_form_equals_scalar_form(self, shape):
+        ticks = np.arange(-13, 14) / 7
+        grid = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+        g = gauge(shape, grid)
+        assert g.shape == (len(grid),)
+        want = [self.loop_gauge(shape, p) for p in grid.tolist()]
+        assert g.tolist() == want
+        assert [gauge(shape, p) for p in grid.tolist()] == want
 
 
 class TestProjection:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from fpplab.convex import gauge, hull, tangent_at
 from fpplab.geograph import (BusemannSpec, GeoGraphError, InfectionGraph,
                              busemann, busemann_separation,
                              discretize_line, disjointness_diagnostic,
@@ -10,7 +11,10 @@ from fpplab.geograph import (BusemannSpec, GeoGraphError, InfectionGraph,
                              nested_geodesic_agreement)
 from fpplab.lattice import EdgeField, GridGraph, Window, solve
 from fpplab.measure import mk_distribution, point_mass
-from oracles import MIX, UNIF12, pruned_search_times
+from oracles import MIX, STAGE3, UNIF12, ZERO_ATOM, pruned_search_times
+
+OCTAGON = hull([(1, 0.4), (0.4, 1), (-0.4, 1), (-1, 0.4), (-1, -0.4),
+                (-0.4, -1), (0.4, -1), (1, -0.4)])
 
 
 class TestInfectionGraph:
@@ -172,6 +176,36 @@ class TestBusemann:
         tau = solve(f, x, w).time(y)
         assert abs(busemann(f, self.spec(), x, y, w)) <= tau + 1e-12
 
+    @pytest.mark.parametrize("dist", [STAGE3, MIX, ZERO_ATOM],
+                             ids=["stage3", "mix", "zero_atom"])
+    def test_equals_two_solve_definition(self, dist):
+        # min over the line of the solve from x, minus that from y, in
+        # ticks: one solve from the line must give the same difference
+        w = Window.square(10)
+        v = OCTAGON.vertices[1]
+        specs = [self.spec(n=7), BusemannSpec(v=v, w=tangent_at(OCTAGON, v),
+                                              n=6)]
+        pairs = [((0, 0), (3, -4)), ((-5, 2), (7, 7)), ((9, -9), (-10, 10))]
+        for seed in range(4):
+            f = EdgeField(seed, dist)
+            g = GridGraph(f, w)
+            for spec in specs:
+                line = [w.index(s) for s in discretize_line(spec, w)]
+                for x, y in pairs:
+                    tx = solve(f, x, w, graph=g).ticks.ravel()[line].min()
+                    ty = solve(f, y, w, graph=g).ticks.ravel()[line].min()
+                    want = float((tx - ty) / dist.ticks_per_unit)
+                    assert busemann(f, spec, x, y, w, graph=g) == want
+
+    def test_point_outside_window_rejected(self):
+        # (-9, 0) would be index -1 into the grids of Window.square(8)
+        w = Window.square(8)
+        f = EdgeField(2, UNIF12)
+        for x, y in [((-9, 0), (0, 0)), ((0, 0), (-9, 0)),
+                     ((0, 9), (0, 0))]:
+            with pytest.raises(GeoGraphError):
+                busemann(f, self.spec(), x, y, w)
+
     def test_brute_force_small_window(self):
         # exact agreement with exhaustive path enumeration on 5x5
         w = Window(0, 4, 0, 4)
@@ -236,6 +270,30 @@ class TestDiagnostics:
         assert all(c >= 1 for c in rep.n_q)
         assert rep.rho_hat == tuple(c / 40 for c in rep.n_q)
         assert rep.alpha > 0
+
+    def test_octagon_q_counts_match_independent_count(self):
+        # n_Q recounted edge by edge along each geodesic with the scalar
+        # gauge and the field's own edge weights
+        w = Window.square(60)
+        m, M = 10, 40
+        shape = OCTAGON.scaled(1.2)
+        for seed in (4, 5):
+            f = EdgeField(seed, MIX)
+            rep = disjointness_diagnostic(f, self.four_targets(45), m, M, w,
+                                          shape=shape)
+            counts = []
+            for path in rep.geodesic_sites:
+                count = 0
+                for u, v in zip(path, path[1:]):
+                    ends = [gauge(shape, (s[0] / r, s[1] / r))
+                            for r in (m, M) for s in (u, v)]
+                    if (ends[0] > 1 and ends[1] > 1 and ends[2] <= 1
+                            and ends[3] <= 1
+                            and 1.1 <= f.edge_weight(u, v) < 1.3):
+                        count += 1
+                counts.append(count)
+            assert rep.n_q == tuple(counts)
+            assert sum(counts) > 0
 
     def test_parameter_validation(self):
         w = Window.square(20)
