@@ -15,7 +15,8 @@ is written: a malformed law or schedule (DistributionError), a domain on
 which the solves would not be exact (DomainError, from check_domain,
 which every graph calls before it allocates), a compete seed off its
 window or repeated (GrowthError), and busemann or diagnose lines, seeds
-or scales that do not fit (GeoGraphError).
+or scales and ends removal radii that do not fit (GeoGraphError). The
+ends and diagnose runners check their radii and lines before trial 0.
 """
 
 import csv
@@ -34,6 +35,7 @@ from . import __version__, svgout
 from ._rng import derive_seed
 from .convex import l1_ball
 from .geograph import (BusemannSpec, busemann_separation,
+                       check_removal_radius, discretize_line,
                        disjointness_diagnostic, ends_estimate,
                        infection_graph)
 from .growth import TIE_POLICIES, CompetitionConfig, coexistence_stats
@@ -311,6 +313,8 @@ def _run_ends(cfg, out_dir):
     dist = WeightDistribution.from_dict(p["dist"])
     window = Window.square(p["window"])
     m_grid = [int(m) for m in p["m_grid"]]
+    for m in m_grid:
+        check_removal_radius(window, m)
     trials = cfg.get("trials", 10)
 
     results = []
@@ -354,6 +358,8 @@ def _run_diagnose(cfg, out_dir):
     dist = WeightDistribution.from_dict(p["dist"])
     window = Window.square(p["window"])
     targets = [_line_spec(d) for d in p["targets"]]
+    for spec in targets:
+        discretize_line(spec, window)  # refuses a line that misses it
     m, M = p["m"], p["M"]
     ahw = p.get("arc_halfwidth", 0.25)
     trials = cfg.get("trials", 1)

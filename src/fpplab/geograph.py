@@ -126,15 +126,20 @@ def infection_graph(field: EdgeField, window: Window,
                           hw=hw, vw=vw, qh=qh, qv=qv)
 
 
+def check_removal_radius(window: Window, removal_radius: int):
+    """Refuse a removal radius of at least half the window half-width."""
+    half = min(window.xmax, -window.xmin, window.ymax, -window.ymin)
+    if removal_radius >= half / 2:
+        raise GeoGraphError("removal radius %d too large for the window"
+                            % removal_radius)
+
+
 def ends_estimate(graph: InfectionGraph, removal_radius: int) -> int:
     """Boundary-touching components after deleting the l1 ball of the
     given radius around the origin (finite-window proxy for the number
     of ends)."""
     win = graph.window
-    half = min(win.xmax, -win.xmin, win.ymax, -win.ymin)
-    if removal_radius >= half / 2:
-        raise GeoGraphError("removal radius %d too large for the window"
-                            % removal_radius)
+    check_removal_radius(win, removal_radius)
     nx, ny = win.nx, win.ny
     xs = np.arange(win.xmin, win.xmax + 1)
     ys = np.arange(win.ymin, win.ymax + 1)

@@ -22,11 +22,13 @@ Single-source passage times are solved with Dijkstra (scipy's compiled
 implementation); on a Window the predecessor structure keeps ALL optimal
 incoming edges so tie unions (the infection graph) stay computable.
 
-solve_targets returns exact lattice passage times to a set of targets.
-It solves on an l1 diamond around the source and certifies the result
-after the solve: with a least edge weight a_min > 0, any path that
-leaves a diamond of radius R costs at least a_min * (R + 1), so every
-target reached under that limit has its Z^2 time.
+solve_targets returns exact lattice passage times to a set of targets,
+for a batch of fields of one law. It solves each field on an l1 diamond
+around the source and certifies the result after the solve: with a
+least edge weight a_min > 0, any path that leaves a diamond of radius R
+costs at least a_min * (R + 1), so every target reached under that
+limit has its Z^2 time. The certificate holds for any R, so the batch
+sizes each field's diamond from the times solved before it.
 """
 
 import math
@@ -662,46 +664,80 @@ def monotone_upper_bounds(hw, vw, window: Window, source: Site, targets):
     return out
 
 
-def solve_targets(field: EdgeField, source: Site, targets):
-    """Exact lattice passage times from the source to each target.
+# A later field's diamond holds 5% more than the batch's largest target
+# time so far: margin enough that a miss (one more solve) stays rare.
+_HINT_MARGIN = 1.05
 
-    Returns (times, regrowths): times[k] is tau(source, targets[k]) on all
-    of Z^2, and regrowths counts how often the first domain was doubled.
 
-    The domain is the l1 diamond of radius R around the source. A path
-    that leaves it takes at least R + 1 steps of weight at least a_min =
-    dist.min_support(), so it costs at least a_min * (R + 1): solved with
-    that limit, exact in ticks, every target the solve reaches has its
-    Z^2 time, ties at the limit included. R starts at max(L, ceil(E[w] *
-    L / a_min)), L the largest l1 distance of a target, and doubles while
-    a target is unreached.
+def solve_targets(fields, source: Site, targets):
+    """Exact lattice passage times from the source to each target, for
+    every field of a batch of fields of one law.
 
-    When a_min is small or 0, that start would exceed twice the targets'
-    extent, 2 * (L + 1). R then starts there instead, the solve has no
+    Returns (times, regrown): times[k, j] is tau(source, targets[j]) on
+    all of Z^2 in fields[k], and regrown counts the fields whose diamond
+    doubled beyond its first radius R0.
+
+    Each field is solved on the l1 diamond of radius R around the
+    source. A path that leaves it takes at least R + 1 steps of weight
+    at least a_min = dist.min_support(), so it costs at least a_min *
+    (R + 1): solved with that limit, exact in ticks, every target the
+    solve reaches has its Z^2 time, ties at the limit included, whatever
+    R is. The first field starts at R0 = max(L, ceil(E[w] * L / a_min)),
+    L the largest l1 distance of a target. Each later field starts from
+    the answers before it: at min(R0, max(L, ceil(1.05 * T / a_min) -
+    1)), T the largest target time solved so far in the batch. If a
+    target is unreached there, the field is solved again at R0; that
+    miss is not a regrowth. From R0, R doubles while a target is
+    unreached, and each field that doubles counts once in regrown.
+
+    When a_min is small or 0, R0 would exceed twice the targets' extent,
+    2 * (L + 1). Every field then starts there instead, the solve has no
     limit, and R doubles while the ball of radius max tau touches the
     diamond's boundary. Once it does not, every path that leaves the
     diamond is slower than the in-diamond times, so these are exact.
     Every edge weight of each diamond is hashed afresh.
     """
+    fields = list(fields)
+    if not fields:
+        raise LatticeError("no fields to solve")
+    dist = fields[0].dist
+    if any(f.dist != dist for f in fields):
+        raise LatticeError("the fields of one batch share one law")
     sx, sy = source
     targets = list(targets)
     L = max(abs(x - sx) + abs(y - sy) for x, y in targets)
-    a_min = field.dist.min_support()
+    a_min = dist.min_support()
     cap = 2 * (L + 1)
-    guess = (max(L, math.ceil(field.dist.mean() * L / a_min))
+    guess = (max(L, math.ceil(dist.mean() * L / a_min))
              if a_min > 0 else math.inf)
     certified = guess <= cap
-    R = max(1, guess) if certified else cap
-    a_ticks = field.dist.tick(a_min)
-    regrowths = 0
-    while True:
-        diamond = Diamond(source, R)
-        graph = GridGraph(field, diamond)
-        limit = a_ticks * (R + 1) if certified else None
-        d = graph.distances(source, limit=limit)
-        times = d[[diamond.index(t) for t in targets]]
-        if (np.isfinite(times).all() if certified
-                else d[diamond.boundary()].min() > times.max()):
-            return times / graph.unit, regrowths
-        R *= 2
-        regrowths += 1
+    R0 = max(1, guess) if certified else cap
+    a_ticks = dist.tick(a_min)
+    rows = []
+    regrown = 0
+    top = 0  # the largest target time so far, in ticks
+    for field in fields:
+        R = R0
+        if certified and rows:
+            R = min(R0, max(1, L, math.ceil(_HINT_MARGIN * top / a_ticks) - 1))
+        doubled = False
+        while True:
+            diamond = Diamond(source, R)
+            graph = GridGraph(field, diamond)
+            limit = a_ticks * (R + 1) if certified else None
+            d = graph.distances(source, limit=limit)
+            times = d[[diamond.index(t) for t in targets]]
+            done = (np.isfinite(times).all() if certified
+                    else d[diamond.boundary()].min() > times.max())
+            del graph, d  # freed before the next diamond is built
+            if done:
+                break
+            if R < R0:
+                R = R0
+            else:
+                R *= 2
+                doubled = True
+        regrown += doubled
+        top = max(top, times.max())
+        rows.append(times / dist.ticks_per_unit)
+    return np.array(rows), regrown

@@ -5,16 +5,19 @@ passage time to round(n * direction) over independent trials, averages
 each direction's full dihedral orbit (lattice symmetry halves the
 variance), and inverts: the boundary point in direction u is u / m(u).
 
-Every trial is one call to lattice.solve_targets, which serves all
-directions at once and returns exact lattice passage times. It solves
-on an l1 diamond around the origin, of radius max(L, ceil(E[w] L /
-a_min)) for the targets' largest l1 norm L and least edge weight a_min,
-and certifies the times after the solve: a path that leaves the diamond
-costs at least a_min times one more than the radius. The diamond
-doubles while a target lies beyond that certified limit (or, for a_min
-small or 0, while the ball of radius max tau touches its boundary). No
-trial is ever dropped; clipped_trials counts the trials whose first
-diamond was regrown.
+All trials of an estimate go to one lattice.solve_targets call, which
+serves every direction at once and returns exact lattice passage times.
+Each trial is solved on an l1 diamond around the origin and certified
+after the solve: a path that leaves the diamond costs at least a_min
+times one more than the radius, for the least edge weight a_min. The
+first trial's radius is max(L, ceil(E[w] L / a_min)) for the targets'
+largest l1 norm L; each later trial's is sized from the largest target
+time solved before it, and falls back to the first radius if a target
+is unreached. From there the diamond doubles while a target lies
+beyond the certified limit (or, for a_min small or 0, while the ball
+of radius max tau touches its boundary). No trial is ever dropped;
+clipped_trials counts the trials whose diamond doubled beyond the
+first radius, so it does not depend on how the later radii were sized.
 """
 
 import math
@@ -82,7 +85,7 @@ class ShapeEstimate:
     angles: tuple
     m_hat: tuple
     stderr: tuple
-    clipped_trials: int  # trials whose first diamond was regrown
+    clipped_trials: int  # trials whose diamond doubled beyond the first radius
     dist: WeightDistribution
     n: int
     trials: int
@@ -94,17 +97,9 @@ class ShapeEstimate:
                 "dist": self.dist.to_dict(), "n": self.n, "trials": self.trials}
 
 
-def _trial_times(dist: WeightDistribution, targets, trials: int, seed: int):
-    """Exact passage times from the origin to the targets, one row per
-    trial, and the number of trials whose first diamond was regrown."""
-    rows = []
-    regrown = 0
-    for t in range(trials):
-        times, regrowths = solve_targets(
-            EdgeField(derive_seed(seed, t), dist), (0, 0), targets)
-        rows.append(times)
-        regrown += int(regrowths > 0)
-    return np.array(rows), regrown
+def _fields(dist: WeightDistribution, trials: int, seed: int):
+    """The trials' independent fields: trial t reads derive_seed(seed, t)."""
+    return [EdgeField(derive_seed(seed, t), dist) for t in range(trials)]
 
 
 def _mean_stderr(vals):
@@ -122,7 +117,7 @@ def time_constant(dist: WeightDistribution, direction, n: int, trials: int,
     if direction[0] == 0 and direction[1] == 0:
         raise ShapeEstimateError("direction must be nonzero")
     target = round_site((n * direction[0], n * direction[1]))
-    times, _ = _trial_times(dist, [target], trials, seed)
+    times, _ = solve_targets(_fields(dist, trials, seed), (0, 0), [target])
     return _mean_stderr(times[:, 0] / n)
 
 
@@ -140,7 +135,8 @@ def empirical_shape(dist: WeightDistribution, plan: DirectionPlan) -> ShapeEstim
               for u in dirs]
     all_targets = sorted({t for orb in orbits for t in orb})
     pos = {s: i for i, s in enumerate(all_targets)}
-    times, regrown = _trial_times(dist, all_targets, plan.trials, plan.seed)
+    times, regrown = solve_targets(_fields(dist, plan.trials, plan.seed),
+                                   (0, 0), all_targets)
     m_hat = []
     stderr = []
     for orb in orbits:

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -297,6 +298,22 @@ class TestRunnerChecks:
             "busemann_line_misses_window", "ends_radius_too_large"])
     def test_config_fault_exit_two(self, tmp_path, cfg):
         assert exit_code(tmp_path, cfg) == 2
+
+    @pytest.mark.parametrize("cfg", [
+        with_params("ends", window=400, m_grid=[10, 250]),
+        with_params("diagnose", window=400, M=150, targets=[
+            LINE, {"v": [1.0, 0.0], "w": [0.0, 1.0], "n": 500}]),
+    ], ids=["ends_radius_too_large", "diagnose_line_misses_window"])
+    def test_refused_before_any_trial(self, tmp_path, cfg):
+        # a trial on window 400 builds a 641,601-site graph: tens of MiB.
+        # The runner refuses the last radius or line before trial 0.
+        tracemalloc.start()
+        try:
+            assert exit_code(tmp_path, cfg) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_clipped_geodesic_exit_three(self, tmp_path):
         # the line x = 30 is the window's edge, so every geodesic to it

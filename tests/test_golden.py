@@ -1,0 +1,97 @@
+"""Golden payload digests: one small config per kind, whose payloads'
+SHA-256 are committed in golden_digests.json.
+
+Payload bytes depend only on the config, so a change that should leave
+the random stream alone must leave every digest alone. A change that
+alters the stream on purpose regenerates the file,
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
+
+and says which digests moved and why.
+
+The digests were made with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1,
+the versions CI installs (.github/workflows/tests.yml). The payloads
+print floats with repr, so a numpy or scipy release that changes a
+reduction order (a sum, a mean, a std) can move a last digit and fail
+this test with no change in fpplab; compare against these versions
+before suspecting the code.
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+import pytest
+
+from fpplab.expcli import run
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+DIGESTS = os.path.join(HERE, "golden_digests.json")
+
+MIX = {"atoms": [[1.0, 0.85]], "pieces": [[1.1, 1.3, 0.15]]}
+# 2 = 1 + 1: a tick more on either atom splits ties that the
+# infection graph and the lexicographic geodesics read
+TIED = {"atoms": [[1.0, 0.6], [2.0, 0.25]], "pieces": [[1.1, 1.3, 0.15]]}
+LINES = [{"v": [1.0, 0.0], "w": [0.0, 1.0], "n": 12},
+         {"v": [0.0, 1.0], "w": [1.0, 0.0], "n": 12}]
+
+# one small config per kind; the shape law has a heavy top atom, so its
+# later trials solve on diamonds sized from the earlier ones
+CONFIGS = {
+    "shape": {"kind": "shape", "seed": 3, "trials": 6, "params": {
+        "dist": {"atoms": [[1.0, 0.5], [3.0, 0.5]]},
+        "directions": 5, "n": 40}},
+    "construct": {"kind": "construct", "seed": 0, "params": {
+        "base": {"atoms": [[1.0, 0.9], [3.0, 0.1]]},
+        "schedule": {"p0": 0.9, "p_seq": [0.8, 0.72],
+                     "y_seq": [2.0, 1.5]}}},
+    "oriented": {"kind": "oriented", "seed": 2, "trials": 30, "params": {
+        "p_values": [0.7, 0.8, 1.0], "T": 40, "pc_grid": [0.6, 0.7]}},
+    "compete": {"kind": "compete", "seed": 4, "trials": 3, "params": {
+        "dist": {"atoms": [[1.0, 0.6], [2.0, 0.4]]},
+        "seeds": [[-6, 0], [6, 0], [0, 6]], "window": 20,
+        "survival_threshold": 10, "tie_policy": "lexicographic"}},
+    "ends": {"kind": "ends", "seed": 5, "trials": 2, "params": {
+        "dist": TIED, "window": 24, "m_grid": [2, 3, 4, 5]}},
+    "busemann": {"kind": "busemann", "seed": 6, "params": {
+        "dist": MIX, "window": 24, "lines": LINES,
+        "seeds": [[0, 0], [2, 3]]}},
+    "diagnose": {"kind": "diagnose", "seed": 7, "trials": 3, "params": {
+        "dist": TIED, "window": 30, "m": 5, "M": 18, "targets": [
+            {"v": [1.0, 0.0], "w": [0.0, 1.0], "n": 22},
+            {"v": [0.0, 1.0], "w": [1.0, 0.0], "n": 22}]}},
+}
+
+
+def payload_digests(cfg, out_root):
+    """SHA-256 of each payload of one run, by file name."""
+    art = run(cfg, out_root=out_root, echo=False)
+    digests = {}
+    for path in art.payloads:
+        with open(path, "rb") as f:
+            digests[os.path.basename(path)] = hashlib.sha256(
+                f.read()).hexdigest()
+    return digests
+
+
+def test_covers_every_kind():
+    from fpplab.expcli import KINDS
+    with open(DIGESTS) as f:
+        assert sorted(json.load(f)) == sorted(CONFIGS) == sorted(KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_payload_digests_unchanged(tmp_path, kind):
+    with open(DIGESTS) as f:
+        want = json.load(f)[kind]
+    assert payload_digests(CONFIGS[kind], str(tmp_path)) == want
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as out:
+        json.dump({kind: payload_digests(cfg, os.path.join(out, kind))
+                   for kind, cfg in CONFIGS.items()},
+                  sys.stdout, indent=2, sort_keys=True)
+    print()

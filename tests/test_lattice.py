@@ -265,18 +265,33 @@ class TestSolveTargets:
         big = Window.square(60)
         for seed in range(3):
             f = EdgeField(seed, dist)
-            times, _ = solve_targets(f, (0, 0), self.TARGETS)
+            times, _ = solve_targets([f], (0, 0), self.TARGETS)
             ptm = solve(f, (0, 0), big)
             want = np.array([ptm.time(t) for t in self.TARGETS])
             assert not ptm.boundary_contact(want.max())
-            assert np.array_equal(times, want)
+            assert np.array_equal(times[0], want)
+
+    @pytest.mark.parametrize("dist", [ATOMIC, UNIF12, EPS_ATOM, ZERO_ATOM],
+                             ids=["atomic", "unif12", "eps_atom", "zero_atom"])
+    def test_batch_matches_unbounded_solve(self, dist):
+        # later fields are sized from the times before them (or, without
+        # a certificate, start from the same cap); every row stays exact
+        big = Window.square(60)
+        fields = [EdgeField(seed, dist) for seed in (4, 0, 7, 1, 9, 2)]
+        times, _ = solve_targets(fields, (0, 0), self.TARGETS)
+        assert times.shape == (len(fields), len(self.TARGETS))
+        for f, row in zip(fields, times):
+            ptm = solve(f, (0, 0), big)
+            want = np.array([ptm.time(t) for t in self.TARGETS])
+            assert not ptm.boundary_contact(want.max())
+            assert np.array_equal(row, want)
 
     def test_exact_first_window_is_not_regrown(self):
         # a_min = 1: the first window floor(ub) + 1 is below the cap here
         for dist in (ATOMIC, UNIF12):
             for seed in range(3):
-                _, regrowths = solve_targets(EdgeField(seed, dist), (0, 0),
-                                             self.TARGETS)
+                _, regrowths = solve_targets([EdgeField(seed, dist)],
+                                             (0, 0), self.TARGETS)
                 assert regrowths == 0
 
     def test_zero_atom_regrows_first_window(self):
@@ -284,11 +299,11 @@ class TestSolveTargets:
         # here the ball reaches its boundary and the window doubles
         f = EdgeField(6, ZERO_ATOM)
         targets = [(6, 0), (4, 3), (-2, 5), (0, -6)]
-        times, regrowths = solve_targets(f, (0, 0), targets)
+        times, regrowths = solve_targets([f], (0, 0), targets)
         assert regrowths >= 1
         ptm = solve(f, (0, 0), Window.square(60))
         assert not ptm.boundary_contact(times.max())
-        assert np.array_equal(times, [ptm.time(t) for t in targets])
+        assert np.array_equal(times[0], [ptm.time(t) for t in targets])
 
     def test_too_small_first_diamond_regrows(self):
         # ATOMIC has a_min = 1 and E[w] = 1.4: the target (2, 0) gets the
@@ -299,20 +314,81 @@ class TestSolveTargets:
         found = 0
         for seed in range(400):
             f = EdgeField(seed, ATOMIC)
-            times, regrowths = solve_targets(f, (0, 0), [(2, 0)])
+            times, regrowths = solve_targets([f], (0, 0), [(2, 0)])
             ptm = solve(f, (0, 0), big)
-            assert not ptm.boundary_contact(times[0])
-            assert times[0] == ptm.time((2, 0))
-            assert (regrowths > 0) == (times[0] > 4)
+            assert not ptm.boundary_contact(times[0, 0])
+            assert times[0, 0] == ptm.time((2, 0))
+            assert (regrowths > 0) == (times[0, 0] > 4)
             found += regrowths > 0
         assert found
+
+    @staticmethod
+    def seed_with_time(t, dist=ATOMIC, target=(2, 0)):
+        """The least seed whose passage time to the target is t."""
+        big = Window.square(12)
+        return next(s for s in range(1000)
+                    if solve(EdgeField(s, dist), (0, 0), big).time(target)
+                    == t)
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        """A list that grows by the radius of each GridGraph.distances
+        solve."""
+        radii = []
+        solve_once = GridGraph.distances
+
+        def spy(graph, source, limit=None):
+            radii.append(graph.window.radius)
+            return solve_once(graph, source, limit=limit)
+
+        monkeypatch.setattr(GridGraph, "distances", spy)
+        return radii
+
+    def test_hint_miss_solves_again_at_first_radius(self, monkeypatch):
+        # ATOMIC, target (2, 0): R0 = 3. After a time of 2 the next field
+        # starts at max(2, ceil(1.05 * 2) - 1) = 2, limit 3; a time of 4
+        # misses there and is solved again at R0, limit 4. Three solves,
+        # and the miss is no regrowth.
+        fields = [EdgeField(self.seed_with_time(t), ATOMIC) for t in (2, 4)]
+        radii = self.count_solves(monkeypatch)
+        times, regrown = solve_targets(fields, (0, 0), [(2, 0)])
+        assert radii == [3, 2, 3]
+        assert regrown == 0
+        assert times.tolist() == [[2.0], [4.0]]
+
+    def test_regrowth_beyond_first_radius_is_counted(self, monkeypatch):
+        # a time of 6 misses the hinted radius 2 and R0 = 3, so its
+        # diamond doubles once: one regrown field, wherever it stands
+        short, long_ = self.seed_with_time(2), self.seed_with_time(6)
+        radii = self.count_solves(monkeypatch)
+        times, regrown = solve_targets(
+            [EdgeField(s, ATOMIC) for s in (short, long_)], (0, 0), [(2, 0)])
+        assert radii == [3, 2, 3, 6]
+        assert regrown == 1
+        assert times.tolist() == [[2.0], [6.0]]
+        del radii[:]
+        times, regrown = solve_targets(
+            [EdgeField(s, ATOMIC) for s in (long_, long_, short)], (0, 0),
+            [(2, 0)])
+        # a later field's radius never exceeds R0, so each long field
+        # doubles from R0; after a time of 6 the short one starts at R0
+        assert radii == [3, 6, 3, 6, 3]
+        assert regrown == 2
+        assert times.tolist() == [[6.0], [6.0], [2.0]]
+
+    def test_batch_of_one_law(self):
+        with pytest.raises(LatticeError):
+            solve_targets([EdgeField(0, ATOMIC), EdgeField(1, UNIF12)],
+                          (0, 0), [(2, 0)])
+        with pytest.raises(LatticeError):
+            solve_targets([], (0, 0), [(2, 0)])
 
     def test_off_origin_source(self):
         f = EdgeField(3, UNIF12)
         source, targets = (7, -4), [(15, 0), (0, -10), (7, -4)]
-        times, _ = solve_targets(f, source, targets)
+        times, _ = solve_targets([f], source, targets)
         ptm = solve(f, source, Window.square(50))
-        assert np.array_equal(times, [ptm.time(t) for t in targets])
+        assert np.array_equal(times[0], [ptm.time(t) for t in targets])
 
 
 def domain_sites(domain):
@@ -396,7 +472,7 @@ class TestGraphBuild:
                 with pytest.raises(LatticeError):
                     GridGraph(f, domain)
             with pytest.raises(LatticeError):
-                solve_targets(f, (0, 0), [(16000, 0)])
+                solve_targets([f], (0, 0), [(16000, 0)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
