@@ -185,29 +185,30 @@ class BusemannSpec:
 def discretize_line(spec: BusemannSpec, window: Window):
     """Lattice sites of the line L + n*v clipped to the window.
 
-    Steps along the tangent at half-lattice resolution, rounds, and
-    deduplicates; raises if the line misses the window entirely.
+    Steps along the tangent at half-lattice resolution, rounds as
+    round_site does, and deduplicates in first-seen order; raises if the
+    line misses the window entirely.
     """
     base = (spec.n * spec.v[0], spec.n * spec.v[1])
     wnorm = max(abs(spec.w[0]), abs(spec.w[1]))
     if wnorm == 0:
         raise GeoGraphError("zero tangent")
     step = 0.5 / wnorm
-    # range of t for which the point can lie inside the window
+    # range of t for which the point can lie inside the window; t steps
+    # from -t_max by running sums, which accumulate adds in order
     extent = max(window.xmax - window.xmin, window.ymax - window.ymin)
     t_max = extent / wnorm
-    sites = []
-    seen = set()
-    t = -t_max
-    while t <= t_max:
-        s = round_site((base[0] + t * spec.w[0], base[1] + t * spec.w[1]))
-        if s not in seen and window.contains(s):
-            seen.add(s)
-            sites.append(s)
-        t += step
-    if not sites:
+    t = np.full(int(2 * t_max / step) + 3, step)
+    t[0] = -t_max
+    np.add.accumulate(t, out=t)
+    t = t[t <= t_max]
+    xy = np.floor(np.multiply.outer(t, spec.w) + base + 0.5).astype(np.int64)
+    xy = xy[((xy >= (window.xmin, window.ymin))
+             & (xy <= (window.xmax, window.ymax))).all(axis=1)]
+    _, first = np.unique(xy[:, 0] * window.ny + xy[:, 1], return_index=True)
+    if not len(first):
         raise GeoGraphError("line misses the window")
-    return sites
+    return [tuple(s) for s in xy[np.sort(first)].tolist()]
 
 
 def _cells(window: Window, sites):

@@ -16,8 +16,10 @@ is allocated (check_domain).
 
 A domain is a Window (an axis-aligned rectangle) or a Diamond (an l1
 ball, whose rows have ragged y-ranges). Both number their sites row
-after row, so one assembly builds the CSR adjacency of either: int32
-arrays written directly in sorted row order, with no COO stage.
+after row, and each site owns its edges to the right and above, so one
+assembly builds the CSR adjacency of either from per-site arrays: four
+int32 entries per site, a zero-weight self-loop standing for a
+neighbour off the domain, written directly with no COO stage.
 Single-source passage times are solved with Dijkstra (scipy's compiled
 implementation); on a Window the predecessor structure keeps ALL optimal
 incoming edges so tie unions (the infection graph) stay computable.
@@ -117,12 +119,11 @@ class Window:
         """(ylo, yhi): the y-range of each row x = xmin + i."""
         return np.full(self.nx, self.ymin), np.full(self.nx, self.ymax)
 
-    def edge_sites(self):
-        """Lower-left endpoints (x, y) of the horizontal and of the vertical
-        edges, as broadcastable words, in GridGraph's edge order."""
-        xs = np.arange(self.xmin, self.xmax + 1)
-        ys = np.arange(self.ymin, self.ymax + 1)
-        return (xs[:-1, None], ys[None, :]), (xs[:, None], ys[None, :-1])
+    def site_words(self):
+        """Coordinates (x, y) of its sites, as words that broadcast to the
+        (nx, ny) shape of per-site arrays."""
+        return (np.arange(self.xmin, self.xmax + 1)[:, None],
+                np.arange(self.ymin, self.ymax + 1)[None, :])
 
     def contains(self, s: Site) -> bool:
         return self.xmin <= s[0] <= self.xmax and self.ymin <= s[1] <= self.ymax
@@ -148,13 +149,14 @@ def _shared(ylo, yhi):
     return np.maximum(ylo[:-1], ylo[1:]), np.minimum(yhi[:-1], yhi[1:])
 
 
-def _row_sites(xs, lo, hi):
-    """Flat coordinates of the sites (xs[i], y), lo[i] <= y <= hi[i], row
-    after row with y ascending."""
-    counts = hi - lo + 1
+def _row_ends(starts, before, after):
+    """Flat indices of the first before[i] and the last after[i] sites of
+    each row i, where row i holds the sites starts[i] .. starts[i + 1] - 1
+    (starts ends with the site count)."""
+    firsts = np.concatenate([starts[:-1], starts[1:] - after])
+    counts = np.concatenate([before, after])
     ends = np.cumsum(counts)
-    ys = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
-    return np.repeat(xs, counts), ys
+    return np.arange(ends[-1]) + np.repeat(firsts - (ends - counts), counts)
 
 
 @dataclass(frozen=True)
@@ -195,13 +197,13 @@ class Diamond:
         half = self.radius - np.abs(np.arange(-self.radius, self.radius + 1))
         return self.center[1] - half, self.center[1] + half
 
-    def edge_sites(self):
-        """Lower-left endpoints (x, y) of the horizontal and of the vertical
-        edges, as flat words, in GridGraph's edge order."""
+    def site_words(self):
+        """Coordinates (x, y) of its sites, flat, in index order."""
         ylo, yhi = self.rows()
-        xs = self.xmin + np.arange(2 * self.radius + 1)
-        return (_row_sites(xs[:-1], *_shared(ylo, yhi)),
-                _row_sites(xs, ylo, yhi - 1))
+        lens = yhi - ylo + 1
+        starts = np.cumsum(lens) - lens
+        return (np.repeat(self.xmin + np.arange(len(lens)), lens),
+                np.arange(self.n_sites) - np.repeat(starts - ylo, lens))
 
     def contains(self, s: Site) -> bool:
         return (abs(s[0] - self.center[0]) + abs(s[1] - self.center[1])
@@ -243,26 +245,22 @@ class EdgeField:
         """Vectorized weights of all edges of a Window or a Diamond, in
         real units, or in ticks (whole numbers in float64) with ticks=True.
 
-        Returns (hw, vw). On a Window, hw[i, j] is the weight of the edge
-        from site (xmin+i, ymin+j) to (xmin+i+1, ymin+j) and vw[i, j] of
-        the edge to (xmin+i, ymin+j+1). On a Diamond both are flat, in the
-        order of Diamond.edge_sites.
+        Each site owns its edges to (x + 1, y) and to (x, y + 1), leaving
+        the domain or not. One hash call, which folds x and y once for
+        both, and one quantile call weigh them into the per-site arrays,
+        of shape (2,) + window.shape. Returns (hw, vw), views of them: on
+        a Diamond the flat per-site arrays themselves; on a Window the
+        grids without the edges that leave it, where hw[i, j] is the
+        weight of the edge from site (xmin+i, ymin+j) to (xmin+i+1,
+        ymin+j) and vw[i, j] of the edge to (xmin+i, ymin+j+1).
         """
-        (hx, hy), (vx, vy) = window.edge_sites()
-        hu = uniform01(hash_words(self.seed, hx, hy, np.int64(0)))
-        vu = uniform01(hash_words(self.seed, vx, vy, np.int64(1)))
-        return (self.dist.quantile(hu, ticks=ticks),
-                self.dist.quantile(vu, ticks=ticks))
-
-
-def _runs(lens, before, inside):
-    """Flat mask over rows of the given lengths: in row i, true on the
-    inside[i] sites that follow its first before[i] sites."""
-    counts = np.empty((len(lens), 3), dtype=lens.dtype)
-    counts[:, 0], counts[:, 1] = before, inside
-    counts[:, 2] = lens - counts[:, 0] - counts[:, 1]
-    return np.repeat(np.tile([False, True, False], len(lens)),
-                     counts.ravel())
+        x, y = window.site_words()
+        axis = np.arange(2).reshape((2,) + (1,) * np.ndim(x))
+        w = self.dist.quantile(uniform01(hash_words(self.seed, x, y, axis)),
+                               ticks=ticks)
+        if isinstance(window, Window):
+            return w[0, :-1], w[1, :, :-1]
+        return w[0], w[1]
 
 
 def offset_scale(n_seeds: int) -> int:
@@ -275,18 +273,18 @@ def offset_scale(n_seeds: int) -> int:
 def check_domain(dist: WeightDistribution, domain, n_seeds=0):
     """Refuse a domain before anything is allocated for it.
 
-    Raises DomainError when 4 * n_sites does not fit the int32 graph
-    indices, or when a Dijkstra sum on it could reach 2^53 ticks, past
-    which float64 no longer adds integers exactly. A settled site's time
-    is at most the weight of a monotone path, max_ticks * diameter, and a
-    relaxation adds one edge to it. A graph with n_seeds seeds scales
-    every weight by offset_scale(n_seeds), and its seed offsets stay
-    below that scale.
+    Raises DomainError when the 4 * n_sites + n_seeds entries of its graph
+    overflow the int32 graph indices, or when a Dijkstra sum on it could
+    reach 2^53 ticks, past which float64 no longer adds integers exactly.
+    A settled site's time is at most the weight of a monotone path,
+    max_ticks * diameter, and a relaxation adds one edge to it. A graph
+    with n_seeds seeds scales every weight by offset_scale(n_seeds), and
+    its seed offsets stay below that scale.
     """
-    if 4 * domain.n_sites > np.iinfo(np.int32).max:
+    if 4 * domain.n_sites + n_seeds > np.iinfo(np.int32).max:
         raise DomainError(
-            "window of %d sites overflows int32 graph indices"
-            % domain.n_sites)
+            "window of %d sites and %d seeds overflows int32 graph indices"
+            % (domain.n_sites, n_seeds))
     top = offset_scale(n_seeds) * (
         dist.tick(dist.max_support()) * (domain.diameter + 1) + 1)
     if top >= TICK_LIMIT:
@@ -299,7 +297,10 @@ class GridGraph:
     """Adjacency of one field on a Window or a Diamond, in ticks,
     reusable across many solves.
 
-    th, tv are the field's weight grids in ticks. seeds adds a
+    th, tv are the field's weight grids in ticks. Row k of the CSR holds
+    four entries from 4 k on, its neighbours (x - 1, y), (x, y - 1),
+    (x, y + 1), (x + 1, y) in this order; one off the domain is a
+    zero-weight self-loop, which no solve can use. seeds adds a
     super-source, node n_sites, with one edge to each seed; its weights
     are the offsets of distance_to_set, rewritten for each solve. Every
     other weight is then scaled by scale = offset_scale(len(seeds)).
@@ -316,53 +317,49 @@ class GridGraph:
         self.unit = field.dist.ticks_per_unit * scale  # weight 1 in ticks
         self.th, self.tv = field.weight_grids(window, ticks=True)
         n = window.n_sites
+        # the per-site arrays, which both grids view
+        right_w, up_w = self.th.base.reshape(2, n)
         ylo, yhi = window.rows()
         lens = yhi - ylo + 1
+        starts = np.r_[0, np.cumsum(lens)]
         # site (xmin + i, y) is k = base[i] + y; its left and right
         # neighbours sit at the per-row offsets k - left[i], k + right[i]
-        base = np.cumsum(lens) - lens - ylo
+        base = starts[:-1] - ylo
         left = np.diff(base, prepend=base[0]).astype(np.int32)
         right = np.diff(base, append=base[-1]).astype(np.int32)
         lo, hi = _shared(ylo, yhi)
-        shared = hi - lo + 1
-        # Row k lists the neighbours k - left, k - 1, k + 1, k + right in
-        # this (sorted) order: slot s of (n, 4) arrays, present unless it
-        # points off the domain. Zero weights stay as explicit entries.
-        # The super-source's row, if any, comes last: its entries follow
-        # the (n, 4) slots in the flat arrays.
+        # the sites whose neighbour in slot s is off the domain: a row's
+        # ends beyond the y-range it shares with the row beside it, or
+        # its first and its last site
+        missing = (
+            _row_ends(starts, np.r_[lens[0], lo - ylo[1:]],
+                      np.r_[0, yhi[1:] - hi]),
+            starts[:-1], starts[1:] - 1,
+            _row_ends(starts, np.r_[lo - ylo[:-1], lens[-1]],
+                      np.r_[yhi[:-1] - hi, 0]))
         n_seeds = len(self.seeds)
-        flat = 4 * n + n_seeds
-        present = np.empty(flat, dtype=bool)
-        nbr = np.empty(flat, dtype=np.int32)
-        wt = np.empty(flat)
-        present[4 * n:] = True
+        nbr = np.empty(4 * n + n_seeds, dtype=np.int32)
+        wt = np.empty(4 * n + n_seeds)
         nbr[4 * n:] = [window.index(s) for s in self.seeds]
         wt[4 * n:] = 0
-        slots, nbr4, wt4 = (a[:4 * n].reshape(n, 4) for a in (present, nbr, wt))
-        slots[:, 0] = _runs(lens, np.r_[0, lo - ylo[1:]], np.r_[0, shared])
-        slots[:, 1] = _runs(lens, 1, lens - 1)
-        slots[:, 2] = _runs(lens, 0, lens - 1)
-        slots[:, 3] = _runs(lens, np.r_[lo - ylo[:-1], 0], np.r_[shared, 0])
+        nbr4, wt4 = nbr[:4 * n].reshape(n, 4), wt[:4 * n].reshape(n, 4)
         k = np.arange(n, dtype=np.int32)
-        np.subtract(k, np.repeat(left, lens), out=nbr4[:, 0])
-        np.subtract(k, 1, out=nbr4[:, 1])
-        np.add(k, 1, out=nbr4[:, 2])
-        np.add(k, np.repeat(right, lens), out=nbr4[:, 3])
-        for s, w in enumerate((self.th, self.tv, self.tv, self.th)):
-            wt4[:, s][slots[:, s]] = w.ravel()
-        degree = slots[:, 0].astype(np.int32)
-        for s in (1, 2, 3):
-            degree += slots[:, s]
+        steps = (-np.repeat(left, lens), -1, 1, np.repeat(right, lens))
+        for s, step in enumerate(steps):
+            np.add(k, step, out=nbr4[:, s])
+            nbr4[missing[s], s] = missing[s]
+        # zero weights stay as explicit entries
+        wt4[:, 0] = right_w[nbr4[:, 0]]  # the left neighbour's edge right
+        wt4[1:, 1], wt4[:, 2], wt4[:, 3] = up_w[:-1], up_w, right_w
+        for s, m in enumerate(missing):
+            wt4[m, s] = 0
+        if scale != 1:
+            wt *= scale
         nodes = n + 1 if n_seeds else n
         indptr = np.empty(nodes + 1, dtype=np.int32)
-        indptr[0] = 0
-        np.cumsum(degree, out=indptr[1:n + 1])
-        indptr[-1] = indptr[n] + n_seeds
-        data = wt[present]
-        if scale != 1:
-            data *= scale
-        indices = nbr[present]
-        self._csr = csr_matrix((data, indices, indptr), shape=(nodes, nodes))
+        indptr[:n + 1] = np.arange(0, 4 * n + 1, 4)
+        indptr[n + 1:] = 4 * n + n_seeds
+        self._csr = csr_matrix((wt, nbr, indptr), shape=(nodes, nodes))
 
     def _times(self, d):
         """Solved ticks as per-site times."""

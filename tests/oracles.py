@@ -1,11 +1,14 @@
-"""Laws and solver-independent passage-time oracles shared by the tests.
+"""Laws and solver-independent oracles shared by the tests.
 
-Both oracles return a dict site -> minimal passage time from the source
-within the window, using only EdgeField.edge_weight.
+The two passage-time oracles return a dict site -> minimal passage time
+from the source within the window, using only EdgeField.edge_weight.
+line_sites_loop is the scalar reference of geograph.discretize_line.
 """
 
 import numpy as np
 
+from fpplab.geograph import GeoGraphError
+from fpplab.lattice import round_site
 from fpplab.measure import mk_distribution
 
 UNIF12 = mk_distribution(pieces=[(1.0, 2.0, 1.0)])
@@ -59,3 +62,28 @@ def pruned_search_times(field, window, source):
                 best[nb] = c
                 stack.append((nb, c))
     return best
+
+
+def line_sites_loop(spec, window):
+    """The sites of the line L + n*v clipped to the window, one step of
+    half-lattice resolution at a time: rounded, deduplicated in first-seen
+    order, and refused when the line misses the window."""
+    base = (spec.n * spec.v[0], spec.n * spec.v[1])
+    wnorm = max(abs(spec.w[0]), abs(spec.w[1]))
+    if wnorm == 0:
+        raise GeoGraphError("zero tangent")
+    step = 0.5 / wnorm
+    extent = max(window.xmax - window.xmin, window.ymax - window.ymin)
+    t_max = extent / wnorm
+    sites = []
+    seen = set()
+    t = -t_max
+    while t <= t_max:
+        s = round_site((base[0] + t * spec.w[0], base[1] + t * spec.w[1]))
+        if s not in seen and window.contains(s):
+            seen.add(s)
+            sites.append(s)
+        t += step
+    if not sites:
+        raise GeoGraphError("line misses the window")
+    return sites

@@ -11,7 +11,8 @@ from fpplab.geograph import (BusemannSpec, GeoGraphError, InfectionGraph,
                              nested_geodesic_agreement)
 from fpplab.lattice import EdgeField, GridGraph, Window, solve
 from fpplab.measure import mk_distribution, point_mass
-from oracles import MIX, STAGE3, UNIF12, ZERO_ATOM, pruned_search_times
+from oracles import (MIX, STAGE3, UNIF12, ZERO_ATOM, line_sites_loop,
+                     pruned_search_times)
 
 OCTAGON = hull([(1, 0.4), (0.4, 1), (-0.4, 1), (-1, 0.4), (-1, -0.4),
                 (-0.4, -1), (0.4, -1), (1, -0.4)])
@@ -147,6 +148,38 @@ class TestBusemann:
     def test_line_outside_window(self):
         with pytest.raises(GeoGraphError):
             discretize_line(self.spec(n=20), Window.square(8))
+
+    def test_discretization_matches_scalar_loop(self):
+        # random lines (integer or float directions, tangents with a zero
+        # component) on random windows, many of them missing the window
+        rng = np.random.default_rng(12)
+        cases = missed = 0
+        for _ in range(700):
+            xmin, ymin = (int(c) for c in rng.integers(-30, 5, 2))
+            w = Window(xmin, xmin + int(rng.integers(1, 50)),
+                       ymin, ymin + int(rng.integers(1, 50)))
+            if rng.random() < 0.5:
+                v = tuple(int(c) for c in rng.integers(-3, 4, 2))
+                wt = tuple(int(c) for c in rng.integers(-3, 4, 2))
+            else:
+                v = tuple(rng.uniform(-2, 2, 2))
+                wt = tuple(rng.uniform(-2, 2, 2) * (rng.random(2) < 0.8))
+            try:
+                spec = BusemannSpec(v=v, w=wt, n=int(rng.integers(0, 15)))
+            except GeoGraphError:
+                continue
+            cases += 1
+            try:
+                want = line_sites_loop(spec, w)
+            except GeoGraphError as e:
+                with pytest.raises(GeoGraphError, match=str(e)):
+                    discretize_line(spec, w)
+                missed += 1
+                continue
+            got = discretize_line(spec, w)
+            assert got == want
+            assert all(type(c) is int for s in got for c in s)
+        assert cases >= 500 and 150 < missed < cases - 150
 
     def test_same_point_zero(self):
         w = Window.square(8)

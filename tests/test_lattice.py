@@ -7,8 +7,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from fpplab._rng import hash_words
-from fpplab.lattice import (Diamond, EdgeField, GridGraph, LatticeError,
-                            LatticePath, Window, ball, canonical_edge, geodesic,
+from fpplab.lattice import (Diamond, DomainError, EdgeField, GridGraph,
+                            LatticeError, LatticePath, Window, ball,
+                            canonical_edge, check_domain, geodesic,
                             monotone_upper_bounds, round_site, solve,
                             solve_targets)
 from fpplab.measure import mk_distribution, point_mass
@@ -69,6 +70,23 @@ class TestEdgeField:
                 for j in range(w.ny - 1):
                     u = (w.xmin + i, w.ymin + j)
                     assert vw[i, j] == f.edge_weight(u, (u[0], u[1] + 1))
+
+    def test_diamond_weight_grids_match_pointwise(self):
+        # on a Diamond the grids are the per-site arrays: hw[k], vw[k] weigh
+        # the edges from site k to its right and above it, also where these
+        # leave the diamond
+        for f, d in ((EdgeField(7, MIX), Diamond((2, -3), 4)),
+                     (EdgeField(3, STAGE3), Diamond((-9, 5), 1)),
+                     (EdgeField(8, UNIF12), Diamond((0, 0), 6))):
+            for ticks in (False, True):
+                hw, vw = f.weight_grids(d, ticks=ticks)
+                assert hw.shape == vw.shape == (d.n_sites,)
+                for k, u in enumerate(domain_sites(d)):
+                    for grid, v in ((hw, (u[0] + 1, u[1])),
+                                    (vw, (u[0], u[1] + 1))):
+                        want = (edge_ticks(f, u, v) if ticks
+                                else f.edge_weight(u, v))
+                        assert grid[k] == want
 
     def test_broadcast_hash_matches_meshgrid(self):
         xs = np.arange(-17, 9)
@@ -423,6 +441,7 @@ def reference_csr(field, domain):
 
 
 class TestGraphBuild:
+    NEIGHBOURS = ((-1, 0), (0, -1), (0, 1), (1, 0))  # in slot order
     DOMAINS = ((0, Window(-3, 5, 2, 4)), (1, Window(10, 11, -6, 6)),
                (2, Window(-9, -2, -1, 0)), (3, Window(-7, 7, -4, 9)),
                (4, Diamond((3, -2), 5)), (5, Diamond((-6, 9), 1)),
@@ -437,11 +456,27 @@ class TestGraphBuild:
             assert [w.index(s) for s in sites] == list(range(w.n_sites))
             g = GridGraph(f, w)
             ref = reference_csr(f, w)
-            # zero weights (ZERO_ATOM) stay explicit entries
-            assert g._csr.nnz == 2 * (g.th.size + g.tv.size) == ref.nnz
-            for name in ("indptr", "indices", "data"):
-                got, want = getattr(g._csr, name), getattr(ref, name)
-                assert got.dtype == want.dtype
+            csr, n = g._csr, w.n_sites
+            # four entries per site, in the slots of its neighbours
+            # (x - 1, y), (x, y - 1), (x, y + 1), (x + 1, y)
+            assert np.array_equal(csr.indptr, 4 * np.arange(n + 1))
+            rows = np.repeat(np.arange(n), 4)
+            loop = csr.indices == rows
+            # a self-loop weighs 0 and stands for a neighbour off the domain
+            assert not csr.data[loop].any()
+            for e in np.flatnonzero(loop):
+                (x, y), (dx, dy) = sites[rows[e]], self.NEIGHBOURS[e % 4]
+                assert not w.contains((x + dx, y + dy))
+            # without them, the CSR is the reference's; zero weights
+            # (ZERO_ATOM) stay explicit entries
+            kept = ~loop
+            assert kept.sum() == ref.nnz
+            indptr = np.r_[0, np.cumsum(kept.reshape(n, 4).sum(axis=1))]
+            for name, got in (("indptr", indptr),
+                              ("indices", csr.indices[kept]),
+                              ("data", csr.data[kept])):
+                want = getattr(ref, name)
+                assert getattr(csr, name).dtype == want.dtype
                 assert np.array_equal(got, want)
             source = sites[len(sites) // 3]  # off the origin and centre
             want = dijkstra(ref, directed=True,
@@ -477,6 +512,72 @@ class TestGraphBuild:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_seed_entries_counted_in_int32_bound(self):
+        # 256999 * 2089 = 2^29 - 1 sites have 4 * n_sites = 2^31 - 4
+        # entries: three seeds fill the int32 indices, a fourth overflows
+        w = Window(0, 256998, 0, 2088)
+        assert 4 * w.n_sites + 3 == np.iinfo(np.int32).max
+        f = EdgeField(0, ATOMIC)
+        seeds = [(0, 0), (1, 0), (2, 0), (3, 0)]
+        tracemalloc.start()
+        try:
+            check_domain(ATOMIC, w, 3)
+            with pytest.raises(DomainError):
+                check_domain(ATOMIC, w, 4)
+            with pytest.raises(DomainError):
+                GridGraph(f, w, seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestScipyContract:
+    """What GridGraph's fixed four slots per site rely on in scipy's
+    dijkstra: zero-weight self-loops, duplicated and out of order within a
+    row, change no result, while zero-weight edges kept as explicit
+    entries stay edges."""
+
+    @staticmethod
+    def graphs(seed, n=60):
+        rng = np.random.default_rng(seed)
+        m = 5 * n
+        rows, cols = rng.integers(0, n, m), rng.integers(0, n, m)
+        keep = rows != cols
+        rows, cols = rows[keep], cols[keep]
+        # integer weights, a third of them explicit zeros
+        data = rng.integers(0, 3, len(rows)) * rng.integers(1, 9, len(rows))
+        plain = csr_matrix((data.astype(float), (rows, cols)), shape=(n, n))
+        assert plain.nnz > np.count_nonzero(plain.data)  # zeros kept
+        # each row gets 0-3 self-loops, shuffled in among its entries
+        indices, data, indptr = [], [], [0]
+        for r in range(n):
+            row = slice(plain.indptr[r], plain.indptr[r + 1])
+            c = rng.integers(0, 4)
+            order = rng.permutation(row.stop - row.start + c)
+            indices += list(np.r_[plain.indices[row], [r] * c][order])
+            data += list(np.r_[plain.data[row], [0.0] * c][order])
+            indptr.append(len(indices))
+        looped = csr_matrix((np.array(data), np.array(indices, dtype=np.int32),
+                             np.array(indptr, dtype=np.int32)), shape=(n, n))
+        assert looped.nnz > plain.nnz
+        return plain, looped
+
+    def test_zero_weight_self_loops_change_nothing(self):
+        for seed in range(20):
+            plain, looped = self.graphs(seed)
+            for kwargs in ({"indices": seed % 60},
+                           {"indices": 3, "limit": 9.0},
+                           {"indices": [1, 17, 40], "min_only": True}):
+                want = dijkstra(plain, directed=True, return_predecessors=True,
+                                **kwargs)
+                got = dijkstra(looped, directed=True, return_predecessors=True,
+                               **kwargs)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype
+                    assert np.array_equal(a, b)
 
 
 class TestMultiSource:
