@@ -251,7 +251,7 @@ def busemann(field: EdgeField, spec: BusemannSpec, x, y, window: Window,
     if graph is None:
         graph = GridGraph(field, window)
     tx, ty = _line_ticks(graph, spec, window)[cells]
-    return float((tx - ty) / graph.unit)
+    return float((tx - ty) / field.dist.ticks_per_unit)
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,7 @@ def busemann_separation(field: EdgeField, specs, seeds, window: Window,
     mat = np.zeros((k, k))
     for i, spec in enumerate(specs):
         ticks = _line_ticks(graph, spec, window)[cells]
-        mat[i] = (ticks - ticks[i]) / graph.unit
+        mat[i] = (ticks - ticks[i]) / field.dist.ticks_per_unit
     proj, alpha = _projections(specs, seeds)
     return SeparationReport(matrix=mat, projections=proj, alpha=alpha)
 

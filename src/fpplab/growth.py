@@ -8,11 +8,12 @@ under the strict policy.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._rng import derive_seed, hash_words
-from .convex import ConvexShape, projection_coefficient, tangent_at
+from .convex import ConvexShape
 from .lattice import EdgeField, GridGraph, Window, round_site
 from .measure import InputError, WeightDistribution
 
@@ -67,8 +68,15 @@ class OccupancyMap:
         ii, jj = np.nonzero(self.tie_mask)
         return {(int(i) + w.xmin, int(j) + w.ymin) for i, j in zip(ii, jj)}
 
+    @cached_property
+    def sizes(self):
+        """The region size of every species, from one count of the owner
+        grid (its NONE_OWNER sites go to a bin of their own)."""
+        return np.bincount(self.owner_grid.reshape(-1) + 1,
+                           minlength=len(self.config.seeds) + 1)[1:]
+
     def region_size(self, i) -> int:
-        return int(np.count_nonzero(self.owner_grid == i))
+        return int(self.sizes[i])
 
     def region(self, i):
         w = self.config.window
@@ -84,9 +92,8 @@ class OccupancyMap:
         """Number of surviving species. Species i survives on the finite
         window when |C_i| >= threshold and C_i touches the window boundary
         (the desk-scale proxy for an infinite colonized set)."""
-        return sum(1 for i in range(len(self.config.seeds))
-                   if self.region_size(i) >= threshold
-                   and self.touches_boundary(i))
+        return sum(1 for i, size in enumerate(self.sizes)
+                   if size >= threshold and self.touches_boundary(i))
 
 
 def compete(config: CompetitionConfig) -> OccupancyMap:
@@ -97,42 +104,25 @@ def compete(config: CompetitionConfig) -> OccupancyMap:
     random: deterministic seeded choice per site). Passage times are
     integer ticks (lattice), so ties are exact equalities.
 
-    strict and lexicographic take two solves on one graph whose tick
-    weights are scaled by K, the least power of two >= k (lattice
-    offset_scale), with a super-source joined
-    to seed i by an edge of weight i. The solve gives min_i(i + K d_i),
-    so the reach is its quotient by K and the lowest minimiser its
-    remainder; with the offsets reversed to k - 1 - i the remainder gives
-    the highest minimiser. A site ties exactly when the two differ.
-    random needs every minimiser and takes one solve per species.
+    Every policy takes one multi-source solve from the seeds
+    (GridGraph.minimisers): it gives the reach, and a breadth-first
+    search per seed along the edges tight for that reach marks the sites
+    where the seed attains it. A site ties exactly when two seeds do.
     """
     field = EdgeField(config.seed, config.dist)
-    k = len(config.seeds)
-    random = config.tie_policy == "random"
-    graph = GridGraph(field, config.window,
-                      seeds=() if random else config.seeds)
-    if random:
-        dists = np.stack([graph.distances(s) for s in config.seeds])
-        reach = dists.min(axis=0)
-        is_min = dists == reach[None, :, :]
-        tie = is_min.sum(axis=0) > 1
-        owner = np.asarray(is_min.argmax(axis=0), dtype=np.int64)
+    graph = GridGraph(field, config.window)
+    reach, is_min = graph.minimisers(config.seeds)
+    tie = is_min.sum(axis=0) > 1
+    owner = np.asarray(is_min.argmax(axis=0), dtype=np.int64)
+    if config.tie_policy == "strict":
+        owner[tie] = NONE_OWNER
+    elif config.tie_policy == "random":
         w = config.window
         ii, jj = np.nonzero(tie)
         for i, j in zip(ii, jj):
             cands = np.flatnonzero(is_min[:, i, j])
             h = int(hash_words(config.seed, i + w.xmin, j + w.ymin, 7))
             owner[i, j] = cands[h % len(cands)]
-    else:
-        K = graph.scale
-        offsets = np.arange(k)
-        low = graph.distance_to_set(offsets=offsets)
-        reach = low // K
-        owner = (low % K).astype(np.int64)
-        high = graph.distance_to_set(offsets=k - 1 - offsets)
-        tie = owner != k - 1 - high % K
-        if config.tie_policy == "strict":
-            owner[tie] = NONE_OWNER
     return OccupancyMap(config=config, owner_grid=owner,
                         reach_grid=reach / field.dist.ticks_per_unit,
                         tie_mask=tie)
@@ -170,7 +160,7 @@ def coexistence_stats(config: CompetitionConfig, trials: int,
                                 seed=derive_seed(config.seed, t))
         occ = compete(cfg)
         survivals.append(occ.survivors(survival_threshold))
-        sizes.append(tuple(occ.region_size(i) for i in range(k)))
+        sizes.append(tuple(occ.sizes.tolist()))
         ties.append(int(np.count_nonzero(occ.tie_mask)))
         del occ  # free this trial's grids before the next trial's solves
     n_all = sum(1 for alive in survivals if alive == k)
@@ -205,21 +195,3 @@ def place_seeds(shape: ConvexShape, extreme_dirs, R_seq):
     if len(set(sites)) != k:
         raise GrowthError("rounded seeds collide; increase the radii")
     return sites
-
-
-def seed_projections(shape: ConvexShape, extreme_dirs, sites):
-    """Matrix of pi_{v_i}(x_i - x_j) values for placed seeds.
-
-    Positive off-diagonal entries are the geometric separation condition
-    behind Busemann-based coexistence arguments.
-    """
-    k = len(extreme_dirs)
-    out = np.zeros((k, k))
-    for i, v in enumerate(extreme_dirs):
-        w = tangent_at(shape, v)
-        for j in range(k):
-            if i == j:
-                continue
-            d = (sites[i][0] - sites[j][0], sites[i][1] - sites[j][1])
-            out[i, j] = projection_coefficient(v, w, d)
-    return out

@@ -22,7 +22,9 @@ int32 entries per site, a zero-weight self-loop standing for a
 neighbour off the domain, written directly with no COO stage.
 Single-source passage times are solved with Dijkstra (scipy's compiled
 implementation); on a Window the predecessor structure keeps ALL optimal
-incoming edges so tie unions (the infection graph) stay computable.
+incoming edges so tie unions (the infection graph) stay computable. A
+multi-source solve also tells, through the edges its times make tight,
+which of its sources attain each time (GridGraph.minimisers).
 
 solve_targets returns exact lattice passage times to a set of targets,
 for a batch of fields of one law. It solves each field on an l1 diamond
@@ -41,6 +43,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from ._rng import hash_words, uniform01
@@ -263,31 +266,19 @@ class EdgeField:
         return w[0], w[1]
 
 
-def offset_scale(n_seeds: int) -> int:
-    """K, the least power of two >= n_seeds (1 without seeds), by which a
-    graph with seeds scales its tick weights, so that seed offsets
-    0 .. n_seeds - 1 stay below one scaled tick."""
-    return 1 << max(n_seeds - 1, 0).bit_length()
-
-
-def check_domain(dist: WeightDistribution, domain, n_seeds=0):
+def check_domain(dist: WeightDistribution, domain):
     """Refuse a domain before anything is allocated for it.
 
-    Raises DomainError when the 4 * n_sites + n_seeds entries of its graph
-    overflow the int32 graph indices, or when a Dijkstra sum on it could
-    reach 2^53 ticks, past which float64 no longer adds integers exactly.
-    A settled site's time is at most the weight of a monotone path,
-    max_ticks * diameter, and a relaxation adds one edge to it. A graph
-    with n_seeds seeds scales every weight by offset_scale(n_seeds), and
-    its seed offsets stay below that scale.
+    Raises DomainError when the 4 * n_sites entries of its graph overflow
+    the int32 graph indices, or when a Dijkstra sum on it could reach
+    2^53 ticks, past which float64 no longer adds integers exactly. A
+    settled site's time is at most the weight of a monotone path,
+    max_ticks * diameter, and a relaxation adds one edge to it.
     """
-    if 4 * domain.n_sites + n_seeds > np.iinfo(np.int32).max:
-        raise DomainError(
-            "window of %d sites and %d seeds overflows int32 graph indices"
-            % (domain.n_sites, n_seeds))
-    top = offset_scale(n_seeds) * (
-        dist.tick(dist.max_support()) * (domain.diameter + 1) + 1)
-    if top >= TICK_LIMIT:
+    if 4 * domain.n_sites > np.iinfo(np.int32).max:
+        raise DomainError("window of %d sites overflows int32 graph indices"
+                          % domain.n_sites)
+    if dist.tick(dist.max_support()) * (domain.diameter + 1) >= TICK_LIMIT:
         raise DomainError(
             "passage times on a domain of l1 diameter %d reach 2^53 ticks "
             "of %s" % (domain.diameter, dist))
@@ -300,21 +291,14 @@ class GridGraph:
     th, tv are the field's weight grids in ticks. Row k of the CSR holds
     four entries from 4 k on, its neighbours (x - 1, y), (x, y - 1),
     (x, y + 1), (x + 1, y) in this order; one off the domain is a
-    zero-weight self-loop, which no solve can use. seeds adds a
-    super-source, node n_sites, with one edge to each seed; its weights
-    are the offsets of distance_to_set, rewritten for each solve. Every
-    other weight is then scaled by scale = offset_scale(len(seeds)).
-    Solves return times in ticks of this graph: unit ticks make a time
-    of 1.
+    zero-weight self-loop, which no solve can use. Solves return times in
+    ticks of the field's law (measure.WeightDistribution.ticks_per_unit).
     """
 
-    def __init__(self, field: EdgeField, window, seeds=()):
-        check_domain(field.dist, window, len(seeds))
+    def __init__(self, field: EdgeField, window):
+        check_domain(field.dist, window)
         self.field = field
         self.window = window
-        self.seeds = tuple(tuple(s) for s in seeds)
-        self.scale = scale = offset_scale(len(self.seeds))
-        self.unit = field.dist.ticks_per_unit * scale  # weight 1 in ticks
         self.th, self.tv = field.weight_grids(window, ticks=True)
         n = window.n_sites
         # the per-site arrays, which both grids view
@@ -337,12 +321,8 @@ class GridGraph:
             starts[:-1], starts[1:] - 1,
             _row_ends(starts, np.r_[lo - ylo[:-1], lens[-1]],
                       np.r_[yhi[:-1] - hi, 0]))
-        n_seeds = len(self.seeds)
-        nbr = np.empty(4 * n + n_seeds, dtype=np.int32)
-        wt = np.empty(4 * n + n_seeds)
-        nbr[4 * n:] = [window.index(s) for s in self.seeds]
-        wt[4 * n:] = 0
-        nbr4, wt4 = nbr[:4 * n].reshape(n, 4), wt[:4 * n].reshape(n, 4)
+        nbr4 = np.empty((n, 4), dtype=np.int32)
+        wt4 = np.empty((n, 4))
         k = np.arange(n, dtype=np.int32)
         steps = (-np.repeat(left, lens), -1, 1, np.repeat(right, lens))
         for s, step in enumerate(steps):
@@ -353,17 +333,9 @@ class GridGraph:
         wt4[1:, 1], wt4[:, 2], wt4[:, 3] = up_w[:-1], up_w, right_w
         for s, m in enumerate(missing):
             wt4[m, s] = 0
-        if scale != 1:
-            wt *= scale
-        nodes = n + 1 if n_seeds else n
-        indptr = np.empty(nodes + 1, dtype=np.int32)
-        indptr[:n + 1] = np.arange(0, 4 * n + 1, 4)
-        indptr[n + 1:] = 4 * n + n_seeds
-        self._csr = csr_matrix((wt, nbr, indptr), shape=(nodes, nodes))
-
-    def _times(self, d):
-        """Solved ticks as per-site times."""
-        return d[:self.window.n_sites].reshape(self.window.shape)
+        indptr = np.arange(0, 4 * n + 1, 4, dtype=np.int32)
+        self._csr = csr_matrix((wt4.reshape(-1), nbr4.reshape(-1), indptr),
+                               shape=(n, n))
 
     def distances(self, source: Site, limit=None):
         """Passage times in ticks (exact float64 integers) from the source
@@ -374,32 +346,46 @@ class GridGraph:
         d = _csgraph_dijkstra(self._csr, directed=True,
                               indices=self.window.index(source),
                               limit=np.inf if limit is None else float(limit))
-        return self._times(d)
+        return d.reshape(self.window.shape)
 
-    def distance_to_set(self, sites=None, offsets=None):
+    def distance_to_set(self, sites):
         """min over a site set of the passage time, in ticks, to each
-        domain site.
+        domain site: every site of the set starts at 0."""
+        idx = [self.window.index(s) for s in sites]
+        if not idx:
+            raise LatticeError("empty site set")
+        d = _csgraph_dijkstra(self._csr, directed=True, indices=idx,
+                              min_only=True)
+        return d.reshape(self.window.shape)
 
-        With sites, every site starts at 0. With offsets instead, one
-        per seed of the graph, the set is the seeds and seed i starts at
-        offsets[i] ticks: the result is min_i(offsets[i] + tau(seeds[i],
-        .)), solved from the super-source.
+    def minimisers(self, sites):
+        """(reach, is_min): reach = distance_to_set(sites), and is_min[i]
+        marks the domain sites where sites[i] attains reach, with the
+        shape (len(sites),) + reach.shape.
+
+        An entry u -> v is tight when reach[u] + w(u, v) == reach[v], an
+        exact equality of ticks. sites[i] attains reach at v exactly when
+        v can be reached from sites[i] along tight entries: every edge of
+        a geodesic from sites[i] to such a v is tight, and a tight path
+        from sites[i], where reach is 0, is as fast as reach. So one
+        breadth-first search per site, on a copy of the CSR whose entries
+        that are not tight point back at their own row, gives is_min.
         """
-        if offsets is None:
-            idx = [self.window.index(s) for s in sites or ()]
-            if not idx:
-                raise LatticeError("empty site set")
-            d = _csgraph_dijkstra(self._csr, directed=True, indices=idx,
-                                  min_only=True)
-            return self._times(d)
-        if sites is not None or not self.seeds or \
-                len(offsets) != len(self.seeds):
-            raise LatticeError("offsets need one entry per graph seed, "
-                               "and no sites")
-        self._csr.data[-len(self.seeds):] = offsets
-        d = _csgraph_dijkstra(self._csr, directed=True,
-                              indices=self.window.n_sites)
-        return self._times(d)
+        reach = self.distance_to_set(sites)
+        t = reach.reshape(-1)
+        idx = self._csr.indices.copy()
+        nbr4, wt4 = idx.reshape(-1, 4), self._csr.data.reshape(-1, 4)
+        for s in range(4):
+            slack = np.flatnonzero(t + wt4[:, s] != t[nbr4[:, s]])
+            nbr4[slack, s] = slack
+        tight = csr_matrix((self._csr.data, idx, self._csr.indptr),
+                           shape=self._csr.shape)
+        is_min = np.zeros((len(sites), t.size), dtype=bool)
+        for i, s in enumerate(sites):
+            is_min[i, breadth_first_order(
+                tight, self.window.index(s), directed=True,
+                return_predecessors=False)] = True
+        return reach, is_min.reshape((len(sites),) + reach.shape)
 
 
 @dataclass
@@ -493,13 +479,13 @@ def solve(field: EdgeField, source: Site, window: Window,
     limit optionally prunes the search: sites with time > limit come back
     as unexplored (their true time exceeds limit, which callers must only
     use when they query nearer sites). graph allows reuse of a prebuilt
-    GridGraph (without seeds) for repeated solves on one field.
+    GridGraph for repeated solves on one field.
     """
     if graph is None:
         graph = GridGraph(field, window)
     ticks = graph.distances(
         source, limit=None if limit is None or limit == math.inf
-        else math.floor(Fraction(limit) * graph.unit))
+        else math.floor(Fraction(limit) * field.dist.ticks_per_unit))
     return PassageTimeMap(field=field, window=window, source=source,
                           ticks=ticks, th=graph.th, tv=graph.tv,
                           limit=np.inf if limit is None else float(limit))

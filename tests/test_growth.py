@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
+from fpplab import lattice
 from fpplab._rng import derive_seed
 from fpplab.convex import hull, l1_ball
 from fpplab.growth import (CompetitionConfig, GrowthError, NONE_OWNER,
-                           coexistence_stats, compete, place_seeds,
-                           seed_projections)
+                           coexistence_stats, compete, place_seeds)
 from fpplab.lattice import EdgeField, GridGraph, Window
 from fpplab.measure import mk_distribution, point_mass
 from oracles import UNIF12
@@ -86,7 +87,26 @@ class TestCompete:
         field = EdgeField(c.seed, c.dist)
         g = GridGraph(field, c.window)
         d = np.stack([g.distances(s) for s in c.seeds])
-        assert np.allclose(occ.reach_grid, d.min(axis=0) / g.unit)
+        assert np.allclose(occ.reach_grid,
+                           d.min(axis=0) / c.dist.ticks_per_unit)
+
+    @pytest.mark.parametrize("policy", ["strict", "lexicographic", "random"])
+    def test_one_solve_per_trial(self, monkeypatch, policy):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("indices"))
+            return dijkstra(*args, **kwargs)
+        monkeypatch.setattr(lattice, "_csgraph_dijkstra", spy)
+        seeds = [(-5, 0), (5, 0), (0, 5), (0, -5)]
+        for dist in (UNIF12, point_mass(1.0)):
+            calls.clear()
+            res = coexistence_stats(cfg(seeds, dist=dist, policy=policy),
+                                    trials=3, survival_threshold=1)
+            # one multi-source solve from every seed, per trial
+            assert len(calls) == 3
+            assert all(len(idx) == len(seeds) for idx in calls)
+        assert sum(res.ties) > 0  # unit weights tie along the diagonals
 
 
 class TestCoexistence:
@@ -164,11 +184,3 @@ class TestPlacement:
             place_seeds(shape, shape.vertices[:2], -1.0)
         with pytest.raises(GrowthError):
             place_seeds(shape, shape.vertices[:3], 0.01)  # collide at 0
-
-    def test_projections_positive_for_spread_seeds(self):
-        shape = self.octagon()
-        dirs = shape.vertices[:4]
-        sites = place_seeds(shape, dirs, 40.0)
-        proj = seed_projections(shape, dirs, sites)
-        off = proj[~np.eye(4, dtype=bool)]
-        assert np.all(off > 0)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from fpplab._rng import hash_words
 from fpplab.lattice import (Diamond, DomainError, EdgeField, GridGraph,
@@ -514,19 +514,19 @@ class TestGraphBuild:
         assert peak < 1 << 20
 
     def test_seed_entries_counted_in_int32_bound(self):
-        # 256999 * 2089 = 2^29 - 1 sites have 4 * n_sites = 2^31 - 4
-        # entries: three seeds fill the int32 indices, a fourth overflows
-        w = Window(0, 256998, 0, 2088)
-        assert 4 * w.n_sites + 3 == np.iinfo(np.int32).max
-        f = EdgeField(0, ATOMIC)
-        seeds = [(0, 0), (1, 0), (2, 0), (3, 0)]
+        # a graph holds 4 * n_sites entries, with no seed entries:
+        # 256999 * 2089 = 2^29 - 1 sites fill 2^31 - 4 of the int32
+        # indices, and 262144 * 2048 = 2^29 sites overflow them
+        fits, over = Window(0, 256998, 0, 2088), Window(0, 262143, 0, 2047)
+        assert 4 * fits.n_sites == np.iinfo(np.int32).max - 3
+        assert 4 * over.n_sites == np.iinfo(np.int32).max + 1
         tracemalloc.start()
         try:
-            check_domain(ATOMIC, w, 3)
+            check_domain(ATOMIC, fits)
             with pytest.raises(DomainError):
-                check_domain(ATOMIC, w, 4)
+                check_domain(ATOMIC, over)
             with pytest.raises(DomainError):
-                GridGraph(f, w, seeds)
+                GridGraph(EdgeField(0, ATOMIC), over)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -535,9 +535,9 @@ class TestGraphBuild:
 
 class TestScipyContract:
     """What GridGraph's fixed four slots per site rely on in scipy's
-    dijkstra: zero-weight self-loops, duplicated and out of order within a
-    row, change no result, while zero-weight edges kept as explicit
-    entries stay edges."""
+    dijkstra and breadth_first_order: zero-weight self-loops, duplicated
+    and out of order within a row, change no result, while zero-weight
+    edges kept as explicit entries stay edges."""
 
     @staticmethod
     def graphs(seed, n=60):
@@ -580,6 +580,38 @@ class TestScipyContract:
                     assert np.array_equal(a, b)
 
 
+    def test_breadth_first_order_follows_zero_weight_entries(self):
+        def reached(graph, start):
+            """Every node a path of stored entries leads to, by hand."""
+            seen, todo = {start}, [start]
+            while todo:
+                u = todo.pop()
+                for v in graph.indices[graph.indptr[u]:graph.indptr[u + 1]]:
+                    if v not in seen:
+                        seen.add(int(v))
+                        todo.append(int(v))
+            return seen
+
+        zero_only = 0
+        for seed in range(20):
+            plain, looped = self.graphs(seed)
+            # every row's entries twice over, self-loops included
+            doubled = csr_matrix(
+                (np.repeat(looped.data, 2), np.repeat(looped.indices, 2),
+                 2 * looped.indptr), shape=looped.shape)
+            nonzero = plain.copy()
+            nonzero.eliminate_zeros()
+            for start in (seed % 60, 7, 33):
+                want = reached(plain, start)
+                zero_only += want != reached(nonzero, start)
+                for g in (plain, looped, doubled):
+                    got = breadth_first_order(g, start, directed=True,
+                                              return_predecessors=False)
+                    assert len(got) == len(want)
+                    assert set(got.tolist()) == want
+        assert zero_only > 0  # some nodes are reached over zeros only
+
+
 class TestMultiSource:
     def test_distance_to_set_is_min_of_singles(self):
         w = Window.square(7)
@@ -594,3 +626,32 @@ class TestMultiSource:
         g = GridGraph(EdgeField(0, UNIF12), Window.square(3))
         with pytest.raises(LatticeError):
             g.distance_to_set([])
+
+    @pytest.mark.parametrize("dist", [ZERO_ATOM, STAGE3, UNIF12, MIX],
+                             ids=["zero_atom", "stage3", "unif12", "mix"])
+    def test_minimisers_match_stacked_distances(self, dist):
+        # the sites lie in the diamond, which lies in the window
+        w, dm = Window.square(9), Diamond((0, 0), 9)
+        xs, ys = dm.site_words()
+        rng = np.random.default_rng(0)
+        for seed in range(4):
+            f = EdgeField(seed, dist)
+            cells = rng.choice(dm.n_sites, size=2 + 3 * seed, replace=False)
+            sites = [(int(xs[c]), int(ys[c])) for c in cells]
+            if dist is ZERO_ATOM:
+                # a seed that another reaches at time 0: joined to it by
+                # zero-weight edges, so both attain reach all over a plateau
+                x, y = sites[0]
+                sites.append(next(
+                    v for v in ((x + 1, y), (x - 1, y), (x, y + 1),
+                                (x, y - 1))
+                    if dm.contains(v) and v not in sites
+                    and f.edge_weight((x, y), v) == 0.0))
+            for domain in (w, dm):
+                g = GridGraph(f, domain)
+                d = np.stack([g.distances(s) for s in sites])
+                reach, is_min = g.minimisers(sites)
+                assert np.array_equal(reach, d.min(axis=0))
+                assert np.array_equal(is_min, d == reach)
+                if dist is ZERO_ATOM:
+                    assert (is_min[0] & is_min[-1]).any()

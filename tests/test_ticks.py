@@ -1,7 +1,6 @@
 """Exact ticks: oracles in rational arithmetic, scale invariance, the
-two-solve competition, and the limits refused before any allocation."""
+competition's minimisers, and the limits refused before any allocation."""
 
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -15,8 +14,7 @@ from fpplab.cli import main
 from fpplab.geograph import infection_graph
 from fpplab.growth import NONE_OWNER, CompetitionConfig, compete
 from fpplab.lattice import (DomainError, EdgeField, GridGraph, LatticeError,
-                            Window, canonical_edge, check_domain,
-                            offset_scale, solve)
+                            Window, canonical_edge, check_domain, solve)
 from fpplab.measure import DistributionError, TICK_LIMIT, mk_distribution
 from oracles import NEIGHBOURS, STAGE3, UNIF12, ZERO_ATOM
 
@@ -174,26 +172,6 @@ class TestTwoSolveCompetition:
                 assert np.array_equal(occ.reach_grid,
                                       reach / dist.ticks_per_unit)
 
-    def test_offset_scale(self):
-        assert [offset_scale(k) for k in (0, 1, 2, 3, 4, 5, 8, 9)] == \
-            [1, 1, 2, 4, 4, 8, 8, 16]
-        for seeds in ((), ((0, 0),), ((0, 0), (1, 1), (2, 0))):
-            g = GridGraph(EdgeField(0, STAGE3), Window.square(3), seeds)
-            assert g.scale == offset_scale(len(seeds))
-            assert g.unit == g.scale * STAGE3.ticks_per_unit
-
-    def test_offsets_need_one_per_seed(self):
-        g = GridGraph(EdgeField(0, STAGE3), Window.square(3),
-                      seeds=((0, 0), (1, 1)))
-        for bad in ([0], [0, 1, 2]):
-            with pytest.raises(LatticeError):
-                g.distance_to_set(offsets=bad)
-        with pytest.raises(LatticeError):
-            g.distance_to_set([(0, 0), (1, 1)], offsets=[0, 1])
-        with pytest.raises(LatticeError):
-            GridGraph(EdgeField(0, STAGE3), Window.square(3)) \
-                .distance_to_set(offsets=[])
-
 
 # max_support * D = 1000 * 2^32 ticks; a window of half-width 600 has
 # l1 diameter 2400, and 1000 * 2^32 * 2401 > 2^53, though its 4 * 1201^2
@@ -266,36 +244,38 @@ class TestAdmission:
         assert not (tmp_path / "o").exists()
 
     def test_compete_checks_its_scaled_weights(self, monkeypatch):
-        # 100 * 2^32 ticks: half-width 1000 fits at scale 1 but not at
-        # compete's scale 8 for five species
+        # every policy solves the unscaled weights, so compete admits a
+        # window exactly when check_domain does
         law = mk_distribution(pieces=[(1.0, 100.0, 1.0)])
-        window = Window.square(1000)
-        strict = CompetitionConfig(dist=law, window=window,
-                                   seeds=tuple((i, 0) for i in range(5)))
+        top = law.tick(law.max_support())
+        edge = int((TICK_LIMIT / top - 1) // 4)  # 4 edge + 1 = diameter + 1
+        check_domain(law, Window.square(edge))
+        with pytest.raises(DomainError):
+            check_domain(law, Window.square(edge + 1))
+        seeds = tuple((i, 0) for i in range(5))
 
-        def ends():  # one source, no seeds: scale 1
-            check_domain(law, window)
-
-        def scaled():
-            with pytest.raises(DomainError):
-                compete(strict)
-        assert peak_while(ends) < 1 << 20
-        assert peak_while(scaled) < 1 << 20
-
-        # random joins no seed to its graph, so its weights stay unscaled:
-        # the graph admits the domain, then is stopped before it builds
         class Admitted(Exception):
             pass
 
-        def admit_only(field, window, seeds=()):
-            check_domain(field.dist, window, len(seeds))
-            raise Admitted(len(seeds))
+        def admit_only(field, window):
+            check_domain(field.dist, window)
+            raise Admitted
 
-        def unscaled():
-            with pytest.raises(Admitted, match="^0$"):
-                compete(dataclasses.replace(strict, tie_policy="random"))
-        monkeypatch.setattr(growth, "GridGraph", admit_only)
-        assert peak_while(unscaled) < 1 << 20
+        for policy in ("strict", "lexicographic", "random"):
+            def refused():
+                with pytest.raises(DomainError):
+                    compete(CompetitionConfig(
+                        dist=law, seeds=seeds, tie_policy=policy,
+                        window=Window.square(edge + 1)))
+            assert peak_while(refused) < 1 << 20
+            # the largest admitted window passes the check, then is
+            # stopped before its graph is built
+            with monkeypatch.context() as m:
+                m.setattr(growth, "GridGraph", admit_only)
+                with pytest.raises(Admitted):
+                    compete(CompetitionConfig(dist=law, seeds=seeds,
+                                              tie_policy=policy,
+                                              window=Window.square(edge)))
 
 
 class TestThreadsFlag:
