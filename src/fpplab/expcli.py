@@ -28,7 +28,6 @@ import tempfile
 import time
 from dataclasses import dataclass, field as dc_field
 
-import jsonschema
 import numpy as np
 
 from . import __version__, svgout
@@ -146,6 +145,7 @@ def validate_config(cfg):
     if kind not in KINDS:
         raise ConfigError("unknown kind %r (expected one of %s)"
                           % (kind, ", ".join(KINDS)))
+    import jsonschema  # here, so that importing the runner stays cheap
     try:
         jsonschema.validate(cfg, SCHEMAS[kind])
     except jsonschema.ValidationError as e:

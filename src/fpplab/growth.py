@@ -119,10 +119,10 @@ def compete(config: CompetitionConfig) -> OccupancyMap:
     elif config.tie_policy == "random":
         w = config.window
         ii, jj = np.nonzero(tie)
-        for i, j in zip(ii, jj):
-            cands = np.flatnonzero(is_min[:, i, j])
-            h = int(hash_words(config.seed, i + w.xmin, j + w.ymin, 7))
-            owner[i, j] = cands[h % len(cands)]
+        cands = is_min[:, ii, jj]
+        h = hash_words(config.seed, ii + w.xmin, jj + w.ymin, 7)
+        n = cands.sum(axis=0, dtype=np.uint64)  # h % int64 rounds via float64
+        owner[ii, jj] = (cands.cumsum(0, dtype=np.uint64) > h % n).argmax(0)
     return OccupancyMap(config=config, owner_grid=owner,
                         reach_grid=reach / field.dist.ticks_per_unit,
                         tie_mask=tie)

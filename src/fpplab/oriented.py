@@ -13,9 +13,10 @@ reads the low 32 bits of h and the right bond, to site j + 1, the high
 every bond and p = 0 none. Trial t of an estimate with seed m grows from
 s = derive_seed(m, t), so adding trials never changes earlier ones.
 
-Every p of an estimate reads the same bonds. This is the monotone
-coupling: the cluster at p lies inside the cluster at any larger p, so
-survival and the rightmost site are monotone in p trial by trial.
+Every p of an estimate reads the same bonds: a site of level n >= 1 is in
+the cluster at p iff its label, the least over paths from the origin of
+the largest bond half on the path, is < ceil(p * 2^32). In this monotone
+coupling survival and the rightmost site are monotone in p trial by trial.
 """
 
 import math
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import derive_seed, hash_words
+from ._rng import hash_words
 
 
 class OrientedError(ValueError):
@@ -98,39 +99,38 @@ def _grow(ps, T, trials, seed):
     reaches level T, and r_T is its rightmost position at level T (0 if
     it died).
 
-    All clusters advance together, one level at a time. A level's bonds
-    are hashed once for every p, and only for the trials still alive at
-    some p, between the leftmost and the rightmost site alive in any.
+    One growth of the labels (module docstring) serves every p, hashing the
+    bonds of the sites alive at the largest p. Least labels never decrease
+    down the levels, nor suffix minima rightwards: they give died and r_T.
     """
-    thr = [_threshold(p, T) for p in ps]
-    seeds = np.array([derive_seed(seed, t) for t in range(trials)],
-                     dtype=np.uint64)
-    died = np.full((len(ps), trials), T + 1, dtype=np.int64)
-    r_T = np.zeros((len(ps), trials), dtype=np.int64)
-    # state[k, i, j]: site j of the current level lies in the cluster of
-    # trial live[i] at ps[k]; only columns lo..hi can be True
+    thr = np.array([_threshold(p, T) for p in ps])[:, None]
+    top = int(thr.max())
+    seeds = hash_words(seed, np.arange(trials))
+    # lab[i, j]: site j's label in trial live[i], exact if < top, else >= top.
+    # 0xFFFFFFFF (unreached) is < top = 2^32, but then every site is reached.
     live = np.arange(trials)
-    state = np.zeros((len(ps), trials, T + 2), dtype=bool)
-    state[:, :, 0] = True
+    lab = np.full((trials, T + 2), 0xFFFFFFFF, dtype=np.uint32)
+    lab[:, 0] = 0
+    least = np.zeros(trials, dtype=np.uint32)  # least label, last level
+    died = np.ones((len(ps), trials), dtype=np.int64)
     lo = hi = 0
     for n in range(T):
         left, right = _bonds(seeds[live, None], n, np.arange(lo, hi + 1))
-        for k, thr_k in enumerate(thr):
-            cur = state[k, :, lo:hi + 1]
-            to_right = cur & (right < thr_k)
-            cur &= left < thr_k
-            state[k, :, lo + 1:hi + 2] |= to_right
-        alive = state[:, :, lo:hi + 2].any(axis=2)
-        d = died[:, live]
-        died[:, live] = np.where(alive | (d <= n), d, n + 1)
-        rows = alive.any(axis=0)
-        if not rows.all():
-            live, state = live[rows], state[:, rows]
-        if not len(live):
-            return died, r_T
-        cols = np.flatnonzero(state[:, :, lo:hi + 2].any(axis=(0, 1)))
+        cur, nxt = lab[:, lo:hi + 1], lab[:, lo + 1:hi + 2]
+        to_right = np.maximum(cur, right)
+        np.maximum(cur, left, out=cur)
+        np.minimum(nxt, to_right, out=nxt)
+        least[live] = row = lab[:, lo:hi + 2].min(axis=1)
+        died += least < thr
+        if not (row < top).all():
+            live, lab = live[row < top], lab[row < top]
+            if not len(live):
+                break
+        cols = np.flatnonzero(lab[:, lo:hi + 2].min(axis=0) < top)
         lo, hi = lo + int(cols[0]), lo + int(cols[-1])
-    last = T - np.argmax(state[:, :, T::-1], axis=2)
+    suf = np.minimum.accumulate(lab[:, lo:hi + 1][:, ::-1], axis=1)
+    last = hi - np.count_nonzero(suf >= thr[..., None], axis=2)
+    r_T = np.zeros((len(ps), trials), dtype=np.int64)
     r_T[:, live] = np.where(died[:, live] > T, 2 * last - T, 0)
     return died, r_T
 

@@ -2,11 +2,13 @@
 
 The two passage-time oracles return a dict site -> minimal passage time
 from the source within the window, using only EdgeField.edge_weight.
-line_sites_loop is the scalar reference of geograph.discretize_line.
+line_sites_loop is the scalar reference of geograph.discretize_line, and
+random_owners_loop that of growth.compete's random tie policy.
 """
 
 import numpy as np
 
+from fpplab._rng import hash_words
 from fpplab.geograph import GeoGraphError
 from fpplab.lattice import round_site
 from fpplab.measure import mk_distribution
@@ -87,3 +89,18 @@ def line_sites_loop(spec, window):
     if not sites:
         raise GeoGraphError("line misses the window")
     return sites
+
+
+def random_owners_loop(is_min, seed, window):
+    """The owner grid of the random tie policy, one tie site at a time.
+
+    is_min[i] marks where seed i attains the least passage time. A site
+    attained by one seed goes to it; a tie site (x, y) goes to the r-th
+    of its minimising seeds, r = hash_words(seed, x, y, 7) % their count.
+    """
+    owner = is_min.argmax(axis=0)
+    for i, j in zip(*np.nonzero(is_min.sum(axis=0) > 1)):
+        cands = np.flatnonzero(is_min[:, i, j])
+        h = int(hash_words(seed, i + window.xmin, j + window.ymin, 7))
+        owner[i, j] = cands[h % len(cands)]
+    return owner

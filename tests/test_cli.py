@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import fpplab
 from fpplab import expcli
 from fpplab.cli import main
 from fpplab.expcli import (ConfigError, RunError, config_hash, run, sweep,
@@ -137,6 +140,22 @@ class TestMain:
         path = self.write(tmp_path, {"kind": "shape", "seed": 0,
                                      "params": {}})
         assert main(["shape", "--config", path]) == 2
+
+    def test_schema_validator_loaded_only_to_validate(self, tmp_path):
+        # a fresh interpreter: importing the runner leaves jsonschema
+        # unloaded, and a config the schema refuses still exits 2
+        path = self.write(tmp_path, {"kind": "shape", "seed": 0,
+                                     "params": {}})
+        code = ("import sys, fpplab.expcli\n"
+                "assert 'jsonschema' not in sys.modules\n"
+                "from fpplab.cli import main\n"
+                "sys.exit(main(['shape', '--config', sys.argv[1]]))")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(fpplab.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code, path], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "config invalid for kind shape" in proc.stderr
 
     def test_kind_mismatch_exit_two(self, tmp_path):
         path = self.write(tmp_path, shape_cfg())

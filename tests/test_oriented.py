@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from fpplab import oriented
 from fpplab._rng import derive_seed
-from fpplab.oriented import (OrientedError, _grow, alpha_estimates,
-                             alpha_rotated, estimate_alpha, estimate_pc,
-                             oriented_cluster, survival_curve)
+from fpplab.oriented import (OrientedError, _bonds, _grow, _threshold,
+                             alpha_estimates, alpha_rotated, estimate_alpha,
+                             estimate_pc, oriented_cluster, survival_curve)
 
 
 def reference(p, T, trials, seed):
@@ -90,6 +91,64 @@ class TestBatched:
         ps = [0.7, 0.8, 1.0]
         assert alpha_estimates(ps, 80, 30, 2) == [
             estimate_alpha(p, 80, 30, 2) for p in ps]
+
+
+def assert_matches_reference(ps, T, trials, seed):
+    died, r_T = _grow(ps, T, trials, seed)
+    for k, p in enumerate(ps):
+        ref = reference(p, T, trials, seed)
+        assert died[k].tolist() == ref[0]
+        assert r_T[k].tolist() == ref[1]
+    return died, r_T
+
+
+class TestLabels:
+    """_grow reads every p off one minimax label per site and trial."""
+
+    def test_p_on_each_side_of_a_bond_half(self):
+        # trial 0's two bonds out of the origin; at p = h / 2^32 the
+        # lower, h, is closed (h < h fails), at (h + 1) / 2^32 it is open
+        left, right = _bonds(derive_seed(5, 0), 0, np.arange(1))
+        h = int(min(left[0], right[0]))
+        ps = (h / 2.0 ** 32, (h + 1) / 2.0 ** 32)
+        assert [_threshold(p, 1) for p in ps] == [h, h + 1]
+        died, _ = assert_matches_reference(ps, 6, 12, seed=5)
+        assert died[0, 0] == 1 < died[1, 0]
+
+    def test_threshold_two_to_the_32_below_one(self):
+        # p = 1 - 2^-33 opens every bond, as p = 1 does, while a smaller
+        # p shares the growth
+        p = 1 - 2.0 ** -33
+        assert p < 1 and _threshold(p, 1) == 2 ** 32
+        died, r_T = assert_matches_reference((0.6, p), 40, 15, seed=2)
+        assert np.all(died[1] == 41) and np.all(r_T[1] == 40)
+
+    def test_fine_grid_p_by_p(self):
+        grid = np.arange(0.60, 0.7001, 0.005)
+        assert len(grid) == 21
+        died, _ = assert_matches_reference(grid, 60, 30, seed=13)
+        # the grid spans deaths and survivals
+        assert 0 < np.count_nonzero(died > 60) < died.size
+
+    @pytest.mark.parametrize("p_top", [0.55, 0.7])
+    def test_one_hash_per_level_whatever_the_grid(self, monkeypatch,
+                                                  p_top):
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1])
+            return _bonds(*args)
+
+        monkeypatch.setattr(oriented, "_bonds", spy)
+        T, trials = 120, 20
+        levels = []
+        for ps in ([p_top], np.linspace(p_top - 0.2, p_top, 21)):
+            calls.clear()
+            died, _ = _grow(ps, T, trials, seed=8)
+            # level n is grown while some trial is alive at the top p
+            assert calls == list(range(min(int(died[-1].max()), T)))
+            levels.append(len(calls))
+        assert levels[0] == levels[1]
 
 
 class TestAlpha:
