@@ -66,44 +66,6 @@ class InfectionGraph:
             u = (int(i) + w.xmin, int(j) + w.ymin)
             yield u, (u[0], u[1] + 1), float(self.vw[i, j]), bool(self.qv[i, j])
 
-    def has_edge(self, u, v) -> bool:
-        a, b = (u, v) if u < v else (v, u)
-        w = self.window
-        i, j = a[0] - w.xmin, a[1] - w.ymin
-        if b == (a[0] + 1, a[1]):
-            return bool(self.h_mask[i, j])
-        if b == (a[0], a[1] + 1):
-            return bool(self.v_mask[i, j])
-        return False
-
-    @classmethod
-    def from_edges(cls, edges, window: Window, weights=None, q_flags=None):
-        """Build a graph from an explicit edge list (used by diagnostics
-        and tests on hand-made graphs)."""
-        nx, ny = window.nx, window.ny
-        g = cls(window=window,
-                h_mask=np.zeros((nx - 1, ny), dtype=bool),
-                v_mask=np.zeros((nx, ny - 1), dtype=bool),
-                hw=np.zeros((nx - 1, ny)), vw=np.zeros((nx, ny - 1)),
-                qh=np.zeros((nx - 1, ny), dtype=bool),
-                qv=np.zeros((nx, ny - 1), dtype=bool))
-        for k, (u, v) in enumerate(edges):
-            a, b = (u, v) if u < v else (v, u)
-            i, j = a[0] - window.xmin, a[1] - window.ymin
-            wgt = 1.0 if weights is None else weights[k]
-            qf = False if q_flags is None else q_flags[k]
-            if b == (a[0] + 1, a[1]):
-                g.h_mask[i, j] = True
-                g.hw[i, j] = wgt
-                g.qh[i, j] = qf
-            elif b == (a[0], a[1] + 1):
-                g.v_mask[i, j] = True
-                g.vw[i, j] = wgt
-                g.qv[i, j] = qf
-            else:
-                raise GeoGraphError("non-adjacent edge %s %s" % (u, v))
-        return g
-
 
 def infection_graph(field: EdgeField, window: Window,
                     ptm: PassageTimeMap = None) -> InfectionGraph:
@@ -111,15 +73,19 @@ def infection_graph(field: EdgeField, window: Window,
 
     An edge belongs iff it is an optimal incoming edge of one of its
     endpoints, i.e. the times of its endpoints differ by exactly its
-    weight (ties and loops included). Q-membership flags mark edges whose
-    weight falls in the continuous part of the distribution.
+    weight (ties and loops included): one of its two entries is tight
+    (GridGraph.tight). Q-membership flags mark edges whose weight falls
+    in the continuous part of the distribution.
     """
     if ptm is None:
         ptm = solve(field, (0, 0), window)
-    opt_right, opt_left, opt_up, opt_down = ptm._opt_masks()
-    h_mask = opt_right | opt_left
-    v_mask = opt_up | opt_down
-    hw, vw = ptm.hw, ptm.vw
+    # an edge to the right is in when slot 3 of its left end or slot 0 of
+    # its right end is tight; an edge up, slot 2 of its lower end or 1
+    tight = ptm.tight.reshape(window.shape + (4,))
+    h_mask = tight[:-1, :, 3] | tight[1:, :, 0]
+    v_mask = tight[:, :-1, 2] | tight[:, 1:, 1]
+    D = field.dist.ticks_per_unit
+    hw, vw = ptm.graph.th / D, ptm.graph.tv / D
     qh = in_q_support(field.dist, hw) & h_mask
     qv = in_q_support(field.dist, vw) & v_mask
     return InfectionGraph(window=window, h_mask=h_mask, v_mask=v_mask,
@@ -374,7 +340,8 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
         lo = np.minimum(sites[:-1], sites[1:])[along]
         ix, iy = lo[:, 0] - window.xmin, lo[:, 1] - window.ymin
         horizontal = (sites[:-1, 0] != sites[1:, 0])[along]
-        w = np.where(horizontal, ptm.hw[ix, iy], ptm.vw[ix, iy])
+        w = np.where(horizontal, graph.th[ix, iy],
+                     graph.tv[ix, iy]) / field.dist.ticks_per_unit
         count = int(np.count_nonzero(in_q_support(field.dist, w)))
         n_q.append(count)
         ev["E"].append(count >= 1)

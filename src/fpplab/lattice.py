@@ -9,10 +9,11 @@ Solves run on integer ticks. Every weight is a whole number of ticks of
 its law (measure.WeightDistribution.ticks_per_unit, D), and Dijkstra adds
 them in float64, which is exact below 2^53. So equal passage times
 compare equal whatever order the sums were made in, and integer
-equality is the one tie predicate (optimal-edge masks, geodesics,
-competition). Public times are converted once, as ticks / D. A domain on
-which a Dijkstra sum could reach 2^53 ticks is refused before anything
-is allocated (check_domain).
+equality is the one tie predicate: GridGraph.tight marks the entries
+u -> v with ticks[u] + w == ticks[v], and competition, the infection
+graph and geodesics all read that mask. Public times are converted
+once, as ticks / D. A domain on which a Dijkstra sum could reach 2^53
+ticks is refused before anything is allocated (check_domain).
 
 A domain is a Window (an axis-aligned rectangle) or a Diamond (an l1
 ball, whose rows have ragged y-ranges). Both number their sites row
@@ -21,10 +22,10 @@ assembly builds the CSR adjacency of either from per-site arrays: four
 int32 entries per site, a zero-weight self-loop standing for a
 neighbour off the domain, written directly with no COO stage.
 Single-source passage times are solved with Dijkstra (scipy's compiled
-implementation); on a Window the predecessor structure keeps ALL optimal
-incoming edges so tie unions (the infection graph) stay computable. A
-multi-source solve also tells, through the edges its times make tight,
-which of its sources attain each time (GridGraph.minimisers).
+implementation). Every optimal incoming edge of a site, ties included, is
+a tight entry into it, so tie unions (the infection graph) stay
+computable. A multi-source solve also tells, through the edges its times
+make tight, which of its sources attain each time (GridGraph.minimisers).
 
 solve_targets returns exact lattice passage times to a set of targets,
 for a batch of fields of one law. It solves each field on an l1 diamond
@@ -37,7 +38,7 @@ sizes each field's diamond from the times solved before it.
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -284,6 +285,13 @@ def check_domain(dist: WeightDistribution, domain):
             "of %s" % (domain.diameter, dist))
 
 
+def _row(domain, s: Site) -> int:
+    """The index of a site of the domain; LatticeError for one off it."""
+    if not domain.contains(s):
+        raise LatticeError("site %s outside the domain" % (s,))
+    return domain.index(s)
+
+
 class GridGraph:
     """Adjacency of one field on a Window or a Diamond, in ticks,
     reusable across many solves.
@@ -341,89 +349,97 @@ class GridGraph:
         """Passage times in ticks (exact float64 integers) from the source
         to every domain site. limit, in ticks, prunes the search: sites
         beyond it come back inf."""
-        if not self.window.contains(source):
-            raise LatticeError("source %s outside window" % (source,))
         d = _csgraph_dijkstra(self._csr, directed=True,
-                              indices=self.window.index(source),
+                              indices=_row(self.window, source),
                               limit=np.inf if limit is None else float(limit))
         return d.reshape(self.window.shape)
 
     def distance_to_set(self, sites):
         """min over a site set of the passage time, in ticks, to each
         domain site: every site of the set starts at 0."""
-        idx = [self.window.index(s) for s in sites]
+        idx = [_row(self.window, s) for s in sites]
         if not idx:
             raise LatticeError("empty site set")
         d = _csgraph_dijkstra(self._csr, directed=True, indices=idx,
                               min_only=True)
         return d.reshape(self.window.shape)
 
+    @cached_property
+    def neighbours(self):
+        """(n, 4) int32: row k's neighbours in slot order (left, down, up,
+        right), k where one is off the domain; slot 3 - j leads back."""
+        return self._csr.indices.reshape(-1, 4)
+
+    def tight(self, ticks):
+        """(n, 4) bool over the CSR slots: entry u -> v is tight when
+        ticks[u] + w(u, v) == ticks[v], an exact equality of ticks. A
+        self-loop (a neighbour off the domain) is never tight, nor is an
+        entry into a site left at inf, though inf + w == inf."""
+        t = np.asarray(ticks).reshape(-1)
+        nbr4, wt4 = self.neighbours, self._csr.data.reshape(-1, 4)
+        out = np.empty(nbr4.shape, dtype=bool)
+        # blocks of rows: no (n, 4) float temporary, and contiguous reads
+        for lo in range(0, t.size, 4096):
+            k = slice(lo, lo + 4096)
+            tv = t.take(nbr4[k])
+            out[k] = ((t[k, None] + wt4[k] == tv) & np.isfinite(tv)
+                      & (nbr4[k] != np.arange(lo, lo + len(tv))[:, None]))
+        return out
+
     def minimisers(self, sites):
         """(reach, is_min): reach = distance_to_set(sites), and is_min[i]
         marks the domain sites where sites[i] attains reach, with the
         shape (len(sites),) + reach.shape.
 
-        An entry u -> v is tight when reach[u] + w(u, v) == reach[v], an
-        exact equality of ticks. sites[i] attains reach at v exactly when
-        v can be reached from sites[i] along tight entries: every edge of
-        a geodesic from sites[i] to such a v is tight, and a tight path
+        sites[i] attains reach at v exactly when v can be reached from
+        sites[i] along tight entries (GridGraph.tight): every edge of a
+        geodesic from sites[i] to such a v is tight, and a tight path
         from sites[i], where reach is 0, is as fast as reach. So one
         breadth-first search per site, on a copy of the CSR whose entries
         that are not tight point back at their own row, gives is_min.
         """
         reach = self.distance_to_set(sites)
-        t = reach.reshape(-1)
-        idx = self._csr.indices.copy()
-        nbr4, wt4 = idx.reshape(-1, 4), self._csr.data.reshape(-1, 4)
-        for s in range(4):
-            slack = np.flatnonzero(t + wt4[:, s] != t[nbr4[:, s]])
-            nbr4[slack, s] = slack
-        tight = csr_matrix((self._csr.data, idx, self._csr.indptr),
-                           shape=self._csr.shape)
-        is_min = np.zeros((len(sites), t.size), dtype=bool)
+        own = np.arange(reach.size, dtype=np.int32)[:, None]
+        nbr = np.where(self.tight(reach), self.neighbours, own)
+        bfs = csr_matrix((self._csr.data, nbr.reshape(-1), self._csr.indptr),
+                         shape=self._csr.shape)
+        is_min = np.zeros((len(sites), reach.size), dtype=bool)
         for i, s in enumerate(sites):
             is_min[i, breadth_first_order(
-                tight, self.window.index(s), directed=True,
+                bfs, self.window.index(s), directed=True,
                 return_predecessors=False)] = True
         return reach, is_min.reshape((len(sites),) + reach.shape)
 
 
 @dataclass
 class PassageTimeMap:
-    """Solved single-source passage times plus all-optimal predecessors.
+    """Single-source passage times and the graph they were solved on.
 
-    ticks, th and tv are the times and the edge weights in ticks (exact;
-    times are inf where the limit cut the solve); grid, hw and vw are the
-    same in real units, ticks / D.
+    ticks are the times in ticks (exact; inf where the limit cut the
+    solve), and grid the same in real units, ticks / D. tight, the
+    graph's tight mask for these times (GridGraph.tight), holds every
+    optimal incoming edge of every site, ties included.
     """
 
     field: EdgeField
     window: Window
     source: Site
     ticks: np.ndarray  # (nx, ny)
-    th: np.ndarray
-    tv: np.ndarray
+    graph: GridGraph
     limit: float = np.inf
-    _masks: tuple = dc_field(default=None, repr=False)
 
     @cached_property
     def grid(self):
         return self.ticks / self.field.dist.ticks_per_unit
 
     @cached_property
-    def hw(self):
-        return self.th / self.field.dist.ticks_per_unit
-
-    @cached_property
-    def vw(self):
-        return self.tv / self.field.dist.ticks_per_unit
+    def tight(self):
+        return self.graph.tight(self.ticks)
 
     def tick_time(self, s: Site):
         """The passage time to s in ticks, exact."""
-        if not self.window.contains(s):
-            raise LatticeError("site %s outside window" % (s,))
-        t = self.ticks[s[0] - self.window.xmin, s[1] - self.window.ymin]
-        if not np.isfinite(t):
+        t = self.ticks.item(_row(self.window, s))
+        if not math.isfinite(t):
             raise LatticeError(
                 "site %s beyond the solve limit %g" % (s, self.limit))
         return t
@@ -431,39 +447,18 @@ class PassageTimeMap:
     def time(self, s: Site) -> float:
         return float(self.tick_time(s) / self.field.dist.ticks_per_unit)
 
-    def _opt_masks(self):
-        # opt_right[i,j]: edge (i,j)->(i+1,j) is an optimal incoming edge
-        # of (i+1,j); analogously for the other three directions. Sums of
-        # ticks are exact, so == is exact equality of passage times. A site
-        # beyond the limit (inf) has no optimal incoming edge, though
-        # inf + w == inf.
-        if self._masks is None:
-            g, th, tv = self.ticks, self.th, self.tv
-            reached = np.isfinite(g)
-            opt_right = (g[:-1, :] + th == g[1:, :]) & reached[1:, :]
-            opt_left = (g[1:, :] + th == g[:-1, :]) & reached[:-1, :]
-            opt_up = (g[:, :-1] + tv == g[:, 1:]) & reached[:, 1:]
-            opt_down = (g[:, 1:] + tv == g[:, :-1]) & reached[:, :-1]
-            self._masks = (opt_right, opt_left, opt_up, opt_down)
-        return self._masks
+    def pred_sites(self, s: Site):
+        """The sites u of every optimal incoming edge u -> s, in sorted
+        order: the neighbour u in slot j of s is one when the entry back,
+        slot 3 - j of u, is tight. A self-loop (u == s) is no neighbour."""
+        k = _row(self.window, s)
+        return [self.window.site(u)
+                for j, u in enumerate(self.graph.neighbours[k].tolist())
+                if u != k and self.tight.item(u, 3 - j)]
 
     def preds(self, s: Site):
         """All optimal incoming edges of s, as canonical edge tuples."""
-        opt_right, opt_left, opt_up, opt_down = self._opt_masks()
-        i, j = s[0] - self.window.xmin, s[1] - self.window.ymin
-        out = []
-        if i > 0 and opt_right[i - 1, j]:
-            out.append(((s[0] - 1, s[1]), s))
-        if i < self.window.nx - 1 and opt_left[i, j]:
-            out.append((s, (s[0] + 1, s[1])))
-        if j > 0 and opt_up[i, j - 1]:
-            out.append(((s[0], s[1] - 1), s))
-        if j < self.window.ny - 1 and opt_down[i, j]:
-            out.append((s, (s[0], s[1] + 1)))
-        return out
-
-    def pred_sites(self, s: Site):
-        return [e[0] if e[1] == s else e[1] for e in self.preds(s)]
+        return [(u, s) if u < s else (s, u) for u in self.pred_sites(s)]
 
     def boundary_contact(self, t) -> bool:
         """True if the ball of radius t touches the window boundary."""
@@ -487,7 +482,7 @@ def solve(field: EdgeField, source: Site, window: Window,
         source, limit=None if limit is None or limit == math.inf
         else math.floor(Fraction(limit) * field.dist.ticks_per_unit))
     return PassageTimeMap(field=field, window=window, source=source,
-                          ticks=ticks, th=graph.th, tv=graph.tv,
+                          ticks=ticks, graph=graph,
                           limit=np.inf if limit is None else float(limit))
 
 
@@ -548,8 +543,6 @@ def geodesic(ptm: PassageTimeMap, target: Site, tie_policy="lexicographic"):
     the set of canonical edges lying on ANY geodesic from the source to
     the target.
     """
-    if not ptm.window.contains(target):
-        raise LatticeError("target %s outside window" % (target,))
     if tie_policy == "all":
         from collections import deque
         seen = {target}

@@ -4,12 +4,13 @@ The two passage-time oracles return a dict site -> minimal passage time
 from the source within the window, using only EdgeField.edge_weight.
 line_sites_loop is the scalar reference of geograph.discretize_line, and
 random_owners_loop that of growth.compete's random tie policy.
+edges_graph builds a hand-made infection graph from an edge list.
 """
 
 import numpy as np
 
 from fpplab._rng import hash_words
-from fpplab.geograph import GeoGraphError
+from fpplab.geograph import GeoGraphError, InfectionGraph
 from fpplab.lattice import round_site
 from fpplab.measure import mk_distribution
 
@@ -64,6 +65,19 @@ def pruned_search_times(field, window, source):
                 best[nb] = c
                 stack.append((nb, c))
     return best
+
+
+def edges_graph(edges, window):
+    """An InfectionGraph of the given edges that holds only its masks,
+    which are all ends_estimate reads: a hand-made graph."""
+    h_mask = np.zeros((window.nx - 1, window.ny), dtype=bool)
+    v_mask = np.zeros((window.nx, window.ny - 1), dtype=bool)
+    for u, v in edges:
+        (x, y), b = min(u, v), max(u, v)
+        mask = h_mask if b == (x + 1, y) else v_mask
+        mask[x - window.xmin, y - window.ymin] = True
+    return InfectionGraph(window, h_mask, v_mask, hw=None, vw=None, qh=None,
+                          qv=None)
 
 
 def line_sites_loop(spec, window):

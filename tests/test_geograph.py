@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from fpplab.convex import gauge, hull, tangent_at
-from fpplab.geograph import (BusemannSpec, GeoGraphError, InfectionGraph,
-                             busemann, busemann_separation,
-                             discretize_line, disjointness_diagnostic,
-                             ends_estimate, infection_graph, k_lower_bound,
+from fpplab.geograph import (BusemannSpec, GeoGraphError, busemann,
+                             busemann_separation, discretize_line,
+                             disjointness_diagnostic, ends_estimate,
+                             infection_graph, k_lower_bound,
                              nested_geodesic_agreement)
 from fpplab.lattice import EdgeField, GridGraph, Window, solve
 from fpplab.measure import mk_distribution, point_mass
-from oracles import (MIX, STAGE3, UNIF12, ZERO_ATOM, line_sites_loop,
-                     pruned_search_times)
+from oracles import (MIX, STAGE3, UNIF12, ZERO_ATOM, edges_graph,
+                     line_sites_loop, pruned_search_times)
 
 OCTAGON = hull([(1, 0.4), (0.4, 1), (-0.4, 1), (-1, 0.4), (-1, -0.4),
                 (-0.4, -1), (0.4, -1), (1, -0.4)])
@@ -70,14 +70,6 @@ class TestInfectionGraph:
             q_weights = [wt for _, _, wt, q in g.edges() if q]
             assert len(q_weights) == len(set(q_weights))
 
-    def test_from_edges_and_has_edge(self):
-        w = Window.square(3)
-        g = InfectionGraph.from_edges([((0, 0), (1, 0)), ((1, 0), (1, 1))], w)
-        assert g.has_edge((1, 0), (0, 0))
-        assert g.has_edge((1, 1), (1, 0))
-        assert not g.has_edge((0, 0), (0, 1))
-        assert g.n_edges == 2
-
 
 class TestEnds:
     def window(self):
@@ -89,14 +81,14 @@ class TestEnds:
             for k in range(5):
                 edges.append(((k * d[0], k * d[1]),
                               ((k + 1) * d[0], (k + 1) * d[1])))
-        return InfectionGraph.from_edges(edges, self.window())
+        return edges_graph(edges, self.window())
 
     def test_star_has_four(self):
         assert ends_estimate(self.star(), 1) == 4
 
     def test_path_has_two(self):
         edges = [((k, 0), (k + 1, 0)) for k in range(-5, 5)]
-        g = InfectionGraph.from_edges(edges, self.window())
+        g = edges_graph(edges, self.window())
         assert ends_estimate(g, 1) == 2
 
     def test_removal_radius_bound(self):

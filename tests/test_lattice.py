@@ -655,3 +655,49 @@ class TestMultiSource:
                 assert np.array_equal(is_min, d == reach)
                 if dist is ZERO_ATOM:
                     assert (is_min[0] & is_min[-1]).any()
+
+
+class TestTight:
+    @pytest.mark.parametrize("domain", [Window(-6, 5, -4, 7),
+                                        Diamond((1, -1), 6)],
+                             ids=["window", "diamond"])
+    def test_no_self_loop_or_unreached_entry(self, domain):
+        # a self-loop has weight 0 and inf + w == inf, so the tick
+        # equality alone would call both tight
+        for seed in range(3):
+            g = GridGraph(EdgeField(seed, ZERO_ATOM), domain)
+            nbr = g.neighbours
+            loop = nbr == np.arange(domain.n_sites)[:, None]
+            assert loop.any()
+            for limit in (None, 2 * ZERO_ATOM.ticks_per_unit):
+                t = g.distances((1, -1), limit=limit).reshape(-1)
+                tight = g.tight(t)
+                into_inf = ~np.isfinite(t)[nbr]
+                assert into_inf.any() == (limit is not None)
+                assert not tight[loop].any()
+                assert not tight[into_inf].any()
+                assert tight.any()
+
+
+class TestOffDomain:
+    def test_site_sets_refused(self):
+        g = GridGraph(EdgeField(0, UNIF12), Window.square(3))
+        for sites in ([(-4, 5)], [(4, 0)], [(-4, 5), (0, 0)]):
+            with pytest.raises(LatticeError):
+                g.distance_to_set(sites)
+            with pytest.raises(LatticeError):
+                g.minimisers(sites)
+        g = GridGraph(EdgeField(0, UNIF12), Diamond((0, 0), 3))
+        for sites in ([(3, 1)], [(0, 0), (-2, -2)]):
+            with pytest.raises(LatticeError):
+                g.distance_to_set(sites)
+            with pytest.raises(LatticeError):
+                g.minimisers(sites)
+
+    def test_predecessors_refused(self):
+        ptm = solve(EdgeField(0, UNIF12), (0, 0), Window.square(3))
+        for s in ((-4, 2), (4, 0), (0, -4)):
+            with pytest.raises(LatticeError):
+                ptm.preds(s)
+            with pytest.raises(LatticeError):
+                ptm.pred_sites(s)

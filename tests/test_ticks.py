@@ -89,7 +89,11 @@ class TestFractionOracle:
             for s in w.sites():
                 assert Fraction(int(ptm.tick_time(s)), D) == T[s]
                 assert ptm.time(s) == float(T[s])
-            right, left, up, down = ptm._opt_masks()
+            # slots (left, down, up, right): right[i, j] is the entry from
+            # (i, j) to (i + 1, j), left[i, j] the entry back, and so on
+            tight = ptm.tight.reshape(w.nx, w.ny, 4)
+            right, left = tight[:-1, :, 3], tight[1:, :, 0]
+            up, down = tight[:, :-1, 2], tight[:, 1:, 1]
             graph = infection_graph(f, w, ptm=ptm)
             for i in range(w.nx):
                 for j in range(w.ny):
@@ -106,6 +110,11 @@ class TestFractionOracle:
                         assert up[i, j] == (T[u] + wt == T[v])
                         assert down[i, j] == (T[v] + wt == T[u])
                         assert graph.v_mask[i, j] == (abs(T[u] - T[v]) == wt)
+            for s in w.sites():
+                nbrs = [(s[0] + dx, s[1] + dy) for dx, dy in NEIGHBOURS]
+                assert set(ptm.pred_sites(s)) == {
+                    u for u in nbrs
+                    if (u, s) in weights and T[u] + weights[u, s] == T[s]}
 
     @pytest.mark.parametrize("name", sorted(LAWS))
     def test_competition_ties(self, name):
