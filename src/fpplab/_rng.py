@@ -1,10 +1,11 @@
 """Counter-based keyed hashing: the package's one source of randomness.
 
 Edge weights (lattice), oriented-percolation bonds (oriented) and trial
-seeds (derive_seed) all come from hash_words; no module keeps a stateful
-generator. Every random quantity is thus a pure function of (seed,
-counter words), computed with splitmix64-style finalizers, and reproduces
-bit-identically across runs, machines and thread counts.
+seeds (derive_seed) all come from hash_words, or from its step fold; no
+module keeps a stateful generator. Every random quantity is thus a pure
+function of (seed, counter words), computed with splitmix64-style
+finalizers, and reproduces bit-identically across runs, machines and
+thread counts.
 """
 
 import numpy as np
@@ -46,21 +47,31 @@ def _mix64_owned(z):
     return z
 
 
+def fold(h, w):
+    """Fold one counter word w into the hash h: one step of hash_words.
+
+    hash_words(seed, w1, w2) is fold(fold(hash_words(seed), w1), w2), so a
+    caller that hashes many words under one seed can mix the seed once.
+    Neither h nor w is written to.
+    """
+    w = np.asarray(w)
+    with np.errstate(over="ignore"):
+        h = (h + _GOLDEN) ^ w.astype(np.int64).view(np.uint64)
+    # h is a fresh result here; scalars keep the cheaper mix64
+    return _mix64_owned(h) if h.ndim else mix64(h)
+
+
 def hash_words(seed, *words):
     """Hash a seed together with integer counter words to one uint64.
 
-    Each word may be a scalar or an array; arrays broadcast together, so
-    a grid is best hashed from an (n, 1) and a (1, m) word: the first is
-    then mixed over the vector alone. The caller's arrays are never
-    written to.
+    The seed is mixed, then each word is folded in. Each word may be a
+    scalar or an array; arrays broadcast together, so a grid is best
+    hashed from an (n, 1) and a (1, m) word: the first is then mixed over
+    the vector alone. The caller's arrays are never written to.
     """
     h = mix64(np.uint64(seed & _MASK))
     for w in words:
-        w = np.asarray(w)
-        with np.errstate(over="ignore"):
-            h = (h + _GOLDEN) ^ w.astype(np.int64).view(np.uint64)
-        # h is a fresh result here; scalars keep the cheaper mix64
-        h = _mix64_owned(h) if h.ndim else mix64(h)
+        h = fold(h, w)
     return h
 
 

@@ -20,6 +20,7 @@ ends and diagnose runners check their radii and lines before trial 0.
 """
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -41,7 +42,7 @@ from .growth import TIE_POLICIES, CompetitionConfig, coexistence_stats
 from .lattice import EdgeField, Window
 from .measure import (ConstructionSchedule, InputError, WeightDistribution,
                       construct_sequence, levy_distance)
-from .oriented import alpha_estimates, alpha_rotated, estimate_pc
+from .oriented import alpha_and_pc, alpha_rotated
 from .shapeest import DirectionPlan, empirical_shape
 
 
@@ -145,12 +146,23 @@ def validate_config(cfg):
     if kind not in KINDS:
         raise ConfigError("unknown kind %r (expected one of %s)"
                           % (kind, ", ".join(KINDS)))
-    import jsonschema  # here, so that importing the runner stays cheap
-    try:
-        jsonschema.validate(cfg, SCHEMAS[kind])
-    except jsonschema.ValidationError as e:
+    from jsonschema.exceptions import best_match
+    # the error jsonschema.validate would raise, without checking the
+    # schema again on every run
+    e = best_match(_validator(kind).iter_errors(cfg))
+    if e is not None:
         raise ConfigError("config invalid for kind %s: %s" % (kind, e.message))
     return cfg
+
+
+@functools.cache
+def _validator(kind):
+    """The validator of SCHEMAS[kind], its schema checked once."""
+    # imported here, so that importing the runner stays cheap
+    from jsonschema.validators import validator_for
+    cls = validator_for(SCHEMAS[kind])
+    cls.check_schema(SCHEMAS[kind])
+    return cls(SCHEMAS[kind])
 
 
 def config_hash(cfg) -> str:
@@ -260,9 +272,10 @@ def _run_oriented(cfg, out_dir):
     trials = cfg.get("trials", 100)
     T = p["T"]
     pv = [float(x) for x in p["p_values"]]
-    # every p reads the same clusters (the monotone coupling)
-    rows = [(q, a, se, alpha_rotated(a), dead) for q, (a, se, dead)
-            in zip(pv, alpha_estimates(pv, T, trials, cfg["seed"]))]
+    # every p reads the same clusters (the monotone coupling), grown once
+    alphas, pc = alpha_and_pc(pv, p.get("pc_grid"), T, trials, cfg["seed"])
+    rows = [(q, a, se, alpha_rotated(a), dead)
+            for q, (a, se, dead) in zip(pv, alphas)]
     table = os.path.join(out_dir, "alpha.csv")
     _write_csv(table, ["p", "alpha", "stderr", "alpha_rotated"],
                [[repr(v) for v in r[:4]] for r in rows])
@@ -271,8 +284,7 @@ def _run_oriented(cfg, out_dir):
            "alpha": [{"p": r[0], "alpha": r[1], "stderr": r[2],
                       "alpha_rotated": r[3], "dead_runs": r[4]}
                      for r in rows]}
-    if "pc_grid" in p:
-        pc = estimate_pc(p["pc_grid"], T, trials, cfg["seed"])
+    if pc is not None:
         obj["pc"] = {"p_hat": pc.p_hat, "crossing_T": pc.crossing_T,
                      "crossing_2T": pc.crossing_2T}
     _write_json(payload, obj)

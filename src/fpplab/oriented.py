@@ -17,6 +17,11 @@ Every p of an estimate reads the same bonds: a site of level n >= 1 is in
 the cluster at p iff its label, the least over paths from the origin of
 the largest bond half on the path, is < ceil(p * 2^32). In this monotone
 coupling survival and the rightmost site are monotone in p trial by trial.
+
+An oriented run grows once: _grow takes the edge-speed p-values to level T
+and the critical-parameter grid to level 2T over one label array. It
+answers p = 1 exactly, without growth: every bond half is < 2^32, so the
+cluster is the whole light cone, never dies, and r_T = T.
 """
 
 import math
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import hash_words
+from ._rng import fold, hash_words, mix64
 
 
 class OrientedError(ValueError):
@@ -41,10 +46,6 @@ class OrientedRun:
     rightmost: np.ndarray  # r_0..r_d where d is the last infected level
     survived: bool
 
-    @property
-    def died_level(self):
-        return None if self.survived else len(self.rightmost)
-
 
 # where the low and the high 32-bit half of a uint64 sit in its uint32 view
 _LO, _HI = (0, 1) if sys.byteorder == "little" else (1, 0)
@@ -59,12 +60,17 @@ def _threshold(p, T):
     return math.ceil(p * 2.0 ** 32)
 
 
-def _bonds(seed, n, j):
+_FULL = 2 ** 32  # the threshold of p = 1, above every bond half
+
+
+def _bonds(key, n, j):
     """(left, right) bond halves of the sites j of level n, as uint32.
 
-    seed is one seed, or an (R, 1) column of seeds for R rows of bonds.
+    key is hash_words(s) of one seed s, or an (R, 1) column of them for R
+    rows of bonds: hash_words(s, word) is fold(key, word), so the seeds
+    are mixed once, not once per level.
     """
-    h = hash_words(seed, (n << 32) | j)
+    h = fold(key, (n << 32) | j)
     u = h.view(np.uint32).reshape(h.shape + (2,))
     return u[..., _LO], u[..., _HI]
 
@@ -75,10 +81,11 @@ def oriented_cluster(p: float, T: int, seed: int) -> OrientedRun:
     The one-cluster reference for _grow, which reads the same bonds.
     """
     thr = _threshold(p, T)
+    key = hash_words(seed)
     alive = np.ones(1, dtype=bool)
     rightmost = [0]
     for n in range(T):
-        left, right = _bonds(seed, n, np.arange(n + 1))
+        left, right = _bonds(key, n, np.arange(n + 1))
         nxt = np.zeros(n + 2, dtype=bool)
         nxt[:-1] = alive & (left < thr)
         nxt[1:] |= alive & (right < thr)
@@ -90,65 +97,76 @@ def oriented_cluster(p: float, T: int, seed: int) -> OrientedRun:
     return OrientedRun(p, T, np.array(rightmost), True)
 
 
-def _grow(ps, T, trials, seed):
-    """Grow trials 0..trials-1 at every p in ps for up to T levels.
+def _grow(ps, T, trials, seed, grid=()):
+    """Grow trials 0..trials-1 at every p in ps to level T, and at every p
+    in grid to level 2T.
 
-    Trial t at p is the cluster oriented_cluster(p, T, derive_seed(seed,
-    t)). Returns (died, r_T), two (len(ps), trials) int64 arrays: died is
-    the level at which the cluster has no site left, or T + 1 if it
-    reaches level T, and r_T is its rightmost position at level T (0 if
-    it died).
+    Trial t at p is the cluster oriented_cluster(p, H, derive_seed(seed,
+    t)), where the horizon H is T for ps and 2T for grid. Returns (died,
+    r_T), two int64 arrays of one column per trial. died has a row per p
+    of ps, then of grid: the level at which the cluster has no site left,
+    or H + 1 if it reaches level H. r_T has a row per p of ps: the
+    rightmost position at level T (0 if the cluster died by then).
 
-    One growth of the labels (module docstring) serves every p, hashing the
-    bonds of the sites alive at the largest p. Least labels never decrease
-    down the levels, nor suffix minima rightwards: they give died and r_T.
+    One growth of the labels (module docstring) to level 2T serves every
+    row. Up to level T it hashes the bonds of the sites alive at the
+    largest threshold of all rows, after it at the grid's largest. Least
+    labels never decrease down the levels, nor suffix minima rightwards:
+    they give died and r_T. A row at threshold 2^32 (p = 1) is answered
+    exactly, and never hashes a bond or widens the window.
     """
-    thr = np.array([_threshold(p, T) for p in ps])[:, None]
-    top = int(thr.max())
-    seeds = hash_words(seed, np.arange(trials))
-    # lab[i, j]: site j's label in trial live[i], exact if < top, else >= top.
-    # 0xFFFFFFFF (unreached) is < top = 2^32, but then every site is reached.
+    k = len(ps)
+    thr = np.array([_threshold(p, T) for p in (*ps, *grid)],
+                   dtype=np.int64)[:, None]
+    cap = np.repeat([T + 1, 2 * T + 1], [k, len(grid)])[:, None]
+    full = thr[:, 0] == _FULL
+
+    def top_of(rows):  # the largest threshold below 2^32, or 0
+        return int(rows[rows < _FULL].max(initial=0))
+
+    top = top_of(thr)
+    levels = 2 * T if top_of(thr[k:]) else T
+    keys = mix64(hash_words(seed, np.arange(trials)))[:, None]
+    # lab[i, j]: site j's label in trial live[i], exact if < top, else
+    # >= top; 0xFFFFFFFF (unreached) is >= top, since top < 2^32.
     live = np.arange(trials)
-    lab = np.full((trials, T + 2), 0xFFFFFFFF, dtype=np.uint32)
+    lab = np.full((trials, levels + 2), 0xFFFFFFFF, dtype=np.uint32)
     lab[:, 0] = 0
     least = np.zeros(trials, dtype=np.uint32)  # least label, last level
-    died = np.ones((len(ps), trials), dtype=np.int64)
-    lo = hi = 0
-    for n in range(T):
-        left, right = _bonds(seeds[live, None], n, np.arange(lo, hi + 1))
+    died = np.ones((len(thr), trials), dtype=np.int64)
+    r_T = np.zeros((k, trials), dtype=np.int64)
+    lo = hi = 0  # level n's sites alive at top lie in columns lo..hi
+    for n in range(levels + 1):
+        if n == T:
+            suf = np.minimum.accumulate(lab[:, lo:hi + 1][:, ::-1], axis=1)
+            last = hi - np.count_nonzero(suf >= thr[:k, None], axis=2)
+            r_T[:, live] = np.where(died[:k, live] > T, 2 * last - T, 0)
+            top = top_of(thr[k:])
+        keep = least[live] < top
+        if not keep.all():
+            live, lab = live[keep], lab[keep]
+        if n == levels or not len(live):
+            break
+        cols = np.flatnonzero(lab[:, lo:hi + 1].min(axis=0) < top)
+        lo, hi = lo + int(cols[0]), lo + int(cols[-1])
+        left, right = _bonds(keys[live], n, np.arange(lo, hi + 1))
         cur, nxt = lab[:, lo:hi + 1], lab[:, lo + 1:hi + 2]
         to_right = np.maximum(cur, right)
         np.maximum(cur, left, out=cur)
         np.minimum(nxt, to_right, out=nxt)
-        least[live] = row = lab[:, lo:hi + 2].min(axis=1)
+        hi += 1
+        least[live] = lab[:, lo:hi + 1].min(axis=1)
         died += least < thr
-        if not (row < top).all():
-            live, lab = live[row < top], lab[row < top]
-            if not len(live):
-                break
-        cols = np.flatnonzero(lab[:, lo:hi + 2].min(axis=0) < top)
-        lo, hi = lo + int(cols[0]), lo + int(cols[-1])
-    suf = np.minimum.accumulate(lab[:, lo:hi + 1][:, ::-1], axis=1)
-    last = hi - np.count_nonzero(suf >= thr[..., None], axis=2)
-    r_T = np.zeros((len(ps), trials), dtype=np.int64)
-    r_T[:, live] = np.where(died[:, live] > T, 2 * last - T, 0)
+    # past level T a row of ps keeps counting: it reached its horizon
+    np.minimum(died, cap, out=died)
+    died[full] = cap[full]
+    r_T[full[:k]] = T
     return died, r_T
 
 
 def alpha_estimates(p_values, T: int, trials: int, seed: int):
     """estimate_alpha(p, T, trials, seed) for every p, from one growth."""
-    died, r_T = _grow(p_values, T, trials, seed)
-    out = []
-    for p, d, r in zip(p_values, died, r_T):
-        speeds = r[d > T] / T
-        if not len(speeds):
-            raise OrientedError(
-                "all %d runs died at p=%g, T=%d (p or T too small)"
-                % (trials, p, T))
-        stderr = (float(speeds.std(ddof=1) / math.sqrt(len(speeds)))
-                  if len(speeds) > 1 else 0.0)
-        out.append((float(speeds.mean()), stderr, trials - len(speeds)))
-    return out
+    return alpha_and_pc(p_values, None, T, trials, seed)[0]
 
 
 def estimate_alpha(p: float, T: int, trials: int, seed: int):
@@ -178,9 +196,12 @@ def survival_curve(p_grid, T: int, trials: int, seed: int):
     One batch of runs to horizon 2T serves both horizons: a run survives
     to T iff it has not died by level T.
     """
-    died, _ = _grow(p_grid, 2 * T, trials, seed)
-    return (np.count_nonzero(died > T, axis=1) / trials,
-            np.count_nonzero(died > 2 * T, axis=1) / trials)
+    return _survival(_grow((), T, trials, seed, p_grid)[0], T)
+
+
+def _survival(died, T):
+    return tuple(np.count_nonzero(died > h, axis=1) / died.shape[1]
+                 for h in (T, 2 * T))
 
 
 def _crossing(p_grid, surv, threshold):
@@ -220,12 +241,38 @@ def estimate_pc(p_grid, T: int, trials: int, seed: int,
     out: p_hat = c_T - (c_2T - c_T). Raises a bracketing error when the
     grid does not straddle the crossing.
     """
-    p_grid = tuple(float(p) for p in p_grid)
-    if any(not 0.0 < p < 1.0 for p in p_grid):
-        raise OrientedError("grid must lie inside (0, 1)")
-    surv_T, surv_2T = survival_curve(p_grid, T, trials, seed)
-    c1 = _crossing(p_grid, surv_T, threshold)
-    c2 = _crossing(p_grid, surv_2T, threshold)
-    p_hat = c1 - (c2 - c1)
-    return PcEstimate(p_hat=p_hat, crossing_T=c1, crossing_2T=c2,
-                      surv_T=surv_T, surv_2T=surv_2T, p_grid=p_grid)
+    return alpha_and_pc((), p_grid, T, trials, seed, threshold)[1]
+
+
+def alpha_and_pc(p_values, pc_grid, T: int, trials: int, seed: int,
+                 threshold: float = 0.5):
+    """alpha_estimates(p_values, T, trials, seed) and estimate_pc(pc_grid,
+    T, trials, seed, threshold), from one growth to level 2T.
+
+    pc_grid may be None, and then so is the second result.
+    """
+    if pc_grid is not None:
+        pc_grid = tuple(float(p) for p in pc_grid)
+        if len(pc_grid) < 2:
+            raise OrientedError("grid needs two points to bracket a crossing")
+        if any(not 0.0 < p < 1.0 for p in pc_grid):
+            raise OrientedError("grid must lie inside (0, 1)")
+    died, r_T = _grow(p_values, T, trials, seed, pc_grid or ())
+    alphas = []
+    for p, d, r in zip(p_values, died, r_T):
+        speeds = r[d > T] / T
+        if not len(speeds):
+            raise OrientedError(
+                "all %d runs died at p=%g, T=%d (p or T too small)"
+                % (trials, p, T))
+        stderr = (float(speeds.std(ddof=1) / math.sqrt(len(speeds)))
+                  if len(speeds) > 1 else 0.0)
+        alphas.append((float(speeds.mean()), stderr, trials - len(speeds)))
+    if pc_grid is None:
+        return alphas, None
+    surv_T, surv_2T = _survival(died[len(p_values):], T)
+    c1 = _crossing(pc_grid, surv_T, threshold)
+    c2 = _crossing(pc_grid, surv_2T, threshold)
+    return alphas, PcEstimate(p_hat=c1 - (c2 - c1), crossing_T=c1,
+                              crossing_2T=c2, surv_T=surv_T, surv_2T=surv_2T,
+                              p_grid=pc_grid)

@@ -53,6 +53,32 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("cfg", [
+        {"kind": "shape", "seed": 0, "params": {"directions": 5}},
+        {"kind": "shape", "seed": "one", "params": {}},
+        {"kind": "oriented", "seed": 0, "workers": 2,
+         "params": {"p_values": [0.7], "T": 50}},
+        {"kind": "oriented", "seed": 0,
+         "params": {"p_values": [0.7, 1.5], "T": 0}},
+        {"kind": "compete", "seed": 0, "params": {
+            "dist": {"atoms": [[1.0, 1.0]]}, "seeds": [[0, 0], [1]],
+            "window": 5, "survival_threshold": 1, "tie_policy": "coin"}},
+        {"kind": "diagnose", "seed": 0, "params": {
+            "dist": {"atom": [[1.0, 1.0]]}, "window": 3, "m": 0, "M": 2,
+            "targets": []}},
+    ])
+    def test_message_is_what_jsonschema_validate_gives(self, cfg):
+        # the cached validator reports the same best-matching error
+        import jsonschema
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(cfg, expcli.SCHEMAS[cfg["kind"]])
+        expcli._validator.cache_clear()
+        for _ in range(2):  # the first call fills the cache
+            with pytest.raises(ConfigError) as got:
+                validate_config(cfg)
+            assert str(got.value) == "config invalid for kind %s: %s" % (
+                cfg["kind"], want.value.message)
+
     def test_hash_key_order_invariant(self):
         a = {"kind": "shape", "seed": 1, "params": {"n": 50,
              "directions": 5, "dist": {"atoms": [[1.0, 1.0]]}}}
@@ -187,8 +213,7 @@ class TestMain:
                                             params):
         def no_work(*args):
             raise AssertionError("ran with an invalid p")
-        monkeypatch.setattr(expcli, "alpha_estimates", no_work)
-        monkeypatch.setattr(expcli, "estimate_pc", no_work)
+        monkeypatch.setattr(expcli, "alpha_and_pc", no_work)
         path = self.write(tmp_path, {"kind": "oriented", "seed": 0,
                                      "params": params})
         assert main(["oriented", "--config", path,

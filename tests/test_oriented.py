@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from fpplab import oriented
-from fpplab._rng import derive_seed
+from fpplab._rng import derive_seed, hash_words
+from fpplab.expcli import run
 from fpplab.oriented import (OrientedError, _bonds, _grow, _threshold,
-                             alpha_estimates, alpha_rotated, estimate_alpha,
-                             estimate_pc, oriented_cluster, survival_curve)
+                             alpha_and_pc, alpha_estimates, alpha_rotated,
+                             estimate_alpha, estimate_pc, oriented_cluster,
+                             survival_curve)
 
 
 def reference(p, T, trials, seed):
@@ -15,7 +17,7 @@ def reference(p, T, trials, seed):
     died, r_T = [], []
     for t in range(trials):
         run = oriented_cluster(p, T, derive_seed(seed, t))
-        died.append(T + 1 if run.survived else run.died_level)
+        died.append(T + 1 if run.survived else len(run.rightmost))
         r_T.append(int(run.rightmost[-1]) if run.survived else 0)
     return died, r_T
 
@@ -30,7 +32,7 @@ class TestCluster:
     def test_p_zero_dies_immediately(self):
         run = oriented_cluster(0.0, 10, seed=0)
         assert not run.survived
-        assert run.died_level == 1
+        assert len(run.rightmost) == 1  # only the origin, at level 0
 
     def test_determinism(self):
         a = oriented_cluster(0.7, 100, seed=42)
@@ -93,6 +95,22 @@ class TestBatched:
             estimate_alpha(p, 80, 30, 2) for p in ps]
 
 
+def spy_bonds(monkeypatch, seed, trials):
+    """Record the level of each _bonds call, checking that its keys are a
+    column of premixed trial seeds, hash_words(derive_seed(seed, t))."""
+    keys = {int(hash_words(derive_seed(seed, t))) for t in range(trials)}
+    calls = []
+
+    def spy(key, n, j):
+        assert key.shape == (len(key), 1) and len(key) > 0
+        assert set(key[:, 0].tolist()) <= keys
+        calls.append(n)
+        return _bonds(key, n, j)
+
+    monkeypatch.setattr(oriented, "_bonds", spy)
+    return calls
+
+
 def assert_matches_reference(ps, T, trials, seed):
     died, r_T = _grow(ps, T, trials, seed)
     for k, p in enumerate(ps):
@@ -108,7 +126,8 @@ class TestLabels:
     def test_p_on_each_side_of_a_bond_half(self):
         # trial 0's two bonds out of the origin; at p = h / 2^32 the
         # lower, h, is closed (h < h fails), at (h + 1) / 2^32 it is open
-        left, right = _bonds(derive_seed(5, 0), 0, np.arange(1))
+        left, right = _bonds(hash_words(derive_seed(5, 0)), 0,
+                             np.arange(1))
         h = int(min(left[0], right[0]))
         ps = (h / 2.0 ** 32, (h + 1) / 2.0 ** 32)
         assert [_threshold(p, 1) for p in ps] == [h, h + 1]
@@ -133,14 +152,8 @@ class TestLabels:
     @pytest.mark.parametrize("p_top", [0.55, 0.7])
     def test_one_hash_per_level_whatever_the_grid(self, monkeypatch,
                                                   p_top):
-        calls = []
-
-        def spy(*args):
-            calls.append(args[1])
-            return _bonds(*args)
-
-        monkeypatch.setattr(oriented, "_bonds", spy)
         T, trials = 120, 20
+        calls = spy_bonds(monkeypatch, 8, trials)
         levels = []
         for ps in ([p_top], np.linspace(p_top - 0.2, p_top, 21)):
             calls.clear()
@@ -206,3 +219,87 @@ class TestCritical:
             estimate_pc([0.05, 0.1], 50, 50, seed=0)  # crossing above grid
         with pytest.raises(OrientedError):
             estimate_pc([0.0, 0.5], 50, 50, seed=0)  # grid outside (0,1)
+
+
+class TestOneGrowth:
+    """alpha_and_pc grows the p-values to T and the grid to 2T at once."""
+
+    PS = (0.66, 0.72, 0.8, 0.9, 1.0)
+
+    @pytest.mark.parametrize("grid", [
+        (0.62, 0.66, 0.70, 0.95),  # top above the p-values below 1
+        (0.58, 0.62, 0.64, 0.66, 0.68, 0.70, 0.72),  # top below them
+    ])
+    def test_equals_separate_calls(self, grid):
+        T, trials, seed = 80, 120, 4
+        alphas, pc = alpha_and_pc(self.PS, grid, T, trials, seed)
+        assert alphas == alpha_estimates(self.PS, T, trials, seed)
+        alone = estimate_pc(grid, T, trials, seed)
+        for key in ("p_hat", "crossing_T", "crossing_2T", "p_grid"):
+            assert getattr(pc, key) == getattr(alone, key)
+        assert np.array_equal(pc.surv_T, alone.surv_T)
+        assert np.array_equal(pc.surv_2T, alone.surv_2T)
+
+    @pytest.mark.parametrize("ps", [PS, (1.0,)])
+    def test_without_a_grid(self, ps):
+        alphas, pc = alpha_and_pc(ps, None, 60, 40, 3)
+        assert pc is None
+        assert alphas == alpha_estimates(ps, 60, 40, 3)
+
+    @pytest.mark.parametrize("grid", [(), (0.65,)])
+    def test_grid_too_short_refused_as_alone(self, grid):
+        with pytest.raises(OrientedError) as alone:
+            estimate_pc(grid, 40, 20, 1)
+        with pytest.raises(OrientedError) as shared:
+            alpha_and_pc(self.PS, grid, 40, 20, 1)
+        assert str(shared.value) == str(alone.value)
+
+    def test_grid_rows_match_reference_to_2T(self):
+        ps, grid, T, trials, seed = (0.7, 0.85), (0.6, 0.66, 0.75), 30, 40, 6
+        died, r_T = _grow(ps, T, trials, seed, grid)
+        assert r_T.shape == (len(ps), trials)
+        for k, p in enumerate(ps + grid):
+            horizon = T if k < len(ps) else 2 * T
+            ref = reference(p, horizon, trials, seed)
+            assert died[k].tolist() == ref[0]
+            if k < len(ps):
+                assert r_T[k].tolist() == ref[1]
+
+    @pytest.mark.parametrize("ps, grid", [((1.0,), ()),
+                                          ((1.0,), (1 - 2.0 ** -33,))])
+    def test_p_one_alone_hashes_no_bonds(self, monkeypatch, ps, grid):
+        calls = spy_bonds(monkeypatch, 2, 25)
+        T = 200
+        died, r_T = _grow(ps, T, 25, 2, grid)
+        assert calls == []
+        assert np.all(died[0] == T + 1) and np.all(r_T == T)
+        assert np.all(died[1:] == 2 * T + 1)
+        assert estimate_alpha(1.0, T, 25, 2) == (1.0, 0.0, 0)
+
+    @pytest.mark.parametrize("grid, past_T", [((0.6, 0.64, 0.7), True),
+                                              ((0.5, 0.55), False),
+                                              ((0.62, 0.95), True)])
+    def test_each_level_hashed_at_most_once_up_to_2T(self, monkeypatch,
+                                                     grid, past_T):
+        T, trials, seed = 60, 30, 8
+        # up to level T the window follows the largest p below 1, then
+        # the grid's largest
+        top = max(p for p in self.PS + grid if p < 1)
+        first = int(_grow([top], T, trials, seed)[0].max())
+        last = int(_grow((), T, trials, seed, [max(grid)])[0].max())
+        levels = first if first <= T else min(max(last, T), 2 * T)
+        calls = spy_bonds(monkeypatch, seed, trials)
+        _grow(self.PS, T, trials, seed, grid)
+        assert calls == list(range(levels))
+        # the subcritical grid dies out by level T and stops the growth
+        assert (levels > T) == past_T
+
+    def test_runner_grows_once(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(oriented, "_grow",
+                            lambda *a: calls.append(a) or _grow(*a))
+        cfg = {"kind": "oriented", "seed": 3, "trials": 40,
+               "params": {"p_values": [0.7, 0.9, 1.0], "T": 40,
+                          "pc_grid": [0.6, 0.65, 0.7]}}
+        run(cfg, out_root=str(tmp_path), echo=False)
+        assert len(calls) == 1

@@ -1,6 +1,6 @@
 import numpy as np
 
-from fpplab._rng import derive_seed, hash_words, mix64
+from fpplab._rng import derive_seed, fold, hash_words, mix64
 
 
 def test_mix64_leaves_its_argument_unchanged():
@@ -30,3 +30,19 @@ def test_array_and_scalar_hashing_agree():
     for x, h in zip(xs, arr):
         assert hash_words(123, int(x), 4, 1) == h
         assert derive_seed(123, int(x), 4, 1) == int(h)
+
+
+def test_premixed_seeds_fold_to_hash_words():
+    # a column of seeds mixed once, then folded with each word, is
+    # hash_words; neither the keys nor the words are written to
+    seeds = np.array([derive_seed(4, t) for t in range(5)], dtype=np.uint64)
+    keys = hash_words(seeds[:, None])
+    assert np.array_equal(keys, mix64(seeds)[:, None])
+    words = (np.arange(7)[None, :], 3)
+    saved = keys.copy(), words[0].copy()
+    h = fold(fold(keys, words[0]), words[1])
+    assert np.array_equal(h, hash_words(seeds[:, None], *words))
+    for x, y in np.ndindex(h.shape):
+        assert h[x, y] == hash_words(int(seeds[x]), y, 3)
+    assert np.array_equal(keys, saved[0])
+    assert np.array_equal(words[0], saved[1])
