@@ -32,18 +32,18 @@ def _mix64_owned(z):
     """mix64 computed in place in z, a uint64 array no caller holds.
 
     Bit-identical to mix64(z); it allocates one scratch array instead of
-    a temporary per operation.
+    a temporary per operation. Integer arrays wrap without a warning, so
+    it needs no errstate guard.
     """
     t = np.empty_like(z)
-    with np.errstate(over="ignore"):
-        np.right_shift(z, np.uint64(30), out=t)
-        z ^= t
-        z *= _M1
-        np.right_shift(z, np.uint64(27), out=t)
-        z ^= t
-        z *= _M2
-        np.right_shift(z, np.uint64(31), out=t)
-        z ^= t
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
+    z *= _M1
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= _M2
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
     return z
 
 
@@ -55,8 +55,8 @@ def fold(h, w):
     Neither h nor w is written to.
     """
     w = np.asarray(w)
-    with np.errstate(over="ignore"):
-        h = (h + _GOLDEN) ^ w.astype(np.int64).view(np.uint64)
+    # the ufunc wraps silently, where + on two numpy scalars would warn
+    h = np.add(h, _GOLDEN) ^ w.astype(np.int64).view(np.uint64)
     # h is a fresh result here; scalars keep the cheaper mix64
     return _mix64_owned(h) if h.ndim else mix64(h)
 

@@ -107,8 +107,8 @@ SCHEMAS = {
         "p_values": _of("array", minItems=1,
                         items=_of("number", minimum=0, maximum=1)),
         "T": _count(1),
-        "pc_grid": _of("array", items=_of("number", exclusiveMinimum=0,
-                                          exclusiveMaximum=1))},
+        "pc_grid": _of("array", minItems=2, items=_of(
+            "number", exclusiveMinimum=0, exclusiveMaximum=1))},
         "p_values", "T"),
     "compete": _config("compete", {
         "dist": _LAW, "seeds": _SITES, "window": _count(2),

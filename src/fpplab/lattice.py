@@ -29,11 +29,13 @@ make tight, which of its sources attain each time (GridGraph.minimisers).
 
 solve_targets returns exact lattice passage times to a set of targets,
 for a batch of fields of one law. It solves each field on an l1 diamond
-around the source and certifies the result after the solve: with a
-least edge weight a_min > 0, any path that leaves a diamond of radius R
-costs at least a_min * (R + 1), so every target reached under that
-limit has its Z^2 time. The certificate holds for any R, so the batch
-sizes each field's diamond from the times solved before it.
+around the source and certifies the result after the solve by the round
+trip: with a least edge weight a_min > 0, a path that leaves a diamond
+of radius R must come back to a target within l1 distance L, so it
+costs at least a_min * (2 (R + 1) - L), and every target reached under
+that limit has its Z^2 time. The certificate holds for any R, so the
+batch sizes each field's diamond from the times solved before it. A
+one-atom law needs no solve.
 """
 
 import math
@@ -654,24 +656,32 @@ def solve_targets(fields, source: Site, targets):
     doubled beyond its first radius R0.
 
     Each field is solved on the l1 diamond of radius R around the
-    source. A path that leaves it takes at least R + 1 steps of weight
-    at least a_min = dist.min_support(), so it costs at least a_min *
-    (R + 1): solved with that limit, exact in ticks, every target the
-    solve reaches has its Z^2 time, ties at the limit included, whatever
-    R is. The first field starts at R0 = max(L, ceil(E[w] * L / a_min)),
-    L the largest l1 distance of a target. Each later field starts from
-    the answers before it: at min(R0, max(L, ceil(1.05 * T / a_min) -
-    1)), T the largest target time solved so far in the batch. If a
-    target is unreached there, the field is solved again at R0; that
-    miss is not a regrowth. From R0, R doubles while a target is
-    unreached, and each field that doubles counts once in regrown.
+    source. Every target lies within l1 distance L of the source, so a
+    path to one that leaves the diamond must also come back: it visits
+    some y with |y - source| >= R + 1 and takes at least |y - source| +
+    |target - y| >= 2 (R + 1) - L steps, each of weight at least a_min =
+    dist.min_support(). Solved with the limit a_min * (2 (R + 1) - L),
+    exact in ticks, every target the solve reaches has its Z^2 time,
+    ties at the limit included, whatever R is. Each radius is the least
+    R >= max(1, L) whose limit reaches a_min * m: R0 for the first field
+    with m = guess + 1, guess = max(L, ceil(E[w] * L / a_min)); for each
+    later field m = ceil(1.05 * T / a_min), T the largest target time
+    solved so far in the batch, capped at R0. If a target is unreached
+    there, the field is solved again at R0; that miss is not a
+    regrowth. From R0, R doubles while a target is unreached, and each
+    field that doubles counts once in regrown.
 
-    When a_min is small or 0, R0 would exceed twice the targets' extent,
-    2 * (L + 1). Every field then starts there instead, the solve has no
-    limit, and R doubles while the ball of radius max tau touches the
-    diamond's boundary. Once it does not, every path that leaves the
-    diamond is slower than the in-diamond times, so these are exact.
-    Every edge weight of each diamond is hashed afresh.
+    When a_min is small or 0, guess would exceed twice the targets'
+    extent, 2 * (L + 1). Every field then starts there instead, the
+    solve has no limit, and R doubles while the ball of radius max tau
+    touches the diamond's boundary. Once it does not, every path that
+    leaves the diamond is slower than the in-diamond times, so these are
+    exact. Every edge weight of each diamond is hashed afresh.
+
+    A one-atom law delta_a needs no solve: every path to x has at least
+    |x - source| edges of weight a, and a monotone path has exactly that
+    many, so tau = a * |x - source| in every field, and no edge is
+    hashed.
     """
     fields = list(fields)
     if not fields:
@@ -681,26 +691,35 @@ def solve_targets(fields, source: Site, targets):
         raise LatticeError("the fields of one batch share one law")
     sx, sy = source
     targets = list(targets)
-    L = max(abs(x - sx) + abs(y - sy) for x, y in targets)
+    steps = np.array([abs(x - sx) + abs(y - sy) for x, y in targets])
     a_min = dist.min_support()
+    a_ticks = dist.tick(a_min)
+    if len(dist.atoms) == 1 and not dist.pieces:
+        return np.tile(a_ticks * steps / dist.ticks_per_unit,
+                       (len(fields), 1)), 0
+    L = int(steps.max())
     cap = 2 * (L + 1)
     guess = (max(L, math.ceil(dist.mean() * L / a_min))
              if a_min > 0 else math.inf)
     certified = guess <= cap
-    R0 = max(1, guess) if certified else cap
-    a_ticks = dist.tick(a_min)
+
+    def reaching(m):
+        """The least R >= max(1, L) with 2 (R + 1) - L >= m."""
+        return max(1, L, (m + L + 1) // 2 - 1)
+
+    R0 = reaching(guess + 1) if certified else cap
     rows = []
     regrown = 0
     top = 0  # the largest target time so far, in ticks
     for field in fields:
         R = R0
         if certified and rows:
-            R = min(R0, max(1, L, math.ceil(_HINT_MARGIN * top / a_ticks) - 1))
+            R = min(R0, reaching(math.ceil(_HINT_MARGIN * top / a_ticks)))
         doubled = False
         while True:
             diamond = Diamond(source, R)
             graph = GridGraph(field, diamond)
-            limit = a_ticks * (R + 1) if certified else None
+            limit = a_ticks * (2 * (R + 1) - L) if certified else None
             d = graph.distances(source, limit=limit)
             times = d[[diamond.index(t) for t in targets]]
             done = (np.isfinite(times).all() if certified

@@ -168,8 +168,15 @@ class WeightDistribution:
             raise ValueError("quantile argument must lie in [0, 1)")
         starts, mass, lo, real, span, last = self._tick_table
         flat = u_arr.reshape(-1)
-        # starts[0] == 0 <= u, so idx lies in [0, len(starts) - 1]
-        idx = np.searchsorted(starts, flat, side="right") - 1
+        # u's component is the count of the starts after the first that
+        # u reaches, equal starts included, as searchsorted(starts, u,
+        # "right") - 1 gives it: one pass per component, which beats the
+        # binary search up to ~250 components, in the least unsigned type
+        # that holds the count
+        idx = np.zeros(flat.shape, np.min_scalar_type(len(starts) - 1))
+        for start in starts[1:]:
+            idx += flat >= start
+        idx = idx.astype(np.intp)
         if not self.pieces:
             # one gather, of the atoms' ticks or of their floats
             out = (lo if ticks else real)[idx]

@@ -7,17 +7,20 @@ variance), and inverts: the boundary point in direction u is u / m(u).
 
 All trials of an estimate go to one lattice.solve_targets call, which
 serves every direction at once and returns exact lattice passage times.
-Each trial is solved on an l1 diamond around the origin and certified
-after the solve: a path that leaves the diamond costs at least a_min
-times one more than the radius, for the least edge weight a_min. The
-first trial's radius is max(L, ceil(E[w] L / a_min)) for the targets'
-largest l1 norm L; each later trial's is sized from the largest target
-time solved before it, and falls back to the first radius if a target
-is unreached. From there the diamond doubles while a target lies
-beyond the certified limit (or, for a_min small or 0, while the ball
-of radius max tau touches its boundary). No trial is ever dropped;
-clipped_trials counts the trials whose diamond doubled beyond the
-first radius, so it does not depend on how the later radii were sized.
+Each trial is solved on an l1 diamond of radius R around the origin and
+certified after the solve by the round trip: every target lies within
+l1 distance L, the targets' largest l1 norm, so a path to one that
+leaves the diamond must also come back, and costs at least a_min (2 (R
++ 1) - L) for the least edge weight a_min. The first trial's radius is
+the least whose limit reaches a_min (guess + 1), guess = max(L, ceil(E[w]
+L / a_min)); each later trial's is sized from the largest target time
+solved before it, and falls back to the first radius if a target is
+unreached. From there the diamond doubles while a target lies beyond
+the certified limit (or, for a_min small or 0, while the ball of radius
+max tau touches its boundary). A one-atom law is solved by its l1
+distances, with no diamond. No trial is ever dropped; clipped_trials
+counts the trials whose diamond doubled beyond the first radius, so it
+does not depend on how the later radii were sized.
 """
 
 import math

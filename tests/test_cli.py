@@ -208,6 +208,9 @@ class TestMain:
         {"p_values": [-0.1], "T": 50},
         {"p_values": [0.7], "T": 50, "pc_grid": [0.0, 0.7]},
         {"p_values": [0.7], "T": 50, "pc_grid": [0.6, 1.0]},
+        # a crossing needs two grid points
+        {"p_values": [0.7], "T": 50, "pc_grid": []},
+        {"p_values": [0.7], "T": 50, "pc_grid": [0.65]},
     ])
     def test_bad_p_exit_two_before_any_work(self, tmp_path, monkeypatch,
                                             params):
@@ -218,6 +221,7 @@ class TestMain:
                                      "params": params})
         assert main(["oriented", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_seed_override_changes_hash(self, tmp_path, capsys):
         path = self.write(tmp_path, shape_cfg())

@@ -323,11 +323,21 @@ class TestSolveTargets:
         assert not ptm.boundary_contact(times.max())
         assert np.array_equal(times[0], [ptm.time(t) for t in targets])
 
+    @staticmethod
+    def diamond_time(seed, dist, target, radius):
+        """The passage time to the target inside the l1 diamond of the
+        radius around the origin, with no limit."""
+        diamond = Diamond((0, 0), radius)
+        d = GridGraph(EdgeField(seed, dist), diamond).distances((0, 0))
+        return d[diamond.index(target)] / dist.ticks_per_unit
+
     def test_too_small_first_diamond_regrows(self):
-        # ATOMIC has a_min = 1 and E[w] = 1.4: the target (2, 0) gets the
-        # first diamond of radius max(2, ceil(2.8)) = 3, whose limit is
-        # 1 * (3 + 1). Exactly the seeds whose passage time exceeds 4
-        # regrow; a time of 4 ties the limit and is already exact.
+        # ATOMIC has a_min = 1 and E[w] = 1.4: the target (2, 0), L = 2,
+        # needs a limit of guess + 1 = max(2, ceil(2.8)) + 1 = 4, which the
+        # diamond of radius 2 reaches by the round trip, 2 (2 + 1) - 2.
+        # Exactly the seeds whose time inside that diamond exceeds 4
+        # regrow; a time of 4 ties the limit and is already exact, even
+        # where the 4-step detour through (2, 1) leaves the diamond.
         big = Window.square(12)
         found = 0
         for seed in range(400):
@@ -336,12 +346,33 @@ class TestSolveTargets:
             ptm = solve(f, (0, 0), big)
             assert not ptm.boundary_contact(times[0, 0])
             assert times[0, 0] == ptm.time((2, 0))
-            assert (regrowths > 0) == (times[0, 0] > 4)
+            assert (regrowths > 0) == (
+                self.diamond_time(seed, ATOMIC, (2, 0), 2) > 4)
             found += regrowths > 0
         assert found
 
+    def test_path_that_leaves_and_comes_back_is_certified(self):
+        # LEAVER has a_min = 1 and E[w] = 1.3, so the target (2, 0) gets
+        # the diamond of radius 2 and the limit 4. Where the edges (0, 0)
+        # - (1, 0) - (2, 0) weigh 1 and 4 and the detour (1, 0) - (1, 1)
+        # - (2, 1) - (2, 0) weighs 3, the best path inside the diamond
+        # takes 5 and the detour, which leaves it, takes 4: the solve
+        # must not stop at 5, and one a_min more on the limit would.
+        leaver = mk_distribution(atoms=[(1.0, 0.9), (4.0, 0.1)])
+        big = Window.square(12)
+        beaten = 0
+        for seed in range(60):
+            f = EdgeField(seed, leaver)
+            times, regrowths = solve_targets([f], (0, 0), [(2, 0)])
+            want = solve(f, (0, 0), big).time((2, 0))
+            assert times[0, 0] == want
+            if self.diamond_time(seed, leaver, (2, 0), 2) > want:
+                assert regrowths == 1
+                beaten += 1
+        assert beaten
+
     @staticmethod
-    def seed_with_time(t, dist=ATOMIC, target=(2, 0)):
+    def seed_with_time(t, dist=ATOMIC, target=(4, 0)):
         """The least seed whose passage time to the target is t."""
         big = Window.square(12)
         return next(s for s in range(1000)
@@ -363,36 +394,58 @@ class TestSolveTargets:
         return radii
 
     def test_hint_miss_solves_again_at_first_radius(self, monkeypatch):
-        # ATOMIC, target (2, 0): R0 = 3. After a time of 2 the next field
-        # starts at max(2, ceil(1.05 * 2) - 1) = 2, limit 3; a time of 4
-        # misses there and is solved again at R0, limit 4. Three solves,
-        # and the miss is no regrowth.
-        fields = [EdgeField(self.seed_with_time(t), ATOMIC) for t in (2, 4)]
+        # ATOMIC, target (4, 0): guess = ceil(1.4 * 4) = 6, so R0 = 5, the
+        # least radius whose limit 2 (R0 + 1) - 4 = 8 reaches guess + 1.
+        # After a time of 4 the next field needs ceil(1.05 * 4) = 5 and
+        # starts at radius 4, limit 6; a time of 8 misses there and is
+        # solved again at R0, limit 8. Three solves, and the miss is no
+        # regrowth.
+        fields = [EdgeField(self.seed_with_time(t), ATOMIC) for t in (4, 8)]
         radii = self.count_solves(monkeypatch)
-        times, regrown = solve_targets(fields, (0, 0), [(2, 0)])
-        assert radii == [3, 2, 3]
+        times, regrown = solve_targets(fields, (0, 0), [(4, 0)])
+        assert radii == [5, 4, 5]
         assert regrown == 0
-        assert times.tolist() == [[2.0], [4.0]]
+        assert times.tolist() == [[4.0], [8.0]]
 
     def test_regrowth_beyond_first_radius_is_counted(self, monkeypatch):
-        # a time of 6 misses the hinted radius 2 and R0 = 3, so its
+        # a time of 10 misses the hinted radius 4 and R0 = 5, so its
         # diamond doubles once: one regrown field, wherever it stands
-        short, long_ = self.seed_with_time(2), self.seed_with_time(6)
+        short, long_ = self.seed_with_time(4), self.seed_with_time(10)
         radii = self.count_solves(monkeypatch)
         times, regrown = solve_targets(
-            [EdgeField(s, ATOMIC) for s in (short, long_)], (0, 0), [(2, 0)])
-        assert radii == [3, 2, 3, 6]
+            [EdgeField(s, ATOMIC) for s in (short, long_)], (0, 0), [(4, 0)])
+        assert radii == [5, 4, 5, 10]
         assert regrown == 1
-        assert times.tolist() == [[2.0], [6.0]]
+        assert times.tolist() == [[4.0], [10.0]]
         del radii[:]
         times, regrown = solve_targets(
             [EdgeField(s, ATOMIC) for s in (long_, long_, short)], (0, 0),
-            [(2, 0)])
+            [(4, 0)])
         # a later field's radius never exceeds R0, so each long field
-        # doubles from R0; after a time of 6 the short one starts at R0
-        assert radii == [3, 6, 3, 6, 3]
+        # doubles from R0; after a time of 10 the short one starts at R0
+        assert radii == [5, 10, 5, 10, 5]
         assert regrown == 2
-        assert times.tolist() == [[6.0], [6.0], [2.0]]
+        assert times.tolist() == [[10.0], [10.0], [4.0]]
+
+    @pytest.mark.parametrize("atom", [1.0, 1.6, 2.5])
+    def test_one_atom_law_is_solved_by_its_l1_distance(self, atom,
+                                                       monkeypatch):
+        # for delta_a every path to x has at least |x - s|_1 edges of
+        # weight a and a monotone path has exactly that many: no edge is
+        # hashed and no graph is built, and the times are the solver's
+        dist = point_mass(atom)
+        source, targets = (5, -3), [(17, -3), (9, 6), (-2, -11), (5, -3)]
+        fields = [EdgeField(seed, dist) for seed in (0, 3)]
+        want = [[solve(f, source, Window.square(25)).time(t)
+                 for t in targets] for f in fields]
+
+        def no_graph(*args):
+            raise AssertionError("a one-atom law built a graph")
+        monkeypatch.setattr(GridGraph, "__init__", no_graph)
+        monkeypatch.setattr(EdgeField, "weight_grids", no_graph)
+        times, regrown = solve_targets(fields, source, targets)
+        assert regrown == 0
+        assert np.array_equal(times, want)
 
     def test_batch_of_one_law(self):
         with pytest.raises(LatticeError):

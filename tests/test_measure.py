@@ -127,6 +127,12 @@ QUANTILE_LAWS = {
     "mixed": mk_distribution(atoms=[(1.0, 0.3), (3.0, 0.2)],
                              pieces=[(1.5, 2.5, 0.5)]),
     "uniform": uniform_piece(1.0, 2.0),
+    # a mass below half an ulp of its start: two cumulative starts equal
+    # in float, and u at that start lies in the later component
+    "repeated_start": mk_distribution(atoms=[(1.0, 0.5), (2.0, 1e-17),
+                                             (3.0, 0.5)]),
+    "repeated_start_mixed": mk_distribution(
+        atoms=[(1.0, 0.5), (3.0, 0.5)], pieces=[(1.5, 2.5, 1e-17)]),
 }
 
 

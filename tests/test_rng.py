@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 
 from fpplab._rng import derive_seed, fold, hash_words, mix64
+from fpplab.lattice import Diamond, Window
 
 
 def test_mix64_leaves_its_argument_unchanged():
@@ -46,3 +49,19 @@ def test_premixed_seeds_fold_to_hash_words():
         assert h[x, y] == hash_words(int(seeds[x]), y, 3)
     assert np.array_equal(keys, saved[0])
     assert np.array_equal(words[0], saved[1])
+
+
+def test_hashing_is_silent_under_strict_errstate():
+    # integer arrays wrap without a warning, and the one scalar add is a
+    # ufunc call: neither an errors-filter nor over="raise" changes a word
+    xs, ys = Window.square(9).site_words()
+    dx, dy = Diamond((3, -2), 7).site_words()
+    want = (hash_words(11, xs, ys, 1), hash_words(11, dx, dy, 0),
+            derive_seed(2**64 - 1, 7, 3), derive_seed(5, -1))
+    with warnings.catch_warnings(), np.errstate(over="raise"):
+        warnings.simplefilter("error")
+        got = (hash_words(11, xs, ys, 1), hash_words(11, dx, dy, 0),
+               derive_seed(2**64 - 1, 7, 3), derive_seed(5, -1))
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert want[2] == 0xfbc662b98e95b486
