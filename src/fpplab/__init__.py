@@ -10,13 +10,13 @@ __version__ = "0.1.0"
 
 from .measure import (ConstructionSchedule, DistributionError,
                       WeightDistribution, construct_sequence, levy_distance,
-                      mk_distribution, point_mass, q_support)
+                      mk_distribution, point_mass)
 from .lattice import (EdgeField, GridGraph, LatticeError, LatticePath,
                       PassageTimeMap, Window, ball, canonical_edge, geodesic,
                       round_site, solve)
 from .convex import (ConvexShape, GeometryError, extreme_points,
                      flat_edge_intersection, hausdorff, hull, l1_ball,
-                     predicted_flat_edge, sides)
+                     predicted_flat_edge)
 from .oriented import (OrientedError, alpha_rotated, estimate_alpha,
                        estimate_pc, oriented_cluster)
 from .shapeest import (DirectionPlan, ShapeEstimate, empirical_shape,

@@ -53,9 +53,6 @@ class ConvexShape:
     def scaled(self, c):
         return ConvexShape(tuple((c * x, c * y) for x, y in self.vertices))
 
-    def translated(self, t):
-        return _canonicalize([(x + t[0], y + t[1]) for x, y in self.vertices])
-
     def to_dict(self):
         return {"vertices": [[x, y] for x, y in self.vertices]}
 
@@ -129,10 +126,6 @@ def extreme_points(shape: ConvexShape, theta_tol=1e-9):
     n = len(v)
     return [v[i] for i in range(n)
             if _turn_angle(v[i - 1], v[i], v[(i + 1) % n]) > theta_tol]
-
-
-def sides(shape: ConvexShape, theta_tol=1e-9) -> int:
-    return len(extreme_points(shape, theta_tol))
 
 
 def _seg_point_l1(p, a, b):
@@ -220,14 +213,6 @@ def flat_edge_intersection(shape: ConvexShape, tol=1e-9,
     if predicted:
         disc = max(l1(segment[0], predicted[0]), l1(segment[1], predicted[1]))
     return FlatEdgeReport(True, segment, predicted or (), disc)
-
-
-def semicontinuity_probe(A: ConvexShape, A2: ConvexShape, eps,
-                         theta_tol=1e-9) -> bool:
-    """True iff every extreme point of A has one of A2 within l1 eps."""
-    ext2 = extreme_points(A2, theta_tol)
-    return all(min(l1(x, y) for y in ext2) < eps
-               for x in extreme_points(A, theta_tol))
 
 
 def tangent_at(shape: ConvexShape, vertex):

@@ -395,12 +395,12 @@ _RUNNERS = {"shape": _run_shape, "construct": _run_construct,
             "diagnose": _run_diagnose}
 
 
-def run(cfg, out_root=None, threads=None, echo=True) -> ResultArtifact:
+def run(cfg, out_root=None, echo=True) -> ResultArtifact:
     """Validate, dispatch and persist one experiment.
 
-    threads is an accepted hint, like the config's threads field: trials
-    run serially and the hint changes nothing. An InputError from the
-    runner is a ConfigError.
+    The config's threads field is an accepted hint: trials run serially
+    and it changes nothing. An InputError from the runner is a
+    ConfigError.
     """
     validate_config(cfg)
     h = config_hash(cfg)

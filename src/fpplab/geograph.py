@@ -39,15 +39,11 @@ def _vertices(h_mask, v_mask):
 
 @dataclass
 class InfectionGraph:
-    """Edge set of all geodesics from the origin, with Q-membership flags."""
+    """Edge set of all geodesics from the origin."""
 
     window: Window
     h_mask: np.ndarray  # (nx-1, ny): edge (x,y)-(x+1,y) present
     v_mask: np.ndarray  # (nx, ny-1): edge (x,y)-(x,y+1) present
-    hw: np.ndarray
-    vw: np.ndarray
-    qh: np.ndarray  # q_member flags, same shapes as the masks
-    qv: np.ndarray
 
     @property
     def n_edges(self) -> int:
@@ -55,16 +51,6 @@ class InfectionGraph:
 
     def vertex_count(self) -> int:
         return int(_vertices(self.h_mask, self.v_mask).sum())
-
-    def edges(self):
-        """Iterate (u, v, weight, q_member) over canonical edges."""
-        w = self.window
-        for i, j in zip(*np.nonzero(self.h_mask)):
-            u = (int(i) + w.xmin, int(j) + w.ymin)
-            yield u, (u[0] + 1, u[1]), float(self.hw[i, j]), bool(self.qh[i, j])
-        for i, j in zip(*np.nonzero(self.v_mask)):
-            u = (int(i) + w.xmin, int(j) + w.ymin)
-            yield u, (u[0], u[1] + 1), float(self.vw[i, j]), bool(self.qv[i, j])
 
 
 def infection_graph(field: EdgeField, window: Window,
@@ -74,8 +60,7 @@ def infection_graph(field: EdgeField, window: Window,
     An edge belongs iff it is an optimal incoming edge of one of its
     endpoints, i.e. the times of its endpoints differ by exactly its
     weight (ties and loops included): one of its two entries is tight
-    (GridGraph.tight). Q-membership flags mark edges whose weight falls
-    in the continuous part of the distribution.
+    (GridGraph.tight).
     """
     if ptm is None:
         ptm = solve(field, (0, 0), window)
@@ -84,12 +69,7 @@ def infection_graph(field: EdgeField, window: Window,
     tight = ptm.tight.reshape(window.shape + (4,))
     h_mask = tight[:-1, :, 3] | tight[1:, :, 0]
     v_mask = tight[:, :-1, 2] | tight[:, 1:, 1]
-    D = field.dist.ticks_per_unit
-    hw, vw = ptm.graph.th / D, ptm.graph.tv / D
-    qh = in_q_support(field.dist, hw) & h_mask
-    qv = in_q_support(field.dist, vw) & v_mask
-    return InfectionGraph(window=window, h_mask=h_mask, v_mask=v_mask,
-                          hw=hw, vw=vw, qh=qh, qv=qv)
+    return InfectionGraph(window=window, h_mask=h_mask, v_mask=v_mask)
 
 
 def check_removal_radius(window: Window, removal_radius: int):
@@ -390,17 +370,3 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
                               rho_hat=tuple(c / M for c in n_q),
                               alpha=alpha, events=ev,
                               geodesic_sites=[p.sites for p in geodesics])
-
-
-def nested_geodesic_agreement(field: EdgeField, spec: BusemannSpec,
-                              spec_far: BusemannSpec, r: int,
-                              window: Window) -> bool:
-    """Do geodesics toward two nested line scales agree on [-r, r]^2?
-
-    Finite-window probe of subsequence convergence of geodesics toward a
-    boundary direction.
-    """
-    ptm = solve(field, (0, 0), window)
-    boxes = [{s for s in _line_geodesic(ptm, sp, window).sites
-              if max(abs(s[0]), abs(s[1])) <= r} for sp in (spec, spec_far)]
-    return boxes[0] == boxes[1]

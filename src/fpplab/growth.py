@@ -14,7 +14,7 @@ import numpy as np
 
 from ._rng import derive_seed, hash_words
 from .convex import ConvexShape
-from .lattice import EdgeField, GridGraph, Window, round_site
+from .lattice import EdgeField, GridGraph, Window, _row, round_site
 from .measure import InputError, WeightDistribution
 
 NONE_OWNER = -1
@@ -55,12 +55,8 @@ class OccupancyMap:
     tie_mask: np.ndarray
 
     def owner(self, s) -> int:
-        w = self.config.window
-        return int(self.owner_grid[s[0] - w.xmin, s[1] - w.ymin])
-
-    def reach_time(self, s) -> float:
-        w = self.config.window
-        return float(self.reach_grid[s[0] - w.xmin, s[1] - w.ymin])
+        """The owner of a window site; LatticeError for one off it."""
+        return int(self.owner_grid.item(_row(self.config.window, s)))
 
     @property
     def tie_set(self):
@@ -74,9 +70,6 @@ class OccupancyMap:
         grid (its NONE_OWNER sites go to a bin of their own)."""
         return np.bincount(self.owner_grid.reshape(-1) + 1,
                            minlength=len(self.config.seeds) + 1)[1:]
-
-    def region_size(self, i) -> int:
-        return int(self.sizes[i])
 
     def region(self, i):
         w = self.config.window

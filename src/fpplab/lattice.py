@@ -458,10 +458,6 @@ class PassageTimeMap:
                 for j, u in enumerate(self.graph.neighbours[k].tolist())
                 if u != k and self.tight.item(u, 3 - j)]
 
-    def preds(self, s: Site):
-        """All optimal incoming edges of s, as canonical edge tuples."""
-        return [(u, s) if u < s else (s, u) for u in self.pred_sites(s)]
-
     def boundary_contact(self, t) -> bool:
         """True if the ball of radius t touches the window boundary."""
         g = self.grid
@@ -537,30 +533,9 @@ def _plateau_escape(ptm: PassageTimeMap, v: Site, visited):
     raise LatticeError("stuck on a zero-weight plateau at %s" % (v,))
 
 
-def geodesic(ptm: PassageTimeMap, target: Site, tie_policy="lexicographic"):
-    """A minimizing path from the source to the target.
-
-    tie_policy "lexicographic" walks predecessors choosing the smallest
-    site at every tie and returns a LatticePath. tie_policy "all" returns
-    the set of canonical edges lying on ANY geodesic from the source to
-    the target.
-    """
-    if tie_policy == "all":
-        from collections import deque
-        seen = {target}
-        edges = set()
-        q = deque([target])
-        while q:
-            v = q.popleft()
-            for e in ptm.preds(v):
-                edges.add(e)
-                u = e[0] if e[1] == v else e[1]
-                if u not in seen:
-                    seen.add(u)
-                    q.append(u)
-        return edges
-    if tie_policy != "lexicographic":
-        raise LatticeError("unknown tie policy %r" % (tie_policy,))
+def geodesic(ptm: PassageTimeMap, target: Site) -> LatticePath:
+    """A minimizing path from the source to the target, walking
+    predecessors and choosing the smallest site at every tie."""
     rev = [target]
     visited = {target}
     v = target

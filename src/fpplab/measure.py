@@ -70,9 +70,6 @@ class WeightDistribution:
     def max_support(self):
         return max([x for x, _ in self.atoms] + [b for _, b, _ in self.pieces])
 
-    def is_purely_atomic(self):
-        return not self.pieces
-
     def cdf(self, x):
         """Exact CDF value F(x) (right-continuous)."""
         f = sum(m for loc, m in self.atoms if loc <= x)
@@ -260,17 +257,9 @@ def point_mass(loc) -> WeightDistribution:
     return mk_distribution([(loc, 1.0)])
 
 
-def q_support(dist: WeightDistribution):
-    """Support intervals of the continuous part (the set Q).
-
-    Empty iff the distribution is purely atomic. Edges whose weight falls
-    in these intervals almost surely have unique weights.
-    """
-    return [(a, b) for a, b, _ in dist.pieces]
-
-
 def in_q_support(dist: WeightDistribution, w):
-    """Vectorized membership of weights in the continuous-support set."""
+    """Vectorized membership of weights in the support of the continuous
+    part (the set Q)."""
     w = np.asarray(w, dtype=float)
     member = np.zeros(w.shape, dtype=bool)
     for a, b, _ in dist.pieces:

@@ -164,11 +164,6 @@ def _grow(ps, T, trials, seed, grid=()):
     return died, r_T
 
 
-def alpha_estimates(p_values, T: int, trials: int, seed: int):
-    """estimate_alpha(p, T, trials, seed) for every p, from one growth."""
-    return alpha_and_pc(p_values, None, T, trials, seed)[0]
-
-
 def estimate_alpha(p: float, T: int, trials: int, seed: int):
     """Edge speed: (mean of r_T / T over surviving runs, stderr, dead runs).
 
@@ -176,7 +171,7 @@ def estimate_alpha(p: float, T: int, trials: int, seed: int):
     mean is over the runs that reach level T; the number of runs that
     died before it is returned with it. Raises if every run dies.
     """
-    return alpha_estimates([p], T, trials, seed)[0]
+    return alpha_and_pc([p], None, T, trials, seed)[0][0]
 
 
 def alpha_rotated(alpha_st: float) -> float:
@@ -188,15 +183,6 @@ def alpha_rotated(alpha_st: float) -> float:
     if not 0.0 <= alpha_st <= 1.0 + 1e-12:
         raise OrientedError("alpha %g outside [0, 1]" % alpha_st)
     return alpha_st / math.sqrt(2.0)
-
-
-def survival_curve(p_grid, T: int, trials: int, seed: int):
-    """Survival fractions at horizons T and 2T for each p in the grid.
-
-    One batch of runs to horizon 2T serves both horizons: a run survives
-    to T iff it has not died by level T.
-    """
-    return _survival(_grow((), T, trials, seed, p_grid)[0], T)
 
 
 def _survival(died, T):
@@ -246,8 +232,9 @@ def estimate_pc(p_grid, T: int, trials: int, seed: int,
 
 def alpha_and_pc(p_values, pc_grid, T: int, trials: int, seed: int,
                  threshold: float = 0.5):
-    """alpha_estimates(p_values, T, trials, seed) and estimate_pc(pc_grid,
-    T, trials, seed, threshold), from one growth to level 2T.
+    """estimate_alpha(p, T, trials, seed) for each p in p_values and
+    estimate_pc(pc_grid, T, trials, seed, threshold), from one growth to
+    level 2T.
 
     pc_grid may be None, and then so is the second result.
     """

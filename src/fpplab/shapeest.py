@@ -30,9 +30,9 @@ import numpy as np
 
 from ._rng import derive_seed
 from . import convex
-from .convex import ConvexShape, hull, extreme_points, hausdorff, l1
+from .convex import ConvexShape, hull, extreme_points, l1
 from .lattice import EdgeField, round_site, solve_targets
-from .measure import WeightDistribution, levy_distance
+from .measure import WeightDistribution
 
 
 class ShapeEstimateError(ValueError):
@@ -187,38 +187,6 @@ def eps_density(est, eps: float, theta_stat: float = 1e-9) -> bool:
             if min(l1(p, x) for x in ext) >= eps:
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class ContinuityProbe:
-    d_hausdorff: np.ndarray
-    d_levy: np.ndarray
-    association: float  # correlation of paired pairwise distances
-
-
-def continuity_probe(dists, plan: DirectionPlan) -> ContinuityProbe:
-    """Pairwise Hausdorff distances of empirical shapes vs Levy distances.
-
-    A positive association is the finite-sample echo of the continuity of
-    the map from measures to limit shapes.
-    """
-    if len(dists) < 2:
-        raise ShapeEstimateError("need at least 2 distributions")
-    shapes = [empirical_shape(d, plan).shape for d in dists]
-    k = len(dists)
-    dh = np.zeros((k, k))
-    dl = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            dh[i, j] = dh[j, i] = hausdorff(shapes[i], shapes[j])
-            dl[i, j] = dl[j, i] = levy_distance(dists[i], dists[j])
-    iu = np.triu_indices(k, 1)
-    hv, lv = dh[iu], dl[iu]
-    if len(hv) > 1 and hv.std() > 0 and lv.std() > 0:
-        association = float(np.corrcoef(hv, lv)[0, 1])
-    else:
-        association = math.nan
-    return ContinuityProbe(d_hausdorff=dh, d_levy=dl, association=association)
 
 
 def flat_edge_report(est: ShapeEstimate, alpha_rot: float, tol=0.02):

@@ -76,8 +76,7 @@ def edges_graph(edges, window):
         (x, y), b = min(u, v), max(u, v)
         mask = h_mask if b == (x + 1, y) else v_mask
         mask[x - window.xmin, y - window.ymin] = True
-    return InfectionGraph(window, h_mask, v_mask, hw=None, vw=None, qh=None,
-                          qv=None)
+    return InfectionGraph(window, h_mask, v_mask)
 
 
 def line_sites_loop(spec, window):

@@ -242,9 +242,9 @@ def test_criterion_12_payloads_independent_of_thread_hint(tmp_path):
                     "window": 30, "m_grid": [3, 5]}},
     ]
     for cfg in configs:
-        a = expcli.run(cfg, out_root=str(tmp_path / "t1"), threads=1,
+        a = expcli.run(dict(cfg, threads=1), out_root=str(tmp_path / "t1"),
                        echo=False)
-        b = expcli.run(cfg, out_root=str(tmp_path / "t4"), threads=4,
+        b = expcli.run(dict(cfg, threads=4), out_root=str(tmp_path / "t4"),
                        echo=False)
         assert a.payloads and len(a.payloads) == len(b.payloads)
         for pa, pb in zip(a.payloads, b.payloads):

@@ -107,8 +107,10 @@ class TestRun:
 
     def test_thread_hint_does_not_change_bytes(self, tmp_path):
         cfg = oriented_cfg([0.7, 0.8, 0.9])
-        a = run(cfg, out_root=str(tmp_path / "a"), threads=1, echo=False)
-        b = run(cfg, out_root=str(tmp_path / "b"), threads=4, echo=False)
+        a = run(dict(cfg, threads=1), out_root=str(tmp_path / "a"),
+                echo=False)
+        b = run(dict(cfg, threads=4), out_root=str(tmp_path / "b"),
+                echo=False)
         for pa, pb in zip(a.payloads, b.payloads):
             assert open(pa, "rb").read() == open(pb, "rb").read()
 

@@ -7,10 +7,9 @@ from fpplab.convex import gauge, hull, tangent_at
 from fpplab.geograph import (BusemannSpec, GeoGraphError, busemann,
                              busemann_separation, discretize_line,
                              disjointness_diagnostic, ends_estimate,
-                             infection_graph, k_lower_bound,
-                             nested_geodesic_agreement)
+                             infection_graph, k_lower_bound)
 from fpplab.lattice import EdgeField, GridGraph, Window, solve
-from fpplab.measure import mk_distribution, point_mass
+from fpplab.measure import in_q_support, mk_distribution, point_mass
 from oracles import (MIX, STAGE3, UNIF12, ZERO_ATOM, edges_graph,
                      line_sites_loop, pruned_search_times)
 
@@ -50,25 +49,27 @@ class TestInfectionGraph:
         f = EdgeField(3, MIX)
         ptm = solve(f, (0, 0), w)
         g = infection_graph(f, w, ptm=ptm)
-        for u, v, wt, _ in g.edges():
-            ticks = MIX.quantile(f.edge_uniform((u, v)), ticks=True)
-            assert wt == ticks / MIX.ticks_per_unit
-            tu, tv = ptm.tick_time(u), ptm.tick_time(v)
-            assert tu + ticks == tv or tv + ticks == tu
-
-    def test_q_flags(self):
-        w = Window.square(6)
-        f = EdgeField(1, MIX)
-        g = infection_graph(f, w)
-        for u, v, wt, q in g.edges():
-            assert q == (1.1 <= wt < 1.3)
+        grids = f.weight_grids(w, ticks=True)
+        for mask, grid, step in zip((g.h_mask, g.v_mask), grids,
+                                    ((1, 0), (0, 1))):
+            assert mask.any()
+            for i, j in zip(*np.nonzero(mask)):
+                u = (int(i) + w.xmin, int(j) + w.ymin)
+                v = (u[0] + step[0], u[1] + step[1])
+                ticks = MIX.quantile(f.edge_uniform((u, v)), ticks=True)
+                assert grid[i, j] == ticks
+                tu, tv = ptm.tick_time(u), ptm.tick_time(v)
+                assert tu + ticks == tv or tv + ticks == tu
 
     def test_q_edges_have_distinct_weights(self):
         w = Window.square(12)
         for seed in range(5):
-            g = infection_graph(EdgeField(seed, MIX), w)
-            q_weights = [wt for _, _, wt, q in g.edges() if q]
-            assert len(q_weights) == len(set(q_weights))
+            f = EdgeField(seed, MIX)
+            g = infection_graph(f, w)
+            ticks = np.concatenate([grid[mask] for mask, grid in zip(
+                (g.h_mask, g.v_mask), f.weight_grids(w, ticks=True))])
+            q = ticks[in_q_support(MIX, ticks / MIX.ticks_per_unit)]
+            assert len(q) and len(q) == len(np.unique(q))
 
 
 class TestEnds:
@@ -328,13 +329,3 @@ class TestDiagnostics:
             disjointness_diagnostic(f, ts, 10, 5, w)  # m >= M
         with pytest.raises(GeoGraphError):
             disjointness_diagnostic(f, ts, 5, 25, w)  # M >= half-width
-
-    def test_nested_agreement_near_origin(self):
-        w = Window.square(40)
-        f = EdgeField(5, UNIF12)
-        near = BusemannSpec(v=(1.0, 0.0), w=(0.0, 1.0), n=25)
-        far = BusemannSpec(v=(1.0, 0.0), w=(0.0, 1.0), n=35)
-        # the probe returns a boolean; with r tiny the geodesics share at
-        # least the origin box
-        assert isinstance(nested_geodesic_agreement(f, near, far, 2, w),
-                          bool)

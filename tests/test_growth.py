@@ -7,7 +7,7 @@ from fpplab._rng import derive_seed
 from fpplab.convex import hull, l1_ball
 from fpplab.growth import (CompetitionConfig, GrowthError, NONE_OWNER,
                            coexistence_stats, compete, place_seeds)
-from fpplab.lattice import EdgeField, GridGraph, Window
+from fpplab.lattice import EdgeField, GridGraph, LatticeError, Window
 from fpplab.measure import mk_distribution, point_mass
 from oracles import UNIF12
 
@@ -55,7 +55,15 @@ class TestCompete:
         occ = compete(cfg([(-3, 0), (3, 0)], W=6))
         assert occ.owner((-3, 0)) == 0
         assert occ.owner((3, 0)) == 1
-        assert occ.reach_time((-3, 0)) == 0.0
+        assert occ.reach_grid[3, 6] == 0.0  # (-3, 0) on [-6, 6]^2
+
+    def test_owner_refuses_off_window_site(self):
+        # a site off the window is refused, not wrapped through a
+        # negative index onto a site of the window
+        occ = compete(cfg([(-3, 0), (3, 0)], W=4))
+        for s in ((-12, 0), (0, -6), (5, 0), (0, 5)):
+            with pytest.raises(LatticeError):
+                occ.owner(s)
 
     def test_unit_weights_tie_line(self):
         # symmetric seeds under unit weights: the bisector column ties
@@ -131,7 +139,7 @@ class TestCoexistence:
         for t in range(4):
             occ = compete(cfg(c.seeds, W=10, dist=atomic,
                               seed=derive_seed(4, t)))
-            assert res.sizes[t] == tuple(occ.region_size(i)
+            assert res.sizes[t] == tuple(len(occ.region(i))
                                          for i in range(3))
             assert res.ties[t] == len(occ.tie_set)
             assert res.survivals[t] == occ.survivors(10)

@@ -6,10 +6,9 @@ import pytest
 from fpplab import oriented
 from fpplab._rng import derive_seed, hash_words
 from fpplab.expcli import run
-from fpplab.oriented import (OrientedError, _bonds, _grow, _threshold,
-                             alpha_and_pc, alpha_estimates, alpha_rotated,
-                             estimate_alpha, estimate_pc, oriented_cluster,
-                             survival_curve)
+from fpplab.oriented import (OrientedError, _bonds, _grow, _survival,
+                             _threshold, alpha_and_pc, alpha_rotated,
+                             estimate_alpha, estimate_pc, oriented_cluster)
 
 
 def reference(p, T, trials, seed):
@@ -57,7 +56,7 @@ class TestCluster:
         with pytest.raises(OrientedError):
             oriented_cluster(0.5, 0, 0)
         with pytest.raises(OrientedError):
-            alpha_estimates([0.5, 1.5], 10, 5, 0)
+            alpha_and_pc([0.5, 1.5], None, 10, 5, 0)
 
 
 class TestBatched:
@@ -91,7 +90,7 @@ class TestBatched:
 
     def test_alpha_estimates_match_single_calls(self):
         ps = [0.7, 0.8, 1.0]
-        assert alpha_estimates(ps, 80, 30, 2) == [
+        assert alpha_and_pc(ps, None, 80, 30, 2)[0] == [
             estimate_alpha(p, 80, 30, 2) for p in ps]
 
 
@@ -201,7 +200,7 @@ class TestAlpha:
 class TestCritical:
     def test_survival_monotone_in_p(self):
         grid = [0.55, 0.65, 0.75]
-        s_T, s_2T = survival_curve(grid, 100, 200, seed=7)
+        s_T, s_2T = _survival(_grow((), 100, 200, 7, grid)[0], 100)
         assert np.all(np.diff(s_T) >= 0)
         # longer horizon can only lose clusters
         assert np.all(s_2T <= s_T + 1e-12)
@@ -233,7 +232,8 @@ class TestOneGrowth:
     def test_equals_separate_calls(self, grid):
         T, trials, seed = 80, 120, 4
         alphas, pc = alpha_and_pc(self.PS, grid, T, trials, seed)
-        assert alphas == alpha_estimates(self.PS, T, trials, seed)
+        assert alphas == [estimate_alpha(p, T, trials, seed)
+                          for p in self.PS]
         alone = estimate_pc(grid, T, trials, seed)
         for key in ("p_hat", "crossing_T", "crossing_2T", "p_grid"):
             assert getattr(pc, key) == getattr(alone, key)
@@ -244,7 +244,7 @@ class TestOneGrowth:
     def test_without_a_grid(self, ps):
         alphas, pc = alpha_and_pc(ps, None, 60, 40, 3)
         assert pc is None
-        assert alphas == alpha_estimates(ps, 60, 40, 3)
+        assert alphas == [estimate_alpha(p, 60, 40, 3) for p in ps]
 
     @pytest.mark.parametrize("grid", [(), (0.65,)])
     def test_grid_too_short_refused_as_alone(self, grid):

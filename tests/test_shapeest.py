@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 from fpplab._rng import derive_seed
 from fpplab.convex import hausdorff, l1_ball
 from fpplab.lattice import EdgeField, Window, round_site, solve
-from fpplab.measure import mk_distribution, point_mass
+from fpplab.measure import levy_distance, mk_distribution, point_mass
 from fpplab.shapeest import (DirectionPlan, ShapeEstimateError,
-                             continuity_probe, empirical_shape, eps_density,
-                             sides_estimate, time_constant)
+                             empirical_shape, eps_density, sides_estimate,
+                             time_constant)
 from oracles import EPS_ATOM, UNIF12, ZERO_ATOM
 
 
@@ -138,16 +139,15 @@ class TestShapeStatistics:
         assert not eps_density(l1_ball(1.0), eps=0.5)
 
     def test_continuity_association(self):
+        # closer measures give closer shapes on this spread-out family:
+        # the shapes' pairwise Hausdorff distances correlate positively
+        # with the measures' Levy distances
         plan = DirectionPlan.default(D=5, n=40, trials=2, seed=6)
         dists = [point_mass(1.0),
                  mk_distribution(atoms=[(1.0, 0.5), (1.2, 0.5)]),
                  mk_distribution(atoms=[(1.0, 0.5), (2.0, 0.5)])]
-        probe = continuity_probe(dists, plan)
-        assert probe.d_hausdorff.shape == (3, 3)
-        assert np.all(np.diag(probe.d_hausdorff) == 0)
-        # closer measures give closer shapes on this spread-out family
-        assert probe.association > 0
-
-    def test_needs_two_dists(self):
-        with pytest.raises(ShapeEstimateError):
-            continuity_probe([point_mass(1.0)], DirectionPlan.default())
+        shapes = [empirical_shape(d, plan).shape for d in dists]
+        pairs = list(itertools.combinations(range(3), 2))
+        dh = [hausdorff(shapes[i], shapes[j]) for i, j in pairs]
+        dl = [levy_distance(dists[i], dists[j]) for i, j in pairs]
+        assert np.corrcoef(dh, dl)[0, 1] > 0

@@ -131,7 +131,8 @@ class TestFractionOracle:
                 assert (s in occ.tie_set) == (len(winners) > 1)
                 assert occ.owner(s) == (winners[0] if len(winners) == 1
                                         else NONE_OWNER)
-                assert occ.reach_time(s) == float(min(times))
+                assert occ.reach_grid.item(self.W.index(s)) == float(
+                    min(times))
             ties += len(occ.tie_set)
         assert ties > 0
 
