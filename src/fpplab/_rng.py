@@ -56,7 +56,7 @@ def fold(h, w):
     """
     w = np.asarray(w)
     # the ufunc wraps silently, where + on two numpy scalars would warn
-    h = np.add(h, _GOLDEN) ^ w.astype(np.int64).view(np.uint64)
+    h = np.add(h, _GOLDEN) ^ w.astype(np.int64, copy=False).view(np.uint64)
     # h is a fresh result here; scalars keep the cheaper mix64
     return _mix64_owned(h) if h.ndim else mix64(h)
 

@@ -50,9 +50,6 @@ class ConvexShape:
                 return False
         return True
 
-    def scaled(self, c):
-        return ConvexShape(tuple((c * x, c * y) for x, y in self.vertices))
-
     def to_dict(self):
         return {"vertices": [[x, y] for x, y in self.vertices]}
 

@@ -39,7 +39,7 @@ from .geograph import (BusemannSpec, busemann_separation,
                        disjointness_diagnostic, ends_estimate,
                        infection_graph)
 from .growth import TIE_POLICIES, CompetitionConfig, coexistence_stats
-from .lattice import EdgeField, Window
+from .lattice import EdgeField, Window, shared_topology
 from .measure import (ConstructionSchedule, InputError, WeightDistribution,
                       construct_sequence, levy_distance)
 from .oriented import alpha_and_pc, alpha_rotated
@@ -399,8 +399,9 @@ def run(cfg, out_root=None, echo=True) -> ResultArtifact:
     """Validate, dispatch and persist one experiment.
 
     The config's threads field is an accepted hint: trials run serially
-    and it changes nothing. An InputError from the runner is a
-    ConfigError.
+    and it changes nothing. The run's graphs of one domain share their
+    topology (lattice.shared_topology). An InputError from the runner is
+    a ConfigError.
     """
     validate_config(cfg)
     h = config_hash(cfg)
@@ -409,7 +410,8 @@ def run(cfg, out_root=None, echo=True) -> ResultArtifact:
     out_dir = os.path.join(root, "%s-%s" % (kind, h[:12]))  # made on write
     t0 = time.monotonic()
     try:
-        payloads, figures, summary = _RUNNERS[kind](cfg, out_dir)
+        with shared_topology():
+            payloads, figures, summary = _RUNNERS[kind](cfg, out_dir)
     except InputError as e:
         raise ConfigError("config refused for kind %s: %s" % (kind, e))
     except Exception as e:

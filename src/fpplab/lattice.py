@@ -3,7 +3,8 @@
 Edge weights are a pure function of (seed, canonical edge): a keyed
 counter-based hash of the edge coordinates produces a uniform variate
 which is pushed through the distribution's inverse CDF. Fields can
-therefore be shared, queried lazily and reproduced bit-identically.
+therefore be shared, queried lazily, weighed in blocks of sites and
+reproduced bit-identically.
 
 Solves run on integer ticks. Every weight is a whole number of ticks of
 its law (measure.WeightDistribution.ticks_per_unit, D), and Dijkstra adds
@@ -18,9 +19,13 @@ ticks is refused before anything is allocated (check_domain).
 A domain is a Window (an axis-aligned rectangle) or a Diamond (an l1
 ball, whose rows have ragged y-ranges). Both number their sites row
 after row, and each site owns its edges to the right and above, so one
-assembly builds the CSR adjacency of either from per-site arrays: four
-int32 entries per site, a zero-weight self-loop standing for a
-neighbour off the domain, written directly with no COO stage.
+assembly builds the CSR adjacency of either: four entries per site, a
+zero-weight self-loop standing for a neighbour off the domain, written
+directly with no COO stage. The CSR's int32 indices and its indptr
+depend on the domain alone. They are made once and shared, read-only,
+by the graphs of equal domains that a run builds (shared_topology), so
+a build allocates one fresh array, the CSR data, into which
+EdgeField.weight_grids hashes the weights block by block.
 Single-source passage times are solved with Dijkstra (scipy's compiled
 implementation). Every optimal incoming edge of a site, ties included, is
 a tight entry into it, so tie unions (the infection graph) stay
@@ -38,6 +43,7 @@ batch sizes each field's diamond from the times solved before it. A
 one-atom law needs no solve.
 """
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -53,6 +59,12 @@ from ._rng import hash_words, uniform01
 from .measure import TICK_LIMIT, InputError, WeightDistribution
 
 Site = tuple  # (x, y) integer lattice coordinates
+
+
+# Sites per block of EdgeField.weight_grids: a block's hash, uniform
+# and quantile temporaries, two axes of 8 B per site, stay at 128 KiB,
+# which malloc reuses from block to block and the cache holds.
+_BLOCK = 8192
 
 
 class LatticeError(ValueError):
@@ -76,8 +88,30 @@ def canonical_edge(u: Site, v: Site):
     return (u, v) if u < v else (v, u)
 
 
+class _Rows:
+    """Sites numbered row after row, y ascending within a row: row i holds
+    the sites (xmin + i, y), ylo[i] <= y <= yhi[i], of rows()."""
+
+    def site_words(self, lo=0, hi=None):
+        """Coordinates (x, y) of the sites lo .. hi - 1 (every site by
+        default), as flat int64 arrays in index order."""
+        hi = self.n_sites if hi is None else hi
+        ylo, yhi = self.rows()
+        lens = yhi - ylo + 1
+        ends = np.cumsum(lens)
+        # the rows i0 .. i1 - 1 that hold the sites lo .. hi - 1, and how
+        # many of them each holds; site k of row i has y = k - base[i]
+        i0, i1 = np.searchsorted(ends, (lo, hi - 1), side="right") + (0, 1)
+        span = slice(i0, i1)
+        counts = (np.minimum(ends[span], hi)
+                  - np.maximum(ends[span] - lens[span], lo))
+        base = ends[span] - yhi[span] - 1
+        return (np.repeat(np.arange(self.xmin + i0, self.xmin + i1), counts),
+                np.arange(lo, hi) - np.repeat(base, counts))
+
+
 @dataclass(frozen=True)
-class Window:
+class Window(_Rows):
     """Finite axis-aligned rectangle of lattice sites.
 
     The standard window is the centered square [-W, W]^2; rectangular
@@ -125,12 +159,6 @@ class Window:
         """(ylo, yhi): the y-range of each row x = xmin + i."""
         return np.full(self.nx, self.ymin), np.full(self.nx, self.ymax)
 
-    def site_words(self):
-        """Coordinates (x, y) of its sites, as words that broadcast to the
-        (nx, ny) shape of per-site arrays."""
-        return (np.arange(self.xmin, self.xmax + 1)[:, None],
-                np.arange(self.ymin, self.ymax + 1)[None, :])
-
     def contains(self, s: Site) -> bool:
         return self.xmin <= s[0] <= self.xmax and self.ymin <= s[1] <= self.ymax
 
@@ -166,7 +194,7 @@ def _row_ends(starts, before, after):
 
 
 @dataclass(frozen=True)
-class Diamond:
+class Diamond(_Rows):
     """The l1 ball |x - cx| + |y - cy| <= radius of sites.
 
     Its rows are ragged: row i holds the sites (cx - radius + i, y) of its
@@ -202,14 +230,6 @@ class Diamond:
         """(ylo, yhi): the y-range of each row x = xmin + i."""
         half = self.radius - np.abs(np.arange(-self.radius, self.radius + 1))
         return self.center[1] - half, self.center[1] + half
-
-    def site_words(self):
-        """Coordinates (x, y) of its sites, flat, in index order."""
-        ylo, yhi = self.rows()
-        lens = yhi - ylo + 1
-        starts = np.cumsum(lens) - lens
-        return (np.repeat(self.xmin + np.arange(len(lens)), lens),
-                np.arange(self.n_sites) - np.repeat(starts - ylo, lens))
 
     def contains(self, s: Site) -> bool:
         return (abs(s[0] - self.center[0]) + abs(s[1] - self.center[1])
@@ -247,26 +267,38 @@ class EdgeField:
         e = canonical_edge(u, v) if v is not None else u
         return float(self.dist.quantile(self.edge_uniform(e)))
 
-    def weight_grids(self, window, ticks=False):
+    def weight_grids(self, window, ticks=False, out=None):
         """Vectorized weights of all edges of a Window or a Diamond, in
         real units, or in ticks (whole numbers in float64) with ticks=True.
 
         Each site owns its edges to (x + 1, y) and to (x, y + 1), leaving
-        the domain or not. One hash call, which folds x and y once for
-        both, and one quantile call weigh them into the per-site arrays,
-        of shape (2,) + window.shape. Returns (hw, vw), views of them: on
-        a Diamond the flat per-site arrays themselves; on a Window the
-        grids without the edges that leave it, where hw[i, j] is the
-        weight of the edge from site (xmin+i, ymin+j) to (xmin+i+1,
-        ymin+j) and vw[i, j] of the edge to (xmin+i, ymin+j+1).
+        the domain or not. They are weighed into two per-site arrays,
+        right and up, in blocks of at most _BLOCK sites: one hash call
+        and one quantile call per block, so that every temporary stays
+        small. out = (right, up), two writable arrays of n_sites entries
+        of any stride (GridGraph passes two slots of its CSR data),
+        receives them; by default one (2,) + window.shape array is made.
+        Returns (hw, vw), views of right and up: on a Diamond the flat
+        per-site arrays themselves; on a Window the grids without the
+        edges that leave it, where hw[i, j] is the weight of the edge
+        from site (xmin+i, ymin+j) to (xmin+i+1, ymin+j) and vw[i, j] of
+        the edge to (xmin+i, ymin+j+1).
         """
-        x, y = window.site_words()
-        axis = np.arange(2).reshape((2,) + (1,) * np.ndim(x))
-        w = self.dist.quantile(uniform01(hash_words(self.seed, x, y, axis)),
-                               ticks=ticks)
+        n = window.n_sites
+        if out is None:
+            right, up = np.empty((2, n))
+        else:
+            right, up = out
+        axis = np.arange(2)[:, None]
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            x, y = window.site_words(lo, hi)
+            right[lo:hi], up[lo:hi] = self.dist.quantile(
+                uniform01(hash_words(self.seed, x, y, axis)), ticks=ticks)
         if isinstance(window, Window):
-            return w[0, :-1], w[1, :, :-1]
-        return w[0], w[1]
+            return (right.reshape(window.shape)[:-1],
+                    up.reshape(window.shape)[:, :-1])
+        return right, up
 
 
 def check_domain(dist: WeightDistribution, domain):
@@ -294,26 +326,19 @@ def _row(domain, s: Site) -> int:
     return domain.index(s)
 
 
-class GridGraph:
-    """Adjacency of one field on a Window or a Diamond, in ticks,
-    reusable across many solves.
+class _Topology:
+    """The part of a GridGraph's CSR that depends on its domain alone,
+    shared, read-only, by the graphs of equal domains (shared_topology).
 
-    th, tv are the field's weight grids in ticks. Row k of the CSR holds
-    four entries from 4 k on, its neighbours (x - 1, y), (x, y - 1),
-    (x, y + 1), (x + 1, y) in this order; one off the domain is a
-    zero-weight self-loop, which no solve can use. Solves return times in
-    ticks of the field's law (measure.WeightDistribution.ticks_per_unit).
+    indices, the (n, 4) neighbour table flat, and indptr are the CSR's
+    own; missing[s] lists the sites whose neighbour in slot s is off the
+    domain, where indices holds a self-loop.
     """
 
-    def __init__(self, field: EdgeField, window):
-        check_domain(field.dist, window)
-        self.field = field
-        self.window = window
-        self.th, self.tv = field.weight_grids(window, ticks=True)
-        n = window.n_sites
-        # the per-site arrays, which both grids view
-        right_w, up_w = self.th.base.reshape(2, n)
-        ylo, yhi = window.rows()
+    def __init__(self, domain):
+        self.domain = domain
+        n = domain.n_sites
+        ylo, yhi = domain.rows()
         lens = yhi - ylo + 1
         starts = np.r_[0, np.cumsum(lens)]
         # site (xmin + i, y) is k = base[i] + y; its left and right
@@ -322,29 +347,104 @@ class GridGraph:
         left = np.diff(base, prepend=base[0]).astype(np.int32)
         right = np.diff(base, append=base[-1]).astype(np.int32)
         lo, hi = _shared(ylo, yhi)
-        # the sites whose neighbour in slot s is off the domain: a row's
-        # ends beyond the y-range it shares with the row beside it, or
-        # its first and its last site
-        missing = (
+        # a row's ends beyond the y-range it shares with the row beside
+        # it, or its first and its last site
+        self.missing = (
             _row_ends(starts, np.r_[lens[0], lo - ylo[1:]],
                       np.r_[0, yhi[1:] - hi]),
             starts[:-1], starts[1:] - 1,
             _row_ends(starts, np.r_[lo - ylo[:-1], lens[-1]],
                       np.r_[yhi[:-1] - hi, 0]))
         nbr4 = np.empty((n, 4), dtype=np.int32)
-        wt4 = np.empty((n, 4))
         k = np.arange(n, dtype=np.int32)
         steps = (-np.repeat(left, lens), -1, 1, np.repeat(right, lens))
         for s, step in enumerate(steps):
             np.add(k, step, out=nbr4[:, s])
-            nbr4[missing[s], s] = missing[s]
+            nbr4[self.missing[s], s] = self.missing[s]
+        self.indices = nbr4.reshape(-1)
+        self.indptr = np.arange(0, 4 * n + 1, 4, dtype=np.int32)
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
+
+
+# The topology of the latest build inside shared_topology(), and how many
+# such blocks are open. Only memory depends on them: each graph gets the
+# topology of its own domain either way.
+_held = None
+_depth = 0
+
+
+def _topology(domain):
+    global _held
+    if _held is not None and _held.domain == domain:
+        return _held
+    _held = None  # freed before the next is built, unless a graph holds it
+    topo = _Topology(domain)
+    if _depth:
+        _held = topo
+    return topo
+
+
+@contextlib.contextmanager
+def shared_topology():
+    """Within this block, graphs of an equal domain built one after the
+    other, such as the trials of a run (expcli.run opens one per run),
+    share one topology, even when each graph is freed before the next
+    is built. The latest is held until a graph of another domain is
+    built, or until the outermost such block ends, so that the work
+    after it does not carry the topology along. Outside, every graph
+    makes its own.
+    """
+    global _depth, _held
+    _depth += 1
+    try:
+        yield
+    finally:
+        _depth -= 1
+        if not _depth:
+            _held = None
+
+
+class GridGraph:
+    """Adjacency of one field on a Window or a Diamond, in ticks,
+    reusable across many solves.
+
+    Row k of the CSR holds four entries from 4 k on, its neighbours
+    (x - 1, y), (x, y - 1), (x, y + 1), (x + 1, y) in this order; one off
+    the domain is a zero-weight self-loop, which no solve can use. The
+    CSR's indices and indptr depend on the domain alone, and the graphs
+    of equal domains in a run share them, read-only (shared_topology).
+    Beyond them a build allocates one fresh array, the CSR data:
+    EdgeField.weight_grids weighs each site's right and up edges
+    straight into slots 3 and 2, and slots 0 and 1 are copied from them.
+    th, tv are the field's weight grids in ticks, views of slots 3 and 2
+    (EdgeField.weight_grids); on a Diamond an edge off the domain reads
+    0 there. Solves return times in ticks of the field's law
+    (measure.WeightDistribution.ticks_per_unit).
+    """
+
+    def __init__(self, field: EdgeField, window):
+        check_domain(field.dist, window)
+        self.field = field
+        self.window = window
+        n = window.n_sites
+        # the topology, which may outlive this graph, is made before the
+        # data, so that the data freed with the graph leaves no hole in
+        # the heap below a live topology
+        topo = _topology(window)
+        wt4 = np.empty((n, 4))
+        self.th, self.tv = field.weight_grids(window, ticks=True,
+                                              out=(wt4[:, 3], wt4[:, 2]))
+        # slot 0 is the left neighbour's edge right, gathered in blocks;
+        # slot 1 the edge up of the site below
+        left = topo.indices[0::4]
+        for lo in range(0, n, _BLOCK):
+            k = slice(lo, lo + _BLOCK)
+            wt4[k, 0] = wt4[left[k], 3]
+        wt4[1:, 1] = wt4[:-1, 2]
         # zero weights stay as explicit entries
-        wt4[:, 0] = right_w[nbr4[:, 0]]  # the left neighbour's edge right
-        wt4[1:, 1], wt4[:, 2], wt4[:, 3] = up_w[:-1], up_w, right_w
-        for s, m in enumerate(missing):
+        for s, m in enumerate(topo.missing):
             wt4[m, s] = 0
-        indptr = np.arange(0, 4 * n + 1, 4, dtype=np.int32)
-        self._csr = csr_matrix((wt4.reshape(-1), nbr4.reshape(-1), indptr),
+        self._csr = csr_matrix((wt4.reshape(-1), topo.indices, topo.indptr),
                                shape=(n, n))
 
     def distances(self, source: Site, limit=None):
@@ -486,7 +586,7 @@ def solve(field: EdgeField, source: Site, window: Window,
 
 @dataclass(frozen=True)
 class LatticePath:
-    """Sequence of adjacent sites; weight is the sum of its edge weights."""
+    """Sequence of adjacent sites."""
 
     sites: tuple
 
@@ -500,9 +600,6 @@ class LatticePath:
 
     def edges(self):
         return [canonical_edge(a, b) for a, b in zip(self.sites, self.sites[1:])]
-
-    def weight(self, field: EdgeField) -> float:
-        return sum(field.edge_weight(e) for e in self.edges())
 
 
 def _plateau_escape(ptm: PassageTimeMap, v: Site, visited):

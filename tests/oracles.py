@@ -4,7 +4,8 @@ The two passage-time oracles return a dict site -> minimal passage time
 from the source within the window, using only EdgeField.edge_weight.
 line_sites_loop is the scalar reference of geograph.discretize_line, and
 random_owners_loop that of growth.compete's random tie policy.
-edges_graph builds a hand-made infection graph from an edge list.
+edges_graph builds a hand-made infection graph from an edge list, and
+path_weight sums a path's edge weights.
 """
 
 import numpy as np
@@ -65,6 +66,12 @@ def pruned_search_times(field, window, source):
                 best[nb] = c
                 stack.append((nb, c))
     return best
+
+
+def path_weight(field, path):
+    """The sum of the edge weights of a LatticePath, in its order."""
+    return sum(field.edge_weight(a, b)
+               for a, b in zip(path.sites, path.sites[1:]))
 
 
 def edges_graph(edges, window):

@@ -203,7 +203,3 @@ class TestSerialization:
         h = hull([(0, 0), (2, 0), (2, 1), (0, 1)])
         h2 = ConvexShape.from_dict(h.to_dict())
         assert h2.vertices == h.vertices
-
-    def test_scaled(self):
-        b = l1_ball(1.0).scaled(3.0)
-        assert gauge(b, (3.0, 0.0)) == pytest.approx(1.0)

@@ -302,7 +302,7 @@ class TestDiagnostics:
         # gauge and the field's own edge weights
         w = Window.square(60)
         m, M = 10, 40
-        shape = OCTAGON.scaled(1.2)
+        shape = hull([(1.2 * x, 1.2 * y) for x, y in OCTAGON.vertices])
         for seed in (4, 5):
             f = EdgeField(seed, MIX)
             rep = disjointness_diagnostic(f, self.four_targets(45), m, M, w,

@@ -6,14 +6,15 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
-from fpplab._rng import hash_words
+from fpplab._rng import hash_words, uniform01
 from fpplab.lattice import (Diamond, DomainError, EdgeField, GridGraph,
                             LatticeError, LatticePath, Window, ball,
                             canonical_edge, check_domain, geodesic,
-                            monotone_upper_bounds, round_site, solve,
-                            solve_targets)
+                            monotone_upper_bounds, round_site,
+                            shared_topology, solve, solve_targets)
 from fpplab.measure import mk_distribution, point_mass
-from oracles import EPS_ATOM, MIX, STAGE3, UNIF12, ZERO_ATOM, exhaustive_times
+from oracles import (EPS_ATOM, MIX, STAGE3, UNIF12, ZERO_ATOM, exhaustive_times,
+                     path_weight)
 
 ATOMIC = mk_distribution(atoms=[(1.0, 0.8), (3.0, 0.2)])
 
@@ -100,6 +101,46 @@ class TestEdgeField:
                 assert fast.shape == full.shape
                 assert np.array_equal(fast, full)
 
+    # more sites than one block of weight_grids (8192), in rows whose
+    # lengths do not divide it, so that blocks end inside rows
+    BLOCKS = (Window(-40, 60, -50, 49), Diamond((2, -3), 70))
+
+    @pytest.mark.parametrize("domain", BLOCKS, ids=["window", "diamond"])
+    def test_site_words_of_blocks(self, domain):
+        xs, ys = np.array(domain_sites(domain)).T
+        x, y = domain.site_words()
+        assert np.array_equal(x, xs) and np.array_equal(y, ys)
+        for lo, hi in ((0, 1), (99, 8291), (8192, domain.n_sites),
+                       (5000, 5001)):
+            x, y = domain.site_words(lo, hi)
+            assert np.array_equal(x, xs[lo:hi])
+            assert np.array_equal(y, ys[lo:hi])
+
+    @pytest.mark.parametrize("domain", BLOCKS, ids=["window", "diamond"])
+    def test_weight_grids_out_matches_whole_domain_hash(self, domain):
+        # one hash and one quantile call over every site at once is the
+        # reference; the blocks, into the default arrays or into two
+        # strided slots of out, must match it bit for bit
+        xs, ys = np.array(domain_sites(domain)).T
+        n = domain.n_sites
+        for seed, dist in enumerate((UNIF12, MIX, EPS_ATOM, ZERO_ATOM,
+                                     STAGE3)):
+            f = EdgeField(seed, dist)
+            u = uniform01(hash_words(seed, xs, ys, np.arange(2)[:, None]))
+            for ticks in (False, True):
+                want = dist.quantile(u, ticks=ticks)
+                wt4 = np.full((n, 4), np.nan)
+                got = f.weight_grids(domain, ticks=ticks,
+                                     out=(wt4[:, 3], wt4[:, 2]))
+                plain = f.weight_grids(domain, ticks=ticks)
+                assert np.array_equal(wt4[:, 3], want[0])
+                assert np.array_equal(wt4[:, 2], want[1])
+                assert np.isnan(wt4[:, :2]).all()
+                for g, p in zip(got, plain):
+                    assert np.shares_memory(g, wt4)
+                    assert g.shape == p.shape
+                    assert np.array_equal(g, p)
+
     def test_atom_frequency(self):
         # binomial check on a large batch of edges: the atom at 1 carries
         # mass 0.2, so the hit fraction must match to 3 sigma
@@ -170,7 +211,8 @@ class TestGeodesics:
             t = (9, -6)
             path = geodesic(ptm, t)
             assert path.sites[0] == (0, 0) and path.sites[-1] == t
-            assert path.weight(f) == pytest.approx(ptm.time(t), abs=1e-12)
+            assert path_weight(f, path) == pytest.approx(ptm.time(t),
+                                                         abs=1e-12)
 
     def test_zero_atom_plateau(self):
         d = mk_distribution(atoms=[(0.0, 0.4), (1.0, 0.6)])
@@ -179,7 +221,7 @@ class TestGeodesics:
             f = EdgeField(seed, d)
             ptm = solve(f, (0, 0), w)
             path = geodesic(ptm, (6, 2))
-            assert path.weight(f) == ptm.time((6, 2))
+            assert path_weight(f, path) == ptm.time((6, 2))
 
 
 class TestBall:
@@ -523,6 +565,68 @@ class TestGraphBuild:
                             indices=[w.index(s) for s in targets])
             assert np.array_equal(g.distance_to_set(targets),
                                   want.reshape(w.shape))
+
+    @pytest.mark.parametrize("domain", [Window.square(100),
+                                        Diamond((3, -2), 150)],
+                             ids=["window", "diamond"])
+    def test_build_allocates_only_its_csr_data(self, domain):
+        # with its domain's topology held, a build keeps one fresh array,
+        # the 4 float64 CSR entries of each site, and its temporaries
+        # stay within as much again
+        n = domain.n_sites
+        with shared_topology():
+            for dist in (STAGE3, UNIF12):
+                first = GridGraph(EdgeField(0, dist), domain)
+                tracemalloc.start()
+                try:
+                    g = GridGraph(EdgeField(1, dist), domain)
+                    kept, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert 32 * n <= kept <= 32 * n + (64 << 10)
+                assert peak <= 64 * n
+                assert np.shares_memory(g._csr.indices, first._csr.indices)
+                del first, g
+
+    def test_equal_domains_share_a_read_only_topology(self):
+        for domain, other in ((Window(-5, 7, 2, 9), Window(-5, 7, 2, 10)),
+                              (Diamond((1, 1), 6), Diamond((1, 2), 6))):
+            with shared_topology():
+                a = GridGraph(EdgeField(0, UNIF12), domain)
+                b = GridGraph(EdgeField(1, STAGE3), domain)
+                c = GridGraph(EdgeField(0, UNIF12), other)
+            assert np.shares_memory(a._csr.indices, b._csr.indices)
+            assert np.shares_memory(a._csr.indptr, b._csr.indptr)
+            assert not np.shares_memory(a._csr.indices, c._csr.indices)
+            assert not np.shares_memory(a._csr.data, b._csr.data)
+            for array in (b._csr.indices, b._csr.indptr, b.neighbours):
+                with pytest.raises(ValueError):
+                    array[0] = 1
+            # outside the block each graph makes its own, equal, topology
+            d = GridGraph(EdgeField(1, STAGE3), domain)
+            assert not np.shares_memory(b._csr.indices, d._csr.indices)
+            assert np.array_equal(b._csr.indices, d._csr.indices)
+            assert np.array_equal(b.distances((1, 3)), d.distances((1, 3)))
+
+    def test_shared_topology_holds_it_between_builds(self):
+        # a graph freed before the next is built leaves its topology
+        # held; the neighbour table kept here keeps its memory from
+        # being reused by a new one
+        domain = Diamond((0, 0), 5)
+
+        def table(d):
+            return GridGraph(EdgeField(0, UNIF12), d)._csr.indices
+
+        with shared_topology():
+            first = table(domain)
+            with shared_topology():
+                assert np.shares_memory(table(domain), first)
+            assert np.shares_memory(table(domain), first)
+            table(Window.square(3))  # another domain lets it go
+            again = table(domain)
+            assert not np.shares_memory(again, first)
+        # and so does leaving the outermost block
+        assert not np.shares_memory(table(domain), again)
 
     def test_diamond_boundary_is_its_l1_sphere(self):
         d = Diamond((4, -1), 6)
