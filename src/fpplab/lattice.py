@@ -34,13 +34,13 @@ make tight, which of its sources attain each time (GridGraph.minimisers).
 
 solve_targets returns exact lattice passage times to a set of targets,
 for a batch of fields of one law. It solves each field on an l1 diamond
-around the source and certifies the result after the solve by the round
-trip: with a least edge weight a_min > 0, a path that leaves a diamond
-of radius R must come back to a target within l1 distance L, so it
-costs at least a_min * (2 (R + 1) - L), and every target reached under
-that limit has its Z^2 time. The certificate holds for any R, so the
-batch sizes each field's diamond from the times solved before it. A
-one-atom law needs no solve.
+around the source and certifies every target after the solve at the
+diamond's exit edges: a path that leaves the diamond crosses from a
+site y on its boundary to a site z just outside, so it costs at least
+the in-diamond time of y, plus a_min for the edge, plus a_min per step
+from z to the target, for the least edge weight a_min. A target whose
+in-diamond time is no more than the least such bound has its Z^2 time,
+exactly in ticks, whatever the radius. A one-atom law needs no solve.
 """
 
 import contextlib
@@ -92,13 +92,19 @@ class _Rows:
     """Sites numbered row after row, y ascending within a row: row i holds
     the sites (xmin + i, y), ylo[i] <= y <= yhi[i], of rows()."""
 
+    @cached_property
+    def _row_table(self):
+        """(yhi, lens, ends): each row's top y, its site count, and the
+        index one past its last site; made once, read by every block."""
+        ylo, yhi = self.rows()
+        lens = yhi - ylo + 1
+        return yhi, lens, np.cumsum(lens)
+
     def site_words(self, lo=0, hi=None):
         """Coordinates (x, y) of the sites lo .. hi - 1 (every site by
         default), as flat int64 arrays in index order."""
         hi = self.n_sites if hi is None else hi
-        ylo, yhi = self.rows()
-        lens = yhi - ylo + 1
-        ends = np.cumsum(lens)
+        yhi, lens, ends = self._row_table
         # the rows i0 .. i1 - 1 that hold the sites lo .. hi - 1, and how
         # many of them each holds; site k of row i has y = k - base[i]
         i0, i1 = np.searchsorted(ends, (lo, hi - 1), side="right") + (0, 1)
@@ -243,10 +249,10 @@ class Diamond(_Rows):
         return start + s[1] - (self.center[1] - (r - abs(i - r)))
 
     def boundary(self):
-        """Indices of the sites at l1 distance radius: the row ends."""
-        ylo, yhi = self.rows()
-        ends = np.cumsum(yhi - ylo + 1)
-        return np.union1d(ends - (yhi - ylo + 1), ends - 1)
+        """(first, last): the indices of the first and the last site of
+        each row, whose union is the sites at l1 distance radius."""
+        _, lens, ends = self._row_table
+        return ends - lens, ends - 1
 
 
 @dataclass(frozen=True)
@@ -714,9 +720,29 @@ def monotone_upper_bounds(hw, vw, window: Window, source: Site, targets):
     return out
 
 
-# A later field's diamond holds 5% more than the batch's largest target
-# time so far: margin enough that a miss (one more solve) stays rare.
-_HINT_MARGIN = 1.05
+def _exit_bounds(d, diamond, dx, dy, a):
+    """For each target x = center + (dx[j], dy[j]), the least d[y] + a +
+    a |z - x|_1 over the diamond's exit edges y -> z (|y|_1 = R, |z|_1 =
+    R + 1 about the center), in ticks: a lower bound on every path to x
+    that leaves the diamond, whose in-diamond times are d, for the least
+    edge weight a.
+
+    The ring site z past either end of row i touches that end and the
+    same end of the next row toward the middle; the two past the outer
+    rows touch their one site. So g(z) = a + min d over z's inside
+    neighbours is read off the row ends, over the 4 (R + 1) ring sites.
+    """
+    R = diamond.radius
+    first, last = diamond.boundary()
+    cols = np.arange(-R, R + 1)
+    toward = cols + R - np.sign(cols)
+    ends, inner = np.r_[first, last], np.r_[first[toward], last[toward]]
+    g = np.r_[np.minimum(d[ends], d[inner]), d[first[[0, -1]]]] + a
+    h = R + 1 - np.abs(cols)
+    zx = np.r_[cols, cols, -R - 1, R + 1]
+    zy = np.r_[-h, h, 0, 0]
+    steps = np.abs(zx - dx[:, None]) + np.abs(zy - dy[:, None])
+    return (g + a * steps).min(axis=1)
 
 
 def solve_targets(fields, source: Site, targets):
@@ -724,31 +750,23 @@ def solve_targets(fields, source: Site, targets):
     every field of a batch of fields of one law.
 
     Returns (times, regrown): times[k, j] is tau(source, targets[j]) on
-    all of Z^2 in fields[k], and regrown counts the fields whose diamond
-    doubled beyond its first radius R0.
+    all of Z^2 in fields[k], and regrown counts the fields whose first
+    diamond failed the certificate.
 
-    Each field is solved on the l1 diamond of radius R around the
-    source. Every target lies within l1 distance L of the source, so a
-    path to one that leaves the diamond must also come back: it visits
-    some y with |y - source| >= R + 1 and takes at least |y - source| +
-    |target - y| >= 2 (R + 1) - L steps, each of weight at least a_min =
-    dist.min_support(). Solved with the limit a_min * (2 (R + 1) - L),
-    exact in ticks, every target the solve reaches has its Z^2 time,
-    ties at the limit included, whatever R is. Each radius is the least
-    R >= max(1, L) whose limit reaches a_min * m: R0 for the first field
-    with m = guess + 1, guess = max(L, ceil(E[w] * L / a_min)); for each
-    later field m = ceil(1.05 * T / a_min), T the largest target time
-    solved so far in the batch, capped at R0. If a target is unreached
-    there, the field is solved again at R0; that miss is not a
-    regrowth. From R0, R doubles while a target is unreached, and each
-    field that doubles counts once in regrown.
-
-    When a_min is small or 0, guess would exceed twice the targets'
-    extent, 2 * (L + 1). Every field then starts there instead, the
-    solve has no limit, and R doubles while the ball of radius max tau
-    touches the diamond's boundary. Once it does not, every path that
-    leaves the diamond is slower than the in-diamond times, so these are
-    exact. Every edge weight of each diamond is hashed afresh.
+    Each field is solved, with no limit, on the l1 diamond D of radius R
+    around the source, and certified at D's exit edges (_exit_bounds): a
+    path to a target x that leaves D first crosses an edge y -> z with
+    |y - source|_1 = R, so it costs at least tau_D(y) + a_min + a_min
+    |z - x|_1, a_min = dist.min_support(). When tau_D(x) is at most the
+    least such bound for every target, every tau_D(x) is its Z^2 time,
+    ties included; with a_min = 0 this asks that no boundary site of D be
+    reached before a target. Every target lies within l1 distance L of
+    the source. The first field starts at R = L + ceil(L^(1/3)), a margin
+    on the conjectured scale of passage-time fluctuations, and each later
+    one at the radius the field before it ended at. While the certificate
+    fails by a deficit of m ticks, R grows to min(2 R, R + max(1, ceil(m
+    / (2 a_min)))), or doubles when a_min = 0. Every edge weight of each
+    diamond is hashed afresh.
 
     A one-atom law delta_a needs no solve: every path to x has at least
     |x - source| edges of weight a, and a monotone path has exactly that
@@ -763,48 +781,31 @@ def solve_targets(fields, source: Site, targets):
         raise LatticeError("the fields of one batch share one law")
     sx, sy = source
     targets = list(targets)
-    steps = np.array([abs(x - sx) + abs(y - sy) for x, y in targets])
-    a_min = dist.min_support()
-    a_ticks = dist.tick(a_min)
+    dx = np.array([x - sx for x, _ in targets])
+    dy = np.array([y - sy for _, y in targets])
+    steps = np.abs(dx) + np.abs(dy)
+    a = dist.tick(dist.min_support())
     if len(dist.atoms) == 1 and not dist.pieces:
-        return np.tile(a_ticks * steps / dist.ticks_per_unit,
+        return np.tile(a * steps / dist.ticks_per_unit,
                        (len(fields), 1)), 0
     L = int(steps.max())
-    cap = 2 * (L + 1)
-    guess = (max(L, math.ceil(dist.mean() * L / a_min))
-             if a_min > 0 else math.inf)
-    certified = guess <= cap
-
-    def reaching(m):
-        """The least R >= max(1, L) with 2 (R + 1) - L >= m."""
-        return max(1, L, (m + L + 1) // 2 - 1)
-
-    R0 = reaching(guess + 1) if certified else cap
+    c = round(L ** (1 / 3))
+    R = max(1, L + c + (c ** 3 < L))  # L + ceil(L^(1/3))
     rows = []
     regrown = 0
-    top = 0  # the largest target time so far, in ticks
     for field in fields:
-        R = R0
-        if certified and rows:
-            R = min(R0, reaching(math.ceil(_HINT_MARGIN * top / a_ticks)))
-        doubled = False
+        start = R
         while True:
             diamond = Diamond(source, R)
             graph = GridGraph(field, diamond)
-            limit = a_ticks * (2 * (R + 1) - L) if certified else None
-            d = graph.distances(source, limit=limit)
+            d = graph.distances(source)
             times = d[[diamond.index(t) for t in targets]]
-            done = (np.isfinite(times).all() if certified
-                    else d[diamond.boundary()].min() > times.max())
+            deficit = (times - _exit_bounds(d, diamond, dx, dy, a)).max()
             del graph, d  # freed before the next diamond is built
-            if done:
+            if deficit <= 0:
                 break
-            if R < R0:
-                R = R0
-            else:
-                R *= 2
-                doubled = True
-        regrown += doubled
-        top = max(top, times.max())
+            R = (min(2 * R, R + max(1, math.ceil(deficit / (2 * a))))
+                 if a else 2 * R)
+        regrown += R > start
         rows.append(times / dist.ticks_per_unit)
     return np.array(rows), regrown

@@ -7,20 +7,17 @@ variance), and inverts: the boundary point in direction u is u / m(u).
 
 All trials of an estimate go to one lattice.solve_targets call, which
 serves every direction at once and returns exact lattice passage times.
-Each trial is solved on an l1 diamond of radius R around the origin and
-certified after the solve by the round trip: every target lies within
-l1 distance L, the targets' largest l1 norm, so a path to one that
-leaves the diamond must also come back, and costs at least a_min (2 (R
-+ 1) - L) for the least edge weight a_min. The first trial's radius is
-the least whose limit reaches a_min (guess + 1), guess = max(L, ceil(E[w]
-L / a_min)); each later trial's is sized from the largest target time
-solved before it, and falls back to the first radius if a target is
-unreached. From there the diamond doubles while a target lies beyond
-the certified limit (or, for a_min small or 0, while the ball of radius
-max tau touches its boundary). A one-atom law is solved by its l1
-distances, with no diamond. No trial is ever dropped; clipped_trials
-counts the trials whose diamond doubled beyond the first radius, so it
-does not depend on how the later radii were sized.
+Each trial is solved on an l1 diamond around the origin and certified
+after the solve at the diamond's exit edges: a path to a target that
+leaves the diamond first crosses from a boundary site y to a site z
+outside, and costs at least the time of y, plus the least edge weight
+a_min for each step from y to z and on to the target. The first trial's
+radius is L + ceil(L^(1/3)), L the targets' largest l1 norm, and each
+later trial starts at the radius the trial before it ended at; a
+diamond grows while the certificate fails. A one-atom law is solved by
+its l1 distances, with no diamond. No trial is ever dropped;
+clipped_trials counts the trials whose first diamond failed the
+certificate.
 """
 
 import math
@@ -88,7 +85,7 @@ class ShapeEstimate:
     angles: tuple
     m_hat: tuple
     stderr: tuple
-    clipped_trials: int  # trials whose diamond doubled beyond the first radius
+    clipped_trials: int  # trials whose first diamond failed the certificate
     dist: WeightDistribution
     n: int
     trials: int

@@ -4,8 +4,9 @@ The two passage-time oracles return a dict site -> minimal passage time
 from the source within the window, using only EdgeField.edge_weight.
 line_sites_loop is the scalar reference of geograph.discretize_line, and
 random_owners_loop that of growth.compete's random tie policy.
-edges_graph builds a hand-made infection graph from an edge list, and
-path_weight sums a path's edge weights.
+edges_graph builds a hand-made infection graph from an edge list,
+path_weight sums a path's edge weights, and exit_edges lists the edges
+that leave an l1 diamond.
 """
 
 import numpy as np
@@ -72,6 +73,23 @@ def path_weight(field, path):
     """The sum of the edge weights of a LatticePath, in its order."""
     return sum(field.edge_weight(a, b)
                for a, b in zip(path.sites, path.sites[1:]))
+
+
+def exit_edges(center, radius):
+    """The edges (y, z) from a site y at l1 distance radius of the center
+    to a neighbour z at radius + 1, found by scanning the square around
+    the diamond."""
+    cx, cy = center
+    out = []
+    for x in range(cx - radius, cx + radius + 1):
+        for y in range(cy - radius, cy + radius + 1):
+            if abs(x - cx) + abs(y - cy) != radius:
+                continue
+            for dx, dy in NEIGHBOURS:
+                z = (x + dx, y + dy)
+                if abs(z[0] - cx) + abs(z[1] - cy) == radius + 1:
+                    out.append(((x, y), z))
+    return out
 
 
 def edges_graph(edges, window):

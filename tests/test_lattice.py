@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,15 +9,21 @@ from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from fpplab._rng import hash_words, uniform01
 from fpplab.lattice import (Diamond, DomainError, EdgeField, GridGraph,
-                            LatticeError, LatticePath, Window, ball,
-                            canonical_edge, check_domain, geodesic,
+                            LatticeError, LatticePath, Window, _exit_bounds,
+                            ball, canonical_edge, check_domain, geodesic,
                             monotone_upper_bounds, round_site,
                             shared_topology, solve, solve_targets)
 from fpplab.measure import mk_distribution, point_mass
 from oracles import (EPS_ATOM, MIX, STAGE3, UNIF12, ZERO_ATOM, exhaustive_times,
-                     path_weight)
+                     exit_edges, path_weight)
 
 ATOMIC = mk_distribution(atoms=[(1.0, 0.8), (3.0, 0.2)])
+# heavy edges that can wall a near target off inside a small diamond,
+# while light ones lead round them from outside it
+LEAVER = mk_distribution(atoms=[(1.0, 0.6), (10.0, 0.4)])
+# a law whose first diamond often fails the certificate without any path
+# that leaves it being faster
+SLOW = mk_distribution(atoms=[(1.0, 0.5), (5.0, 0.5)])
 
 
 class TestBasics:
@@ -298,6 +305,14 @@ class TestMonotoneBound:
                                                 abs=1e-12)
 
 
+def exit_bound(diamond, d, edges, target, a):
+    """The certificate's bound for one target, edge by edge: the least
+    d[y] + a + a |z - target|_1 over the diamond's exit edges y -> z."""
+    return min(d[diamond.index(y)] + a
+               + a * (abs(z[0] - target[0]) + abs(z[1] - target[1]))
+               for y, z in edges)
+
+
 class TestSolveTargets:
     TARGETS = [(12, 0), (9, 4), (6, 6), (-3, 11), (-8, -7), (0, -12),
                (5, -1), (0, 0)]
@@ -317,8 +332,8 @@ class TestSolveTargets:
     @pytest.mark.parametrize("dist", [ATOMIC, UNIF12, EPS_ATOM, ZERO_ATOM],
                              ids=["atomic", "unif12", "eps_atom", "zero_atom"])
     def test_batch_matches_unbounded_solve(self, dist):
-        # later fields are sized from the times before them (or, without
-        # a certificate, start from the same cap); every row stays exact
+        # later fields start at the radius the field before them ended
+        # at; every row stays exact
         big = Window.square(60)
         fields = [EdgeField(seed, dist) for seed in (4, 0, 7, 1, 9, 2)]
         times, _ = solve_targets(fields, (0, 0), self.TARGETS)
@@ -330,7 +345,8 @@ class TestSolveTargets:
             assert np.array_equal(row, want)
 
     def test_exact_first_window_is_not_regrown(self):
-        # a_min = 1: the first window floor(ub) + 1 is below the cap here
+        # a_min = 1: the first diamond, of radius 12 + ceil(12^(1/3)) =
+        # 15, is certified for these fields
         for dist in (ATOMIC, UNIF12):
             for seed in range(3):
                 _, regrowths = solve_targets([EdgeField(seed, dist)],
@@ -338,8 +354,9 @@ class TestSolveTargets:
                 assert regrowths == 0
 
     def test_zero_atom_regrows_first_window(self):
-        # with a_min = 0 the first window is twice the bounding square;
-        # here the ball reaches its boundary and the window doubles
+        # with a_min = 0 the certificate asks that no boundary site of the
+        # diamond be reached before a target; here one is, and the
+        # diamond doubles
         f = EdgeField(6, ZERO_ATOM)
         targets = [(6, 0), (4, 3), (-2, 5), (0, -6)]
         times, regrowths = solve_targets([f], (0, 0), targets)
@@ -348,109 +365,137 @@ class TestSolveTargets:
         assert not ptm.boundary_contact(times.max())
         assert np.array_equal(times[0], [ptm.time(t) for t in targets])
 
-    @staticmethod
-    def diamond_time(seed, dist, target, radius):
-        """The passage time to the target inside the l1 diamond of the
-        radius around the origin, with no limit."""
-        diamond = Diamond((0, 0), radius)
-        d = GridGraph(EdgeField(seed, dist), diamond).distances((0, 0))
-        return d[diamond.index(target)] / dist.ticks_per_unit
-
-    def test_too_small_first_diamond_regrows(self):
-        # ATOMIC has a_min = 1 and E[w] = 1.4: the target (2, 0), L = 2,
-        # needs a limit of guess + 1 = max(2, ceil(2.8)) + 1 = 4, which the
-        # diamond of radius 2 reaches by the round trip, 2 (2 + 1) - 2.
-        # Exactly the seeds whose time inside that diamond exceeds 4
-        # regrow; a time of 4 ties the limit and is already exact, even
-        # where the 4-step detour through (2, 1) leaves the diamond.
-        big = Window.square(12)
-        found = 0
-        for seed in range(400):
-            f = EdgeField(seed, ATOMIC)
-            times, regrowths = solve_targets([f], (0, 0), [(2, 0)])
+    @pytest.mark.parametrize("dist", [ZERO_ATOM, EPS_ATOM],
+                             ids=["zero_atom", "eps_atom"])
+    def test_small_a_min_batch_keeps_its_radius(self, dist, monkeypatch):
+        # a_min = 0 or 1/20 of the mean: each field starts where the one
+        # before it ended, at first 28 + ceil(28^(1/3)) = 32, so the batch
+        # does not climb again from there field after field
+        targets = [(28, 0), (20, 8), (14, 14), (-7, 21), (-16, -12),
+                   (0, -28), (10, -3), (0, 0)]
+        fields = [EdgeField(seed, dist) for seed in range(8)]
+        radii = self.count_solves(monkeypatch)
+        times, _ = solve_targets(fields, (0, 0), targets)
+        assert radii[0] == 32
+        assert radii == sorted(radii)
+        assert len(radii) <= 10
+        big = Window.square(150)
+        for f, row in zip(fields, times):
             ptm = solve(f, (0, 0), big)
-            assert not ptm.boundary_contact(times[0, 0])
-            assert times[0, 0] == ptm.time((2, 0))
-            assert (regrowths > 0) == (
-                self.diamond_time(seed, ATOMIC, (2, 0), 2) > 4)
-            found += regrowths > 0
-        assert found
-
-    def test_path_that_leaves_and_comes_back_is_certified(self):
-        # LEAVER has a_min = 1 and E[w] = 1.3, so the target (2, 0) gets
-        # the diamond of radius 2 and the limit 4. Where the edges (0, 0)
-        # - (1, 0) - (2, 0) weigh 1 and 4 and the detour (1, 0) - (1, 1)
-        # - (2, 1) - (2, 0) weighs 3, the best path inside the diamond
-        # takes 5 and the detour, which leaves it, takes 4: the solve
-        # must not stop at 5, and one a_min more on the limit would.
-        leaver = mk_distribution(atoms=[(1.0, 0.9), (4.0, 0.1)])
-        big = Window.square(12)
-        beaten = 0
-        for seed in range(60):
-            f = EdgeField(seed, leaver)
-            times, regrowths = solve_targets([f], (0, 0), [(2, 0)])
-            want = solve(f, (0, 0), big).time((2, 0))
-            assert times[0, 0] == want
-            if self.diamond_time(seed, leaver, (2, 0), 2) > want:
-                assert regrowths == 1
-                beaten += 1
-        assert beaten
+            want = np.array([ptm.time(t) for t in targets])
+            assert not ptm.boundary_contact(want.max())
+            assert np.array_equal(row, want)
 
     @staticmethod
-    def seed_with_time(t, dist=ATOMIC, target=(4, 0)):
-        """The least seed whose passage time to the target is t."""
-        big = Window.square(12)
-        return next(s for s in range(1000)
-                    if solve(EdgeField(s, dist), (0, 0), big).time(target)
-                    == t)
+    def diamond_ticks(seed, dist, radius):
+        """The l1 diamond of the radius around the origin, and the
+        passage times in ticks inside it, with no limit."""
+        diamond = Diamond((0, 0), radius)
+        return diamond, GridGraph(EdgeField(seed, dist), diamond).distances(
+            (0, 0))
 
     @staticmethod
     def count_solves(monkeypatch):
         """A list that grows by the radius of each GridGraph.distances
-        solve."""
+        solve on a Diamond."""
         radii = []
         solve_once = GridGraph.distances
 
         def spy(graph, source, limit=None):
-            radii.append(graph.window.radius)
+            if isinstance(graph.window, Diamond):
+                radii.append(graph.window.radius)
             return solve_once(graph, source, limit=limit)
 
         monkeypatch.setattr(GridGraph, "distances", spy)
         return radii
 
-    def test_hint_miss_solves_again_at_first_radius(self, monkeypatch):
-        # ATOMIC, target (4, 0): guess = ceil(1.4 * 4) = 6, so R0 = 5, the
-        # least radius whose limit 2 (R0 + 1) - 4 = 8 reaches guess + 1.
-        # After a time of 4 the next field needs ceil(1.05 * 4) = 5 and
-        # starts at radius 4, limit 6; a time of 8 misses there and is
-        # solved again at R0, limit 8. Three solves, and the miss is no
-        # regrowth.
-        fields = [EdgeField(self.seed_with_time(t), ATOMIC) for t in (4, 8)]
+    def test_too_small_first_diamond_regrows(self, monkeypatch):
+        # SLOW has a_min = 1 tick. The target (4, 0), L = 4, gets the first
+        # diamond of radius 4 + ceil(4^(1/3)) = 6. Exactly the seeds whose
+        # time inside it exceeds the bound, computed here edge by edge,
+        # regrow, to min(2 * 6, 6 + max(1, ceil(deficit / 2))); the answer
+        # is the Z^2 time either way.
+        big = Window.square(24)
+        edges = exit_edges((0, 0), 6)
         radii = self.count_solves(monkeypatch)
-        times, regrown = solve_targets(fields, (0, 0), [(4, 0)])
-        assert radii == [5, 4, 5]
-        assert regrown == 0
-        assert times.tolist() == [[4.0], [8.0]]
+        found = 0
+        for seed in range(200):
+            f = EdgeField(seed, SLOW)
+            ptm = solve(f, (0, 0), big)
+            diamond, d = self.diamond_ticks(seed, SLOW, 6)
+            deficit = (d[diamond.index((4, 0))]
+                       - exit_bound(diamond, d, edges, (4, 0), 1))
+            radii.clear()
+            times, regrowths = solve_targets([f], (0, 0), [(4, 0)])
+            assert not ptm.boundary_contact(times[0, 0])
+            assert times[0, 0] == ptm.time((4, 0))
+            assert radii[0] == 6
+            assert regrowths == (deficit > 0)
+            if deficit > 0:
+                assert radii[1] == min(12, 6 + max(1, math.ceil(deficit / 2)))
+                found += 1
+            else:
+                assert radii == [6]
+        assert found
+
+    def test_path_that_leaves_and_comes_back_is_certified(self, monkeypatch):
+        # LEAVER weighs whole ticks. The target (2, 0) gets the first
+        # diamond of radius 2 + ceil(2^(1/3)) = 4. Where heavy edges wall
+        # the target off inside it, a path that leaves it and comes back
+        # on light edges beats every path inside: the certificate must
+        # refuse that diamond, and the answer is the Z^2 time.
+        big = Window.square(24)
+        radii = self.count_solves(monkeypatch)
+        beaten = 0
+        for seed in range(60):
+            f = EdgeField(seed, LEAVER)
+            ptm = solve(f, (0, 0), big)
+            want = ptm.time((2, 0))
+            assert not ptm.boundary_contact(want)
+            diamond, d = self.diamond_ticks(seed, LEAVER, 4)
+            radii.clear()
+            times, regrowths = solve_targets([f], (0, 0), [(2, 0)])
+            assert radii[0] == 4
+            assert times[0, 0] == want
+            if d[diamond.index((2, 0))] > want:
+                assert regrowths == 1
+                assert len(radii) > 1
+                beaten += 1
+        assert beaten
+
+    def test_later_field_starts_at_the_radius_before_it(self, monkeypatch):
+        # LEAVER, target (2, 0): seed 1 (a time of 13) fails the first
+        # diamond, radius 4, and grows to 6; seed 0 (a time of 4) then
+        # starts at 6, where the field before it ended, and is not
+        # counted as regrown
+        fields = [EdgeField(seed, LEAVER) for seed in (1, 0)]
+        radii = self.count_solves(monkeypatch)
+        times, regrown = solve_targets(fields, (0, 0), [(2, 0)])
+        assert radii == [4, 6, 6]
+        assert regrown == 1
+        assert times.tolist() == [[13.0], [4.0]]
+        big = Window.square(24)
+        assert times[:, 0].tolist() == [solve(f, (0, 0), big).time((2, 0))
+                                        for f in fields]
 
     def test_regrowth_beyond_first_radius_is_counted(self, monkeypatch):
-        # a time of 10 misses the hinted radius 4 and R0 = 5, so its
-        # diamond doubles once: one regrown field, wherever it stands
-        short, long_ = self.seed_with_time(4), self.seed_with_time(10)
+        # regrown counts the fields whose first diamond fails, wherever it
+        # stands: seed 6 grows 4 -> 5, seed 1 starts at 5 and grows to 6,
+        # seed 33 starts at 6 and grows to 7
         radii = self.count_solves(monkeypatch)
         times, regrown = solve_targets(
-            [EdgeField(s, ATOMIC) for s in (short, long_)], (0, 0), [(4, 0)])
-        assert radii == [5, 4, 5, 10]
-        assert regrown == 1
-        assert times.tolist() == [[4.0], [10.0]]
-        del radii[:]
+            [EdgeField(s, LEAVER) for s in (6, 1, 33)], (0, 0), [(2, 0)])
+        assert radii == [4, 5, 5, 6, 6, 7]
+        assert regrown == 3
+        assert times.tolist() == [[8.0], [13.0], [15.0]]
+        radii.clear()
+        # seed 33 first grows 4 -> 7 in one step, and seeds 1 and 6 then
+        # pass at 7: one regrown field
         times, regrown = solve_targets(
-            [EdgeField(s, ATOMIC) for s in (long_, long_, short)], (0, 0),
-            [(4, 0)])
-        # a later field's radius never exceeds R0, so each long field
-        # doubles from R0; after a time of 10 the short one starts at R0
-        assert radii == [5, 10, 5, 10, 5]
-        assert regrown == 2
-        assert times.tolist() == [[10.0], [10.0], [4.0]]
+            [EdgeField(s, LEAVER) for s in (33, 1, 6)], (0, 0), [(2, 0)])
+        assert radii == [4, 7, 7, 7]
+        assert regrown == 1
+        assert times.tolist() == [[15.0], [13.0], [8.0]]
 
     @pytest.mark.parametrize("atom", [1.0, 1.6, 2.5])
     def test_one_atom_law_is_solved_by_its_l1_distance(self, atom,
@@ -485,6 +530,65 @@ class TestSolveTargets:
         times, _ = solve_targets([f], source, targets)
         ptm = solve(f, source, Window.square(50))
         assert np.array_equal(times[0], [ptm.time(t) for t in targets])
+
+
+
+def rim(t):
+    """The least of a window's times on its border."""
+    return min(t[0].min(), t[-1].min(), t[:, 0].min(), t[:, -1].min())
+
+
+class TestExitCertificate:
+    """solve_targets' bound on the paths that leave a diamond, against the
+    exact cost of the best such path: min over the exit edges (y, z) of
+    tau_D(y) + w(y, z) + tau(z, x), with tau(z, x) solved from x on a big
+    window whose border every time used is certified not to reach."""
+
+    TARGETS = [(3, 0), (1, -2), (-1, 1), (0, 0)]
+
+    # each window is the least half-width, plus a few, at which every
+    # seed's times pass the border check below
+    @pytest.mark.parametrize("dist, W", [(ATOMIC, 22), (LEAVER, 32),
+                                         (EPS_ATOM, 40), (ZERO_ATOM, 55)],
+                             ids=["atomic", "leaver", "eps_atom", "zero_atom"])
+    def test_bound_is_sound(self, dist, W):
+        a = dist.tick(dist.min_support())
+        dx = np.array([x for x, _ in self.TARGETS])
+        dy = np.array([y for _, y in self.TARGETS])
+        big = Window.square(W)
+
+        def at(site):
+            return site[0] + W, site[1] + W
+        # diamonds of radius L = 3 and of solve_targets' first radius 5
+        radii = {R: (Diamond((0, 0), R), exit_edges((0, 0), R))
+                 for R in (3, 5)}
+        passed = refused = 0
+        for seed in range(200):
+            f = EdgeField(seed, dist)
+            graph = GridGraph(f, big)
+            tau = graph.distances((0, 0))
+            assert rim(tau) >= max(tau[at(x)] for x in self.TARGETS)
+            back = {x: graph.distances(x) for x in self.TARGETS}
+            for diamond, edges in radii.values():
+                d = GridGraph(f, diamond).distances((0, 0))
+                bounds = _exit_bounds(d, diamond, dx, dy, a)
+                # the exact weight of each exit edge, read off the window
+                # graph's weight grids
+                w = {(y, z): (graph.th if y[1] == z[1] else graph.tv)[
+                    at(min(y, z))] for y, z in edges}
+                for j, x in enumerate(self.TARGETS):
+                    assert rim(back[x]) >= max(back[x][at(z)] for _, z in edges)
+                    assert bounds[j] == exit_bound(diamond, d, edges, x, a)
+                    leave = min(d[diamond.index(y)] + w[y, z] + back[x][at(z)]
+                                for y, z in edges)
+                    assert bounds[j] <= leave
+                    if d[diamond.index(x)] <= bounds[j]:
+                        assert d[diamond.index(x)] == tau[at(x)]
+                        passed += 1
+                    else:
+                        refused += 1
+        # both outcomes occur for every law
+        assert passed and refused
 
 
 def domain_sites(domain):
@@ -630,16 +734,24 @@ class TestGraphBuild:
 
     def test_diamond_boundary_is_its_l1_sphere(self):
         d = Diamond((4, -1), 6)
-        sphere = {d.index(s) for s in domain_sites(d)
+        sites = domain_sites(d)
+        sphere = {d.index(s) for s in sites
                   if abs(s[0] - 4) + abs(s[1] + 1) == 6}
-        assert sorted(d.boundary()) == sorted(sphere)
+        first, last = d.boundary()
+        assert set(first) | set(last) == sphere
         assert len(sphere) == 4 * 6
+        # the first and the last site of each row, in row order
+        for i, x in enumerate(range(-2, 11)):
+            ys = [s[1] for s in sites if s[0] == x]
+            assert (first[i], last[i]) == (d.index((x, min(ys))),
+                                           d.index((x, max(ys))))
 
     def test_int32_overflow_rejected_before_allocating(self):
         # 60001^2 sites, or the 2 r (r + 1) + 1 sites of a diamond of
         # radius 16384: 4 * n_sites does not fit the int32 indices.
-        # solve_targets' first diamond for a target at l1 distance 16000
-        # has radius ceil(1.4 * 16000) = 22400.
+        # solve_targets' first diamond for a target at l1 distance 16400
+        # has radius 16400 + ceil(16400^(1/3)) = 16426, and every later
+        # radius is larger.
         f = EdgeField(0, ATOMIC)
         tracemalloc.start()
         try:
@@ -647,7 +759,7 @@ class TestGraphBuild:
                 with pytest.raises(LatticeError):
                     GridGraph(f, domain)
             with pytest.raises(LatticeError):
-                solve_targets([f], (0, 0), [(16000, 0)])
+                solve_targets([f], (0, 0), [(16400, 0)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

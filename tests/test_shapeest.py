@@ -113,8 +113,8 @@ class TestEmpiricalShape:
         assert est.trials == 10
 
     def test_regrown_trials_are_counted_not_dropped(self):
-        # an atom at 0 makes the first window the capped one, which the
-        # ball can reach; such trials are regrown and kept
+        # with an atom at 0 the ball reaches the first diamond's boundary
+        # before some targets; such trials are regrown and kept
         plan = DirectionPlan.default(D=5, n=20, trials=3, seed=0)
         est = empirical_shape(ZERO_ATOM, plan)
         assert est.clipped_trials > 0
