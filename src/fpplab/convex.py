@@ -53,10 +53,6 @@ class ConvexShape:
     def to_dict(self):
         return {"vertices": [[x, y] for x, y in self.vertices]}
 
-    @classmethod
-    def from_dict(cls, d):
-        return hull([tuple(v) for v in d["vertices"]])
-
 
 def _canonicalize(verts):
     """ccw order, start at the lowest-then-leftmost vertex."""
@@ -178,12 +174,6 @@ class FlatEdgeReport:
     segment: tuple  # ((x1,y1),(x2,y2)) on x+y=1, or ()
     predicted: tuple  # (w, w') or ()
     discrepancy: float  # max l1 distance between detected and predicted endpoints
-
-    def to_dict(self):
-        return {"intersects": self.intersects,
-                "segment": [list(p) for p in self.segment],
-                "predicted": [list(p) for p in self.predicted],
-                "discrepancy": self.discrepancy}
 
 
 def flat_edge_intersection(shape: ConvexShape, tol=1e-9,

@@ -39,7 +39,7 @@ from .geograph import (BusemannSpec, busemann_separation,
                        disjointness_diagnostic, ends_estimate,
                        infection_graph)
 from .growth import TIE_POLICIES, CompetitionConfig, coexistence_stats
-from .lattice import EdgeField, Window, shared_topology
+from .lattice import EdgeField, Window
 from .measure import (ConstructionSchedule, InputError, WeightDistribution,
                       construct_sequence, levy_distance)
 from .oriented import alpha_and_pc, alpha_rotated
@@ -399,9 +399,10 @@ def run(cfg, out_root=None, echo=True) -> ResultArtifact:
     """Validate, dispatch and persist one experiment.
 
     The config's threads field is an accepted hint: trials run serially
-    and it changes nothing. The run's graphs of one domain share their
-    topology (lattice.shared_topology). An InputError from the runner is
-    a ConfigError.
+    and it changes nothing. Each runner makes its domain once, so the
+    graphs of its trials share one CSR topology, which goes with the
+    domain when the runner returns. An InputError from the runner is a
+    ConfigError.
     """
     validate_config(cfg)
     h = config_hash(cfg)
@@ -410,8 +411,7 @@ def run(cfg, out_root=None, echo=True) -> ResultArtifact:
     out_dir = os.path.join(root, "%s-%s" % (kind, h[:12]))  # made on write
     t0 = time.monotonic()
     try:
-        with shared_topology():
-            payloads, figures, summary = _RUNNERS[kind](cfg, out_dir)
+        payloads, figures, summary = _RUNNERS[kind](cfg, out_dir)
     except InputError as e:
         raise ConfigError("config refused for kind %s: %s" % (kind, e))
     except Exception as e:

@@ -129,12 +129,6 @@ class CoexistenceResult:
     sizes: tuple      # per-trial tuple of region sizes, one per species
     ties: tuple       # per-trial tie-site count
 
-    def to_dict(self):
-        return {"fraction": self.fraction, "trials": self.trials,
-                "survivals": list(self.survivals),
-                "sizes": [list(s) for s in self.sizes],
-                "ties": list(self.ties)}
-
 
 def coexistence_stats(config: CompetitionConfig, trials: int,
                       survival_threshold: int) -> CoexistenceResult:

@@ -22,9 +22,10 @@ after row, and each site owns its edges to the right and above, so one
 assembly builds the CSR adjacency of either: four entries per site, a
 zero-weight self-loop standing for a neighbour off the domain, written
 directly with no COO stage. The CSR's int32 indices and its indptr
-depend on the domain alone. They are made once and shared, read-only,
-by the graphs of equal domains that a run builds (shared_topology), so
-a build allocates one fresh array, the CSR data, into which
+depend on the domain alone. A domain object makes them at its first
+graph and keeps them, read-only, for its other graphs, such as the
+trials of a run on one window; they are freed with the domain. So a
+build allocates one fresh array, the CSR data, into which
 EdgeField.weight_grids hashes the weights block by block.
 Single-source passage times are solved with Dijkstra (scipy's compiled
 implementation). Every optimal incoming edge of a site, ties included, is
@@ -43,7 +44,6 @@ in-diamond time is no more than the least such bound has its Z^2 time,
 exactly in ticks, whatever the radius. A one-atom law needs no solve.
 """
 
-import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -99,6 +99,12 @@ class _Rows:
         ylo, yhi = self.rows()
         lens = yhi - ylo + 1
         return yhi, lens, np.cumsum(lens)
+
+    @cached_property
+    def _topology(self):
+        """The CSR indices and indptr that its graphs share (_Topology),
+        made at the first graph and freed with this domain."""
+        return _Topology(self)
 
     def site_words(self, lo=0, hi=None):
         """Coordinates (x, y) of the sites lo .. hi - 1 (every site by
@@ -334,19 +340,20 @@ def _row(domain, s: Site) -> int:
 
 class _Topology:
     """The part of a GridGraph's CSR that depends on its domain alone,
-    shared, read-only, by the graphs of equal domains (shared_topology).
+    made once per domain object (_Rows._topology) and shared, read-only,
+    by that domain's graphs.
 
     indices, the (n, 4) neighbour table flat, and indptr are the CSR's
     own; missing[s] lists the sites whose neighbour in slot s is off the
-    domain, where indices holds a self-loop.
+    domain, where indices holds a self-loop. It keeps no reference to its
+    domain, so it is freed with the domain, with no cycle to collect.
     """
 
     def __init__(self, domain):
-        self.domain = domain
         n = domain.n_sites
-        ylo, yhi = domain.rows()
-        lens = yhi - ylo + 1
-        starts = np.r_[0, np.cumsum(lens)]
+        yhi, lens, ends = domain._row_table
+        ylo = yhi - lens + 1
+        starts = np.r_[0, ends]
         # site (xmin + i, y) is k = base[i] + y; its left and right
         # neighbours sit at the per-row offsets k - left[i], k + right[i]
         base = starts[:-1] - ylo
@@ -372,44 +379,6 @@ class _Topology:
         self.indices.flags.writeable = self.indptr.flags.writeable = False
 
 
-# The topology of the latest build inside shared_topology(), and how many
-# such blocks are open. Only memory depends on them: each graph gets the
-# topology of its own domain either way.
-_held = None
-_depth = 0
-
-
-def _topology(domain):
-    global _held
-    if _held is not None and _held.domain == domain:
-        return _held
-    _held = None  # freed before the next is built, unless a graph holds it
-    topo = _Topology(domain)
-    if _depth:
-        _held = topo
-    return topo
-
-
-@contextlib.contextmanager
-def shared_topology():
-    """Within this block, graphs of an equal domain built one after the
-    other, such as the trials of a run (expcli.run opens one per run),
-    share one topology, even when each graph is freed before the next
-    is built. The latest is held until a graph of another domain is
-    built, or until the outermost such block ends, so that the work
-    after it does not carry the topology along. Outside, every graph
-    makes its own.
-    """
-    global _depth, _held
-    _depth += 1
-    try:
-        yield
-    finally:
-        _depth -= 1
-        if not _depth:
-            _held = None
-
-
 class GridGraph:
     """Adjacency of one field on a Window or a Diamond, in ticks,
     reusable across many solves.
@@ -417,9 +386,10 @@ class GridGraph:
     Row k of the CSR holds four entries from 4 k on, its neighbours
     (x - 1, y), (x, y - 1), (x, y + 1), (x + 1, y) in this order; one off
     the domain is a zero-weight self-loop, which no solve can use. The
-    CSR's indices and indptr depend on the domain alone, and the graphs
-    of equal domains in a run share them, read-only (shared_topology).
-    Beyond them a build allocates one fresh array, the CSR data:
+    CSR's indices and indptr depend on the domain alone: the graphs of
+    one domain object share them, read-only, and they go with the domain
+    (_Rows._topology). Beyond them a build allocates one fresh array, the
+    CSR data:
     EdgeField.weight_grids weighs each site's right and up edges
     straight into slots 3 and 2, and slots 0 and 1 are copied from them.
     th, tv are the field's weight grids in ticks, views of slots 3 and 2
@@ -436,7 +406,7 @@ class GridGraph:
         # the topology, which may outlive this graph, is made before the
         # data, so that the data freed with the graph leaves no hole in
         # the heap below a live topology
-        topo = _topology(window)
+        topo = window._topology
         wt4 = np.empty((n, 4))
         self.th, self.tv = field.weight_grids(window, ticks=True,
                                               out=(wt4[:, 3], wt4[:, 2]))
@@ -603,9 +573,6 @@ class LatticePath:
 
     def __len__(self):
         return len(self.sites)
-
-    def edges(self):
-        return [canonical_edge(a, b) for a, b in zip(self.sites, self.sites[1:])]
 
 
 def _plateau_escape(ptm: PassageTimeMap, v: Site, visited):
@@ -791,12 +758,14 @@ def solve_targets(fields, source: Site, targets):
     L = int(steps.max())
     c = round(L ** (1 / 3))
     R = max(1, L + c + (c ** 3 < L))  # L + ceil(L^(1/3))
+    # one diamond, and so one topology, serves the fields until one of
+    # them regrows it
+    diamond = Diamond(source, R)
     rows = []
     regrown = 0
     for field in fields:
         start = R
         while True:
-            diamond = Diamond(source, R)
             graph = GridGraph(field, diamond)
             d = graph.distances(source)
             times = d[[diamond.index(t) for t in targets]]
@@ -806,6 +775,7 @@ def solve_targets(fields, source: Site, targets):
                 break
             R = (min(2 * R, R + max(1, math.ceil(deficit / (2 * a))))
                  if a else 2 * R)
+            diamond = Diamond(source, R)
         regrown += R > start
         rows.append(times / dist.ticks_per_unit)
     return np.array(rows), regrown

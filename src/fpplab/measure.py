@@ -58,11 +58,6 @@ class WeightDistribution:
                 return m
         return 0.0
 
-    def mean(self):
-        mu = sum(x * m for x, m in self.atoms)
-        mu += sum(0.5 * (a + b) * m for a, b, m in self.pieces)
-        return mu
-
     def min_support(self):
         lo = min([x for x, _ in self.atoms] + [a for a, _, _ in self.pieces])
         return lo
@@ -309,11 +304,6 @@ class ConstructionSchedule:
             prev = y
         if self.spread < 0:
             raise DistributionError("spread must be >= 0")
-
-    def to_dict(self):
-        return {"p0": self.p0, "p_seq": list(self.p_seq),
-                "y_seq": list(self.y_seq), "stages": self.stages,
-                "spread": self.spread}
 
     @classmethod
     def from_dict(cls, d):

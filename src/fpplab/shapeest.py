@@ -58,10 +58,6 @@ class DirectionPlan:
         return cls(angles=tuple(np.linspace(0.0, math.pi / 2, D)),
                    n=n, trials=trials, seed=seed)
 
-    def to_dict(self):
-        return {"angles": list(self.angles), "n": self.n,
-                "trials": self.trials, "seed": self.seed}
-
 
 def _unit_l1(theta):
     c, s = math.cos(theta), math.sin(theta)

@@ -1,7 +1,8 @@
 """Laws and solver-independent oracles shared by the tests.
 
 The two passage-time oracles return a dict site -> minimal passage time
-from the source within the window, using only EdgeField.edge_weight.
+from the source within the window, using only EdgeField.edge_weight,
+called once per edge of each search.
 line_sites_loop is the scalar reference of geograph.discretize_line, and
 random_owners_loop that of growth.compete's random tie policy.
 edges_graph builds a hand-made infection graph from an edge list,
@@ -27,12 +28,26 @@ STAGE3 = mk_distribution(atoms=[(1.0, 0.66), (1.6, 0.06), (2.0, 0.08),
 NEIGHBOURS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
+def _weigher(field):
+    """field.edge_weight, memoized per edge for the life of one search."""
+    memo = {}
+
+    def weight(u, v):
+        e = (u, v) if u < v else (v, u)
+        if e not in memo:
+            memo[e] = field.edge_weight(u, v)
+        return memo[e]
+
+    return weight
+
+
 def exhaustive_times(field, window, source):
     """Exhaustive simple-path minimization: DFS over all simple paths.
 
     Exponential, only for tiny windows.
     """
     best = {s: np.inf for s in window.sites()}
+    weight = _weigher(field)
 
     def visit(site, cost, seen):
         if cost < best[site]:
@@ -41,7 +56,7 @@ def exhaustive_times(field, window, source):
             nb = (site[0] + d[0], site[1] + d[1])
             if nb in seen or not window.contains(nb):
                 continue
-            visit(nb, cost + field.edge_weight(site, nb), seen | {nb})
+            visit(nb, cost + weight(site, nb), seen | {nb})
 
     visit(source, 0.0, {source})
     return best
@@ -53,6 +68,7 @@ def pruned_search_times(field, window, source):
     Exact for nonnegative weights."""
     best = {s: np.inf for s in window.sites()}
     best[source] = 0.0
+    weight = _weigher(field)
     stack = [(source, 0.0)]
     while stack:
         site, cost = stack.pop()
@@ -62,7 +78,7 @@ def pruned_search_times(field, window, source):
             nb = (site[0] + d[0], site[1] + d[1])
             if not window.contains(nb):
                 continue
-            c = cost + field.edge_weight(site, nb)
+            c = cost + weight(site, nb)
             if c < best[nb]:
                 best[nb] = c
                 stack.append((nb, c))

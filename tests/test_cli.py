@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from fpplab import expcli
 from fpplab.cli import main
 from fpplab.expcli import (ConfigError, RunError, config_hash, run, sweep,
                            validate_config)
+from fpplab.lattice import Window, _Topology
 
 
 def shape_cfg(seed=1, trials=2):
@@ -122,6 +124,30 @@ class TestRun:
         art = run(cfg, out_root=str(tmp_path), echo=False)
         names = [os.path.basename(p) for p in art.payloads]
         assert names[:3] == ["mu_0.json", "mu_1.json", "mu_2.json"]
+
+    def test_run_leaves_no_topology_alive(self, tmp_path, monkeypatch):
+        # the trials of a run share their window's one topology, and it
+        # goes with the window when the run returns, cycle collector off
+        before = [o for o in gc.get_objects() if isinstance(o, _Topology)]
+        made = []
+        make = _Topology.__init__
+
+        def spy(topo, domain):
+            made.append(domain)
+            make(topo, domain)
+
+        monkeypatch.setattr(_Topology, "__init__", spy)
+        gc.disable()
+        try:
+            run(dict(VALID["ends"], trials=3), out_root=str(tmp_path),
+                echo=False)
+            assert made == [Window.square(10)]
+            del made[:]
+            alive = [o for o in gc.get_objects() if isinstance(o, _Topology)
+                     and not any(o is b for b in before)]
+        finally:
+            gc.enable()
+        assert alive == []
 
     def test_runtime_error_propagates(self, tmp_path):
         cfg = oriented_cfg([0.3], T=80)  # subcritical: every run dies

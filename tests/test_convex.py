@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from fpplab.convex import (ConvexShape, GeometryError, boundary_project,
+from fpplab.convex import (GeometryError, boundary_project,
                            extreme_points, flat_edge_intersection, gauge,
                            hausdorff, hull, l1, l1_ball, point_to_shape_l1,
                            predicted_flat_edge, projection_coefficient,
@@ -200,6 +201,7 @@ class TestProjection:
 
 class TestSerialization:
     def test_round_trip(self):
-        h = hull([(0, 0), (2, 0), (2, 1), (0, 1)])
-        h2 = ConvexShape.from_dict(h.to_dict())
-        assert h2.vertices == h.vertices
+        # a shape's payload form, ccw from its lowest-then-leftmost vertex
+        h = hull([(2, 1), (0, 0), (0, 1), (2, 0), (1, 0)])
+        assert json.loads(json.dumps(h.to_dict())) == {
+            "vertices": [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]}

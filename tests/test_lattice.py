@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ from scipy.sparse.csgraph import breadth_first_order, dijkstra
 from fpplab._rng import hash_words, uniform01
 from fpplab.lattice import (Diamond, DomainError, EdgeField, GridGraph,
                             LatticeError, LatticePath, Window, _exit_bounds,
-                            ball, canonical_edge, check_domain, geodesic,
-                            monotone_upper_bounds, round_site,
-                            shared_topology, solve, solve_targets)
+                            _Topology, ball, canonical_edge, check_domain,
+                            geodesic, monotone_upper_bounds, round_site,
+                            solve, solve_targets)
 from fpplab.measure import mk_distribution, point_mass
 from oracles import (EPS_ATOM, MIX, STAGE3, UNIF12, ZERO_ATOM, exhaustive_times,
                      exit_edges, path_weight)
@@ -46,7 +48,6 @@ class TestBasics:
         with pytest.raises(LatticeError):
             LatticePath(((0, 0), (2, 0)))
         p = LatticePath(((0, 0), (1, 0), (1, 1)))
-        assert len(p.edges()) == 2
 
 
 class TestEdgeField:
@@ -370,15 +371,26 @@ class TestSolveTargets:
     def test_small_a_min_batch_keeps_its_radius(self, dist, monkeypatch):
         # a_min = 0 or 1/20 of the mean: each field starts where the one
         # before it ended, at first 28 + ceil(28^(1/3)) = 32, so the batch
-        # does not climb again from there field after field
+        # does not climb again from there field after field; the fields
+        # of one radius share one diamond, and so one topology
         targets = [(28, 0), (20, 8), (14, 14), (-7, 21), (-16, -12),
                    (0, -28), (10, -3), (0, 0)]
         fields = [EdgeField(seed, dist) for seed in range(8)]
         radii = self.count_solves(monkeypatch)
+        made = []
+        make = _Topology.__init__
+
+        def spy(topo, domain):
+            if isinstance(domain, Diamond):
+                made.append(domain.radius)
+            make(topo, domain)
+
+        monkeypatch.setattr(_Topology, "__init__", spy)
         times, _ = solve_targets(fields, (0, 0), targets)
         assert radii[0] == 32
         assert radii == sorted(radii)
         assert len(radii) <= 10
+        assert made == sorted(set(radii))
         big = Window.square(150)
         for f, row in zip(fields, times):
             ptm = solve(f, (0, 0), big)
@@ -674,63 +686,59 @@ class TestGraphBuild:
                                         Diamond((3, -2), 150)],
                              ids=["window", "diamond"])
     def test_build_allocates_only_its_csr_data(self, domain):
-        # with its domain's topology held, a build keeps one fresh array,
+        # with its domain's topology made, a build keeps one fresh array,
         # the 4 float64 CSR entries of each site, and its temporaries
         # stay within as much again
         n = domain.n_sites
-        with shared_topology():
-            for dist in (STAGE3, UNIF12):
-                first = GridGraph(EdgeField(0, dist), domain)
-                tracemalloc.start()
-                try:
-                    g = GridGraph(EdgeField(1, dist), domain)
-                    kept, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-                assert 32 * n <= kept <= 32 * n + (64 << 10)
-                assert peak <= 64 * n
-                assert np.shares_memory(g._csr.indices, first._csr.indices)
-                del first, g
+        for dist in (STAGE3, UNIF12):
+            first = GridGraph(EdgeField(0, dist), domain)
+            tracemalloc.start()
+            try:
+                g = GridGraph(EdgeField(1, dist), domain)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert 32 * n <= kept <= 32 * n + (64 << 10)
+            assert peak <= 64 * n
+            assert np.shares_memory(g._csr.indices, first._csr.indices)
+            del first, g
 
-    def test_equal_domains_share_a_read_only_topology(self):
-        for domain, other in ((Window(-5, 7, 2, 9), Window(-5, 7, 2, 10)),
-                              (Diamond((1, 1), 6), Diamond((1, 2), 6))):
-            with shared_topology():
-                a = GridGraph(EdgeField(0, UNIF12), domain)
-                b = GridGraph(EdgeField(1, STAGE3), domain)
-                c = GridGraph(EdgeField(0, UNIF12), other)
+    def test_graphs_of_one_domain_share_a_read_only_topology(self):
+        for make in (lambda: Window(-5, 7, 2, 9), lambda: Diamond((1, 1), 6)):
+            domain = make()
+            a = GridGraph(EdgeField(0, UNIF12), domain)
+            b = GridGraph(EdgeField(1, STAGE3), domain)
             assert np.shares_memory(a._csr.indices, b._csr.indices)
             assert np.shares_memory(a._csr.indptr, b._csr.indptr)
-            assert not np.shares_memory(a._csr.indices, c._csr.indices)
             assert not np.shares_memory(a._csr.data, b._csr.data)
             for array in (b._csr.indices, b._csr.indptr, b.neighbours):
                 with pytest.raises(ValueError):
                     array[0] = 1
-            # outside the block each graph makes its own, equal, topology
-            d = GridGraph(EdgeField(1, STAGE3), domain)
-            assert not np.shares_memory(b._csr.indices, d._csr.indices)
-            assert np.array_equal(b._csr.indices, d._csr.indices)
-            assert np.array_equal(b.distances((1, 3)), d.distances((1, 3)))
+            # an equal domain made apart makes its own, equal, topology
+            other = make()
+            assert other == domain
+            c = GridGraph(EdgeField(1, STAGE3), other)
+            assert not np.shares_memory(b._csr.indices, c._csr.indices)
+            assert not np.shares_memory(b._csr.data, c._csr.data)
+            assert np.array_equal(b._csr.indices, c._csr.indices)
+            assert np.array_equal(b._csr.indptr, c._csr.indptr)
+            assert np.array_equal(b.distances((1, 3)), c.distances((1, 3)))
 
-    def test_shared_topology_holds_it_between_builds(self):
-        # a graph freed before the next is built leaves its topology
-        # held; the neighbour table kept here keeps its memory from
-        # being reused by a new one
-        domain = Diamond((0, 0), 5)
-
-        def table(d):
-            return GridGraph(EdgeField(0, UNIF12), d)._csr.indices
-
-        with shared_topology():
-            first = table(domain)
-            with shared_topology():
-                assert np.shares_memory(table(domain), first)
-            assert np.shares_memory(table(domain), first)
-            table(Window.square(3))  # another domain lets it go
-            again = table(domain)
-            assert not np.shares_memory(again, first)
-        # and so does leaving the outermost block
-        assert not np.shares_memory(table(domain), again)
+    def test_topology_is_freed_with_its_domain(self):
+        # the topology holds no reference to its domain, so it goes as
+        # soon as the domain and its graphs do, with no cycle to collect
+        gc.disable()
+        try:
+            domain = Diamond((0, 0), 5)
+            graphs = [GridGraph(EdgeField(seed, UNIF12), domain)
+                      for seed in range(2)]
+            topo = weakref.ref(domain._topology)
+            del graphs
+            assert topo() is not None  # the domain keeps it for its next
+            del domain
+            assert topo() is None
+        finally:
+            gc.enable()
 
     def test_diamond_boundary_is_its_l1_sphere(self):
         d = Diamond((4, -1), 6)
