@@ -44,9 +44,9 @@ class ConvexShape:
         v = self.vertices
         return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
-    def contains(self, p, tol=1e-12) -> bool:
+    def contains(self, p) -> bool:
         for a, b in self.edges():
-            if _cross(a, b, p) < -tol * (l1(a, b) + 1.0):
+            if _cross(a, b, p) < -1e-12 * (l1(a, b) + 1.0):
                 return False
         return True
 

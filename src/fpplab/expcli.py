@@ -5,9 +5,10 @@ a kind-specific params block. SCHEMAS holds one JSON Schema per kind,
 composed from single definitions of the parts the kinds share: the
 envelope, the law, the seed-site list and the line spec. run()
 validates, dispatches, derives per-trial seeds from the master seed, runs
-the trials serially, writes payloads atomically and prints a one-line
-JSON summary. Payload bytes depend only on the config; threads is an
-accepted hint that changes nothing.
+the trials serially, writes the outputs that the runner returns, each
+file atomically, and prints a one-line JSON summary: a run whose runner
+fails writes nothing. Payload bytes depend only on the config; threads
+is an accepted hint that changes nothing.
 
 What the schema cannot see is refused where it is parsed, by a
 measure.InputError that run() reports as a ConfigError before any output
@@ -204,6 +205,26 @@ def _write_csv(path, header, rows):
     _atomic_write(path, buf.getvalue().encode())
 
 
+def _write(out_dir, outputs):
+    """Write each output of a runner into out_dir atomically: its file
+    name maps to a JSON object (.json), a (header, rows) pair (.csv) or
+    SVG text (.svg). Returns (payloads, figures), the paths of the .svg
+    files in figures and of the others in payloads, in dict order."""
+    payloads, figures = [], []
+    for name, content in outputs.items():
+        path = os.path.join(out_dir, name)
+        if name.endswith(".svg"):
+            _atomic_write(path, content.encode())
+            figures.append(path)
+        elif name.endswith(".csv"):
+            _write_csv(path, *content)
+            payloads.append(path)
+        else:
+            _write_json(path, content)
+            payloads.append(path)
+    return payloads, figures
+
+
 @dataclass
 class ResultArtifact:
     kind: str
@@ -231,75 +252,57 @@ def _line_spec(d):
     return BusemannSpec(v=tuple(d["v"]), w=tuple(d["w"]), n=int(d["n"]))
 
 
-# --- per-kind runners -------------------------------------------------
+# --- per-kind runners: (cfg, params) -> (outputs, summary) -----------
 
 
-def _run_shape(cfg, out_dir):
-    p = cfg["params"]
+def _run_shape(cfg, p):
     dist = WeightDistribution.from_dict(p["dist"])
     plan = DirectionPlan.default(D=p["directions"], n=p["n"],
                                  trials=cfg.get("trials", 10),
                                  seed=cfg["seed"])
     est = empirical_shape(dist, plan)
-    payload = os.path.join(out_dir, "shape.json")
-    _write_json(payload, est.to_dict())
-    fig = os.path.join(out_dir, "shape.svg")
-    _atomic_write(fig, svgout.shape_figure(
-        est.shape, reference=l1_ball(1.0)).encode())
-    return [payload], [fig], {"n_vertices": len(est.shape),
-                              "clipped_trials": est.clipped_trials}
+    outputs = {"shape.json": est.to_dict(),
+               "shape.svg": svgout.shape_figure(est.shape,
+                                                reference=l1_ball(1.0))}
+    return outputs, {"n_vertices": len(est.shape),
+                     "clipped_trials": est.clipped_trials}
 
 
-def _run_construct(cfg, out_dir):
-    p = cfg["params"]
+def _run_construct(cfg, p):
     base = WeightDistribution.from_dict(p["base"])
     sched = ConstructionSchedule.from_dict(p["schedule"])
     seq = construct_sequence(base, sched)
-    payloads = []
-    for i, mu in enumerate(seq):
-        path = os.path.join(out_dir, "mu_%d.json" % i)
-        _write_json(path, mu.to_dict())
-        payloads.append(path)
+    outputs = {"mu_%d.json" % i: mu.to_dict() for i, mu in enumerate(seq)}
     steps = [levy_distance(a, b) for a, b in zip(seq, seq[1:])]
-    summary_path = os.path.join(out_dir, "payload.json")
-    _write_json(summary_path, {"stages": sched.stages, "levy_steps": steps})
-    payloads.append(summary_path)
-    return payloads, [], {"stages": sched.stages}
+    outputs["payload.json"] = {"stages": sched.stages, "levy_steps": steps}
+    return outputs, {"stages": sched.stages}
 
 
-def _run_oriented(cfg, out_dir):
-    p = cfg["params"]
+def _run_oriented(cfg, p):
     trials = cfg.get("trials", 100)
     T = p["T"]
     pv = [float(x) for x in p["p_values"]]
     # every p reads the same clusters (the monotone coupling), grown once
     alphas, pc = alpha_and_pc(pv, p.get("pc_grid"), T, trials, cfg["seed"])
-    rows = [(q, a, se, alpha_rotated(a), dead)
+    rows = [{"p": q, "alpha": a, "stderr": se,
+             "alpha_rotated": alpha_rotated(a), "dead_runs": dead}
             for q, (a, se, dead) in zip(pv, alphas)]
-    table = os.path.join(out_dir, "alpha.csv")
-    _write_csv(table, ["p", "alpha", "stderr", "alpha_rotated"],
-               [[repr(v) for v in r[:4]] for r in rows])
-    payload = os.path.join(out_dir, "payload.json")
-    obj = {"T": T, "trials": trials,
-           "alpha": [{"p": r[0], "alpha": r[1], "stderr": r[2],
-                      "alpha_rotated": r[3], "dead_runs": r[4]}
-                     for r in rows]}
+    obj = {"T": T, "trials": trials, "alpha": rows}
     if pc is not None:
         obj["pc"] = {"p_hat": pc.p_hat, "crossing_T": pc.crossing_T,
                      "crossing_2T": pc.crossing_2T}
-    _write_json(payload, obj)
-    figs = []
+    header = ["p", "alpha", "stderr", "alpha_rotated"]
+    outputs = {"payload.json": obj,
+               "alpha.csv": (header, [[repr(r[k]) for k in header]
+                                      for r in rows])}
     if len(rows) >= 2:
-        fig = os.path.join(out_dir, "alpha.svg")
-        _atomic_write(fig, svgout.curve_figure(
-            [r[0] for r in rows], [r[1] for r in rows]).encode())
-        figs.append(fig)
-    return [payload, table], figs, {"n_p": len(pv),
-                                    "dead_runs": sum(r[4] for r in rows)}
+        outputs["alpha.svg"] = svgout.curve_figure(
+            pv, [r["alpha"] for r in rows])
+    return outputs, {"n_p": len(pv),
+                     "dead_runs": sum(r["dead_runs"] for r in rows)}
 
 
-def _run_compete(cfg, out_dir):
-    p = cfg["params"]
+def _run_compete(cfg, p):
     config = CompetitionConfig(dist=WeightDistribution.from_dict(p["dist"]),
                                seeds=tuple(tuple(s) for s in p["seeds"]),
                                window=Window.square(p["window"]),
@@ -310,18 +313,16 @@ def _run_compete(cfg, out_dir):
     rows = [{"trial": t, "alive": alive, "sizes": list(sizes), "ties": ties}
             for t, (alive, sizes, ties)
             in enumerate(zip(res.survivals, res.sizes, res.ties))]
-    payload = os.path.join(out_dir, "payload.json")
-    _write_json(payload, {"trials": trials,
-                          "coexistence_fraction": res.fraction,
-                          "per_trial": rows})
-    table = os.path.join(out_dir, "survival.csv")
-    _write_csv(table, ["trial", "alive", "ties"],
-               [[r["trial"], r["alive"], r["ties"]] for r in rows])
-    return [payload, table], [], {"coexistence_fraction": res.fraction}
+    outputs = {"payload.json": {"trials": trials,
+                                "coexistence_fraction": res.fraction,
+                                "per_trial": rows},
+               "survival.csv": (["trial", "alive", "ties"],
+                                [[r["trial"], r["alive"], r["ties"]]
+                                 for r in rows])}
+    return outputs, {"coexistence_fraction": res.fraction}
 
 
-def _run_ends(cfg, out_dir):
-    p = cfg["params"]
+def _run_ends(cfg, p):
     dist = WeightDistribution.from_dict(p["dist"])
     window = Window.square(p["window"])
     m_grid = [int(m) for m in p["m_grid"]]
@@ -329,44 +330,34 @@ def _run_ends(cfg, out_dir):
         check_removal_radius(window, m)
     trials = cfg.get("trials", 10)
 
-    results = []
+    rows = []
     for t in range(trials):
         field = EdgeField(derive_seed(cfg["seed"], t), dist)
         g = infection_graph(field, window)
         counts = {m: ends_estimate(g, m) for m in m_grid}
         best_m = max(m_grid, key=lambda m: (counts[m], -m))
-        results.append({"trial": t, "counts": counts, "best_m": best_m,
-                        "ends": counts[best_m]})
-    payload = os.path.join(out_dir, "payload.json")
-    _write_json(payload, {"trials": trials, "m_grid": m_grid,
-                          "per_trial": [
-                              {"trial": r["trial"], "best_m": r["best_m"],
-                               "ends": r["ends"],
-                               "counts": {str(k): v for k, v in
-                                          r["counts"].items()}}
-                              for r in results]})
-    table = os.path.join(out_dir, "ends.csv")
-    _write_csv(table, ["trial", "best_m", "ends"],
-               [[r["trial"], r["best_m"], r["ends"]] for r in results])
-    med = float(np.median([r["ends"] for r in results]))
-    return [payload, table], [], {"median_ends": med}
+        rows.append({"trial": t, "best_m": best_m, "ends": counts[best_m],
+                     "counts": {str(m): c for m, c in counts.items()}})
+    outputs = {"payload.json": {"trials": trials, "m_grid": m_grid,
+                                "per_trial": rows},
+               "ends.csv": (["trial", "best_m", "ends"],
+                            [[r["trial"], r["best_m"], r["ends"]]
+                             for r in rows])}
+    med = float(np.median([r["ends"] for r in rows]))
+    return outputs, {"median_ends": med}
 
 
-def _run_busemann(cfg, out_dir):
-    p = cfg["params"]
+def _run_busemann(cfg, p):
     dist = WeightDistribution.from_dict(p["dist"])
     window = Window.square(p["window"])
     specs = [_line_spec(d) for d in p["lines"]]
     seeds = [tuple(s) for s in p["seeds"]]
     field = EdgeField(cfg["seed"], dist)
     rep = busemann_separation(field, specs, seeds, window)
-    payload = os.path.join(out_dir, "payload.json")
-    _write_json(payload, rep.to_dict())
-    return [payload], [], {"alpha": rep.alpha}
+    return {"payload.json": rep.to_dict()}, {"alpha": rep.alpha}
 
 
-def _run_diagnose(cfg, out_dir):
-    p = cfg["params"]
+def _run_diagnose(cfg, p):
     dist = WeightDistribution.from_dict(p["dist"])
     window = Window.square(p["window"])
     targets = [_line_spec(d) for d in p["targets"]]
@@ -379,14 +370,12 @@ def _run_diagnose(cfg, out_dir):
     reports = [disjointness_diagnostic(
         EdgeField(derive_seed(cfg["seed"], t), dist), targets, m, M, window,
         arc_halfwidth=ahw) for t in range(trials)]
-    payload = os.path.join(out_dir, "payload.json")
-    _write_json(payload, {"trials": trials,
-                          "reports": [r.to_dict() for r in reports]})
-    fig = os.path.join(out_dir, "geodesics.svg")
-    _atomic_write(fig, svgout.path_figure(
-        reports[0].geodesic_sites, p["window"]).encode())
+    outputs = {"payload.json": {"trials": trials,
+                                "reports": [r.to_dict() for r in reports]},
+               "geodesics.svg": svgout.path_figure(
+                   reports[0].geodesic_sites, p["window"])}
     med = float(np.median([q for r in reports for q in r.rho_hat]))
-    return [payload], [fig], {"median_rho_hat": med}
+    return outputs, {"median_rho_hat": med}
 
 
 _RUNNERS = {"shape": _run_shape, "construct": _run_construct,
@@ -411,7 +400,8 @@ def run(cfg, out_root=None, echo=True) -> ResultArtifact:
     out_dir = os.path.join(root, "%s-%s" % (kind, h[:12]))  # made on write
     t0 = time.monotonic()
     try:
-        payloads, figures, summary = _RUNNERS[kind](cfg, out_dir)
+        outputs, summary = _RUNNERS[kind](cfg, cfg["params"])
+        payloads, figures = _write(out_dir, outputs)
     except InputError as e:
         raise ConfigError("config refused for kind %s: %s" % (kind, e))
     except Exception as e:

@@ -212,8 +212,8 @@ class SeparationReport:
                 "alpha": self.alpha}
 
 
-def busemann_separation(field: EdgeField, specs, seeds, window: Window,
-                        graph: GridGraph = None) -> SeparationReport:
+def busemann_separation(field: EdgeField, specs, seeds,
+                        window: Window) -> SeparationReport:
     """Full k x k Busemann matrix for the spec lines against the seeds.
 
     Row i reads every seed's time to line L_i + n v_i from one solve from
@@ -224,8 +224,7 @@ def busemann_separation(field: EdgeField, specs, seeds, window: Window,
     if len(specs) != k:
         raise GeoGraphError("need one line spec per seed")
     cells = _cells(window, seeds)
-    if graph is None:
-        graph = GridGraph(field, window)
+    graph = GridGraph(field, window)
     mat = np.zeros((k, k))
     for i, spec in enumerate(specs):
         ticks = _line_ticks(graph, spec, window)[cells]

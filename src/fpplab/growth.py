@@ -7,7 +7,7 @@ times are exact integer ticks) form the tie set and are never colonized
 under the strict policy.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -141,11 +141,7 @@ def coexistence_stats(config: CompetitionConfig, trials: int,
     k = len(config.seeds)
     survivals, sizes, ties = [], [], []
     for t in range(trials):
-        cfg = CompetitionConfig(dist=config.dist, seeds=config.seeds,
-                                window=config.window,
-                                tie_policy=config.tie_policy,
-                                seed=derive_seed(config.seed, t))
-        occ = compete(cfg)
+        occ = compete(replace(config, seed=derive_seed(config.seed, t)))
         survivals.append(occ.survivors(survival_threshold))
         sizes.append(tuple(occ.sizes.tolist()))
         ties.append(int(np.count_nonzero(occ.tie_mask)))

@@ -318,8 +318,8 @@ def construct_sequence(base: WeightDistribution,
 
     Stage n moves mass r_n = p_{n-1} - p_n from the atom at 1 to an atom
     at y_n (or, with spread h > 0, to a uniform piece on [y_n-h, y_n+h)).
-    Each output keeps total mass 1, mass exactly p_n at 1 and no mass
-    below 1.
+    Each output keeps total mass 1, no mass below 1 and mass p_n at 1, up
+    to float rounding: the atom at 1 stays, since every p_n > 0.
     """
     if abs(base.mass_at(1.0) - schedule.p0) > _MASS_TOL:
         raise DistributionError(
@@ -335,16 +335,10 @@ def construct_sequence(base: WeightDistribution,
         p_n = schedule.p_seq[n]
         y = schedule.y_seq[n]
         r = p_prev - p_n
-        if r > cur.mass_at(1.0) + _MASS_TOL:
-            raise DistributionError("stage %d moves more mass than the atom at 1 holds" % (n + 1))
-        if y <= 1.0:
-            raise DistributionError("y_%d = %g <= 1" % (n + 1, y))
         if h > 0 and y - h < 1.0:
             raise DistributionError("piece around y_%d extends below 1" % (n + 1))
         atoms = {loc: m for loc, m in cur.atoms}
         atoms[1.0] = atoms[1.0] - r
-        if atoms[1.0] <= _MASS_TOL:
-            del atoms[1.0]
         pieces = list(cur.pieces)
         if h > 0:
             pieces.append((y - h, y + h, r))

@@ -190,22 +190,25 @@ def _survival(died, T):
                  for h in (T, 2 * T))
 
 
-def _crossing(p_grid, surv, threshold):
+_PC_SURVIVAL = 0.5  # the survival fraction whose crossing locates p_c
+
+
+def _crossing(p_grid, surv):
     p_grid = np.asarray(p_grid, dtype=float)
-    if surv[0] >= threshold:
+    if surv[0] >= _PC_SURVIVAL:
         raise OrientedError(
             "survival %.3f already >= %.2f at the grid bottom: critical "
-            "point below the grid" % (surv[0], threshold))
-    if surv[-1] < threshold:
+            "point below the grid" % (surv[0], _PC_SURVIVAL))
+    if surv[-1] < _PC_SURVIVAL:
         raise OrientedError(
             "survival %.3f < %.2f at the grid top: critical point above "
-            "the grid" % (surv[-1], threshold))
-    i = int(np.argmax(surv >= threshold))
+            "the grid" % (surv[-1], _PC_SURVIVAL))
+    i = int(np.argmax(surv >= _PC_SURVIVAL))
     p0, p1 = p_grid[i - 1], p_grid[i]
     s0, s1 = surv[i - 1], surv[i]
     if s1 == s0:
         return float(p1)
-    return float(p0 + (threshold - s0) / (s1 - s0) * (p1 - p0))
+    return float(p0 + (_PC_SURVIVAL - s0) / (s1 - s0) * (p1 - p0))
 
 
 @dataclass(frozen=True)
@@ -218,23 +221,21 @@ class PcEstimate:
     p_grid: tuple
 
 
-def estimate_pc(p_grid, T: int, trials: int, seed: int,
-                threshold: float = 0.5) -> PcEstimate:
+def estimate_pc(p_grid, T: int, trials: int, seed: int) -> PcEstimate:
     """Critical-parameter estimate from survival-threshold crossings.
 
-    The survival curve at horizon T crosses the threshold at c_T; the
+    The survival curve at horizon T crosses 1/2 at c_T; the
     finite-horizon refinement compares c_T with c_2T and backs the drift
     out: p_hat = c_T - (c_2T - c_T). Raises a bracketing error when the
     grid does not straddle the crossing.
     """
-    return alpha_and_pc((), p_grid, T, trials, seed, threshold)[1]
+    return alpha_and_pc((), p_grid, T, trials, seed)[1]
 
 
-def alpha_and_pc(p_values, pc_grid, T: int, trials: int, seed: int,
-                 threshold: float = 0.5):
+def alpha_and_pc(p_values, pc_grid, T: int, trials: int, seed: int):
     """estimate_alpha(p, T, trials, seed) for each p in p_values and
-    estimate_pc(pc_grid, T, trials, seed, threshold), from one growth to
-    level 2T.
+    estimate_pc(pc_grid, T, trials, seed), from one growth to level
+    2T.
 
     pc_grid may be None, and then so is the second result.
     """
@@ -258,8 +259,8 @@ def alpha_and_pc(p_values, pc_grid, T: int, trials: int, seed: int,
     if pc_grid is None:
         return alphas, None
     surv_T, surv_2T = _survival(died[len(p_values):], T)
-    c1 = _crossing(pc_grid, surv_T, threshold)
-    c2 = _crossing(pc_grid, surv_2T, threshold)
+    c1 = _crossing(pc_grid, surv_T)
+    c2 = _crossing(pc_grid, surv_2T)
     return alphas, PcEstimate(p_hat=c1 - (c2 - c1), crossing_T=c1,
                               crossing_2T=c2, surv_T=surv_T, surv_2T=surv_2T,
                               p_grid=pc_grid)

@@ -163,13 +163,13 @@ def sides_estimate(est, theta_stat: float) -> int:
     return len(extreme_points(shape, theta_stat))
 
 
-def eps_density(est, eps: float, theta_stat: float = 1e-9) -> bool:
+def eps_density(est, eps: float) -> bool:
     """True iff counted extreme points are eps-dense in the hull boundary.
 
     Checked on a boundary discretization of step eps/10 in l1 arc length.
     """
     shape = est.shape if isinstance(est, ShapeEstimate) else est
-    ext = extreme_points(shape, theta_stat)
+    ext = extreme_points(shape)
     step = eps / 10.0
     for a, b in shape.edges():
         length = l1(a, b)

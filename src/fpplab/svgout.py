@@ -7,6 +7,8 @@ formatting), so figure files are byte-stable across runs.
 """
 
 _FMT = "%.6g"
+_SIZE = 480  # the square viewport's side, in pixels
+_MARGIN = 30
 
 
 def _f(x):
@@ -16,29 +18,27 @@ def _f(x):
 class SvgCanvas:
     """Fixed-viewport canvas with a data-to-pixel affine map."""
 
-    def __init__(self, data_box, size=480, margin=30):
+    def __init__(self, data_box):
         xmin, ymin, xmax, ymax = data_box
         if not (xmax > xmin and ymax > ymin):
             raise ValueError("degenerate data box")
-        self.size = size
-        self.margin = margin
         span = max(xmax - xmin, ymax - ymin)
-        self._scale = (size - 2 * margin) / span
+        self._scale = (_SIZE - 2 * _MARGIN) / span
         self._x0, self._y0 = xmin, ymin
         self._ymax = ymax
         self.elements = []
 
     def map(self, p):
-        px = self.margin + (p[0] - self._x0) * self._scale
+        px = _MARGIN + (p[0] - self._x0) * self._scale
         # SVG y grows downward
-        py = self.margin + (self._ymax - p[1]) * self._scale
+        py = _MARGIN + (self._ymax - p[1]) * self._scale
         return px, py
 
-    def polygon(self, pts, stroke="black", fill="none", width=1.5):
+    def polygon(self, pts, stroke="black", width=1.5):
         d = " ".join("%s,%s" % self._fmt_pt(p) for p in pts)
         self.elements.append(
-            '<polygon points="%s" stroke="%s" fill="%s" stroke-width="%s"/>'
-            % (d, stroke, fill, _f(width)))
+            '<polygon points="%s" stroke="%s" fill="none" stroke-width="%s"/>'
+            % (d, stroke, _f(width)))
 
     def polyline(self, pts, stroke="black", width=1.0):
         d = " ".join("%s,%s" % self._fmt_pt(p) for p in pts)
@@ -51,11 +51,11 @@ class SvgCanvas:
         self.elements.append(
             '<circle cx="%s" cy="%s" r="%s" fill="%s"/>' % (cx, cy, _f(r), fill))
 
-    def text(self, p, s, size=12):
+    def text(self, p, s):
         cx, cy = self._fmt_pt(p)
         self.elements.append(
-            '<text x="%s" y="%s" font-size="%d" font-family="sans-serif">%s</text>'
-            % (cx, cy, size, s))
+            '<text x="%s" y="%s" font-size="12" font-family="sans-serif">%s</text>'
+            % (cx, cy, s))
 
     def _fmt_pt(self, p):
         px, py = self.map(p)
@@ -64,7 +64,7 @@ class SvgCanvas:
     def document(self):
         head = ('<svg xmlns="http://www.w3.org/2000/svg" width="%d" '
                 'height="%d" viewBox="0 0 %d %d">'
-                % (self.size, self.size, self.size, self.size))
+                % (_SIZE, _SIZE, _SIZE, _SIZE))
         return "\n".join([head] + self.elements + ["</svg>"]) + "\n"
 
 

@@ -14,6 +14,7 @@ from fpplab.cli import main
 from fpplab.expcli import (ConfigError, RunError, config_hash, run, sweep,
                            validate_config)
 from fpplab.lattice import Window, _Topology
+from fpplab.measure import _MASS_TOL
 
 
 def shape_cfg(seed=1, trials=2):
@@ -25,6 +26,15 @@ def shape_cfg(seed=1, trials=2):
 def oriented_cfg(p_values, seed=2, trials=30, T=50):
     return {"kind": "oriented", "seed": seed, "trials": trials,
             "params": {"p_values": p_values, "T": T}}
+
+
+def failing_figure(*args, **kwargs):
+    raise OSError("figure failed")
+
+
+def files_under(root):
+    return sorted(os.path.join(d, name)
+                  for d, _, names in os.walk(root) for name in names)
 
 
 def diagnose_cfg(seed=1, trials=2):
@@ -154,6 +164,13 @@ class TestRun:
         with pytest.raises(RunError):
             run(cfg, out_root=str(tmp_path), echo=False)
 
+    def test_failed_run_writes_nothing(self, tmp_path, monkeypatch):
+        # the figure fails after the payload is made: nothing is written
+        monkeypatch.setattr(expcli.svgout, "shape_figure", failing_figure)
+        with pytest.raises(RunError, match="figure failed"):
+            run(shape_cfg(), out_root=str(tmp_path), echo=False)
+        assert files_under(tmp_path) == []
+
 
 class TestSweep:
     def test_isolation(self, tmp_path):
@@ -167,6 +184,25 @@ class TestSweep:
         merged = os.path.join(str(tmp_path), "sweep-oriented.csv")
         lines = open(merged).read().splitlines()
         assert len(lines) == 4  # header + 3 rows
+
+    def test_failed_config_leaves_no_payload(self, tmp_path, monkeypatch):
+        figure = expcli.svgout.shape_figure
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                failing_figure()
+            return figure(*args, **kwargs)
+
+        monkeypatch.setattr(expcli.svgout, "shape_figure", first_fails)
+        arts = sweep([shape_cfg(seed=1), shape_cfg(seed=2)],
+                     out_root=str(tmp_path), echo=False)
+        assert "figure failed" in arts[0].error
+        assert arts[1].error is None
+        assert files_under(tmp_path) == sorted(
+            [str(tmp_path / "sweep-shape.csv")]
+            + arts[1].payloads + arts[1].figures)
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
@@ -276,6 +312,22 @@ class TestMain:
         assert main(["shape", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+
+    def test_construct_keeps_a_tiny_atom_at_one(self, tmp_path, capsys):
+        # p_n > 0 however small: the atom at 1 stays, its mass p_n up to
+        # the float rounding of the subtractions
+        cfg = {"kind": "construct", "seed": 0, "params": {
+            "base": {"atoms": [[1.0, 0.9], [3.0, 0.1]]},
+            "schedule": {"p0": 0.9, "p_seq": [1e-13, 1e-14],
+                         "y_seq": [2.5, 2.0]}}}
+        path = self.write(tmp_path, cfg)
+        assert main(["construct", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 0
+        line = json.loads(capsys.readouterr().out.strip())
+        for i, p_n in ((1, 1e-13), (2, 1e-14)):
+            with open(line["payloads"][i]) as f:
+                atoms = dict(map(tuple, json.load(f)["atoms"]))
+            assert atoms[1.0] == pytest.approx(p_n, abs=_MASS_TOL)
 
     def test_env_output_root(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FPPLAB_OUT", str(tmp_path / "envout"))

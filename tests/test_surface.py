@@ -10,6 +10,9 @@ attribute (obj.name), a top-level name also as a bare name, and either
 as a string that is exactly the name, which is how getattr looks one up.
 A name read only by its own unit tests fails, unless KEEP gives the
 reason to keep it.
+
+Likewise each parameter with a default must be set by some call: a knob
+that nothing sets is a constant.
 """
 
 import ast
@@ -91,3 +94,89 @@ def test_prose_and_local_names_are_no_reads(tmp_path):
 
 def test_keep_names_exist():
     assert set(KEEP) <= {q for q, _ in public_names()}
+
+
+def optional_parameters():
+    """(label, names it is called by, parameter, position) of every
+    parameter with a default of every function and method of
+    src/fpplab. An explicit __init__ is called by its class name too.
+    The position is the one a call passes the parameter at, after self
+    or cls; a keyword-only parameter has none."""
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        owner = {id(item): node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            label, names = node.name, {node.name}
+            a = node.args
+            positional = a.posonlyargs + a.args
+            if id(node) in owner:
+                label = "%s.%s" % (owner[id(node)], node.name)
+                if node.name == "__init__":
+                    names.add(owner[id(node)])
+                if not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                           for d in node.decorator_list):
+                    positional = positional[1:]
+            first = len(positional) - len(a.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield label, names, arg.arg, i
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield label, names, arg.arg, None
+
+
+def calls(paths):
+    """name -> [(positional count, keyword names)] of every call, by the
+    called name (f(...) or obj.f(...)). A call with *args or **kwargs
+    passes everything: (inf, None)."""
+    found = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = (f.id if isinstance(f, ast.Name) else
+                    f.attr if isinstance(f, ast.Attribute) else None)
+            if any(isinstance(x, ast.Starred) for x in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                passed = (float("inf"), None)
+            else:
+                passed = (len(node.args), {k.arg for k in node.keywords})
+            found.setdefault(name, []).append(passed)
+    return found
+
+
+def unset(readers):
+    found = calls(readers)
+    return ["%s(%s)" % (label, param)
+            for label, names, param, position in optional_parameters()
+            if not any(keywords is None or param in keywords
+                       or (position is not None and n > position)
+                       for name in names
+                       for n, keywords in found.get(name, ()))]
+
+
+def test_every_optional_parameter_is_set():
+    readers = (MODULES + sorted((ROOT / "bench").glob("*.py"))
+               + sorted((ROOT / "tests").glob("*.py")))
+    assert unset(readers) == []
+
+
+def test_a_parameter_is_set_by_position_keyword_or_star(tmp_path):
+    def unset_by(text):
+        path = tmp_path / "caller.py"
+        path.write_text(text)
+        return set(unset([path]))
+
+    nothing = unset_by("")
+    assert {"hull(theta_tol)", "main(argv)"} <= nothing
+    assert "hull(theta_tol)" not in unset_by("hull(points, 1e-6)\n")
+    assert "hull(theta_tol)" not in unset_by("convex.hull(p, theta_tol=0)\n")
+    assert "hull(theta_tol)" in unset_by("hull(points)\n")
+    assert "main(argv)" not in unset_by("main(*args)\n")
+    assert "main(argv)" not in unset_by("main(**kwargs)\n")
+    # a method's positions start after self
+    assert "SvgCanvas.circle(r)" not in unset_by("canvas.circle(p, 2.0)\n")
+    assert "SvgCanvas.circle(r)" in unset_by("canvas.circle(p)\n")
