@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 from .measure import (ConstructionSchedule, DistributionError,
                       WeightDistribution, construct_sequence, levy_distance,
                       mk_distribution, point_mass)
-from .lattice import (EdgeField, GridGraph, LatticeError, LatticePath,
-                      PassageTimeMap, Window, ball, canonical_edge, geodesic,
-                      round_site, solve)
+from .lattice import (EdgeField, GridGraph, LatticeError, PassageTimeMap,
+                      Window, ball, canonical_edge, geodesic, round_site)
 from .convex import (ConvexShape, GeometryError, extreme_points,
                      flat_edge_intersection, hausdorff, hull, l1_ball,
                      predicted_flat_edge)

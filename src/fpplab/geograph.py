@@ -5,8 +5,10 @@ optimal incoming edge of a single-source solve (ties included). Ends are
 proxied by counting boundary-touching components after removing a scaled
 ball around the origin. Busemann functions are differences of minimal
 passage times to a discretized line, read from one solve from the line.
-A GeoGraphError refuses an input; a geodesic clipped by the window,
-which depends on the field, is a RuntimeError.
+busemann and InfectionGraph.from_map take the GridGraph or the solve
+alone and read the field and the window from it. A GeoGraphError refuses
+an input; a geodesic clipped by the window, which depends on the field,
+is a RuntimeError.
 """
 
 import math
@@ -19,7 +21,7 @@ from scipy.sparse.csgraph import connected_components
 from .convex import (ConvexShape, boundary_project, gauge, l1, l1_ball,
                      projection_coefficient)
 from .lattice import (EdgeField, GridGraph, LatticeError, PassageTimeMap,
-                      Window, geodesic, round_site, solve)
+                      Window, geodesic, round_site)
 from .measure import InputError, in_q_support
 
 
@@ -39,7 +41,7 @@ def _vertices(h_mask, v_mask):
 
 @dataclass
 class InfectionGraph:
-    """Edge set of all geodesics from the origin."""
+    """Edge set of all geodesics from the source of a solve."""
 
     window: Window
     h_mask: np.ndarray  # (nx-1, ny): edge (x,y)-(x+1,y) present
@@ -52,24 +54,28 @@ class InfectionGraph:
     def vertex_count(self) -> int:
         return int(_vertices(self.h_mask, self.v_mask).sum())
 
+    @classmethod
+    def from_map(cls, ptm: PassageTimeMap):
+        """All optimal predecessor edges of a solve on a window.
 
-def infection_graph(field: EdgeField, window: Window,
-                    ptm: PassageTimeMap = None) -> InfectionGraph:
-    """All optimal predecessor edges over every in-window site.
+        An edge belongs iff it is an optimal incoming edge of one of its
+        endpoints, i.e. the times of its endpoints differ by exactly its
+        weight (ties and loops included): one of its two entries is
+        tight (GridGraph.tight).
+        """
+        window = ptm.graph.window
+        # an edge to the right is in when slot 3 of its left end or slot
+        # 0 of its right end is tight; an edge up, slot 2 or slot 1
+        tight = ptm.tight.reshape(window.shape + (4,))
+        return cls(window=window,
+                   h_mask=tight[:-1, :, 3] | tight[1:, :, 0],
+                   v_mask=tight[:, :-1, 2] | tight[:, 1:, 1])
 
-    An edge belongs iff it is an optimal incoming edge of one of its
-    endpoints, i.e. the times of its endpoints differ by exactly its
-    weight (ties and loops included): one of its two entries is tight
-    (GridGraph.tight).
-    """
-    if ptm is None:
-        ptm = solve(field, (0, 0), window)
-    # an edge to the right is in when slot 3 of its left end or slot 0 of
-    # its right end is tight; an edge up, slot 2 of its lower end or 1
-    tight = ptm.tight.reshape(window.shape + (4,))
-    h_mask = tight[:-1, :, 3] | tight[1:, :, 0]
-    v_mask = tight[:, :-1, 2] | tight[:, 1:, 1]
-    return InfectionGraph(window=window, h_mask=h_mask, v_mask=v_mask)
+
+def infection_graph(field: EdgeField, window: Window) -> InfectionGraph:
+    """The infection graph from the origin over every in-window site
+    (InfectionGraph.from_map)."""
+    return InfectionGraph.from_map(GridGraph(field, window).solve((0, 0)))
 
 
 def check_removal_radius(window: Window, removal_radius: int):
@@ -86,26 +92,19 @@ def ends_estimate(graph: InfectionGraph, removal_radius: int) -> int:
     of ends)."""
     win = graph.window
     check_removal_radius(win, removal_radius)
-    nx, ny = win.nx, win.ny
-    xs = np.arange(win.xmin, win.xmax + 1)
-    ys = np.arange(win.ymin, win.ymax + 1)
-    norm = np.abs(xs)[:, None] + np.abs(ys)[None, :]
-    keep = norm > removal_radius  # vertices outside the removed ball
+    x, y = np.ogrid[win.xmin:win.xmax + 1, win.ymin:win.ymax + 1]
+    keep = np.abs(x) + np.abs(y) > removal_radius  # vertices outside the ball
     hm = graph.h_mask & keep[:-1, :] & keep[1:, :]
     vm = graph.v_mask & keep[:, :-1] & keep[:, 1:]
-    iy = np.arange(ny)
-    hu = (np.arange(nx - 1)[:, None] * ny + iy[None, :])[hm]
-    vu = (np.arange(nx)[:, None] * ny + iy[None, :-1])[vm]
+    idx = np.arange(win.n_sites).reshape(win.shape)
+    hu, vu = idx[:-1][hm], idx[:, :-1][vm]
     rows = np.concatenate([hu, vu])
-    cols = np.concatenate([hu + ny, vu + 1])
-    n = win.n_sites
-    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    n_comp, labels = connected_components(adj, directed=False)
-    boundary = np.zeros((nx, ny), dtype=bool)
-    boundary[0, :] = boundary[-1, :] = True
-    boundary[:, 0] = boundary[:, -1] = True
-    touching = _vertices(hm, vm) & boundary
-    return len(np.unique(labels.reshape(nx, ny)[touching]))
+    cols = np.concatenate([hu + win.ny, vu + 1])
+    adj = csr_matrix((np.ones(len(rows)), (rows, cols)),
+                     shape=(win.n_sites, win.n_sites))
+    labels = connected_components(adj, directed=False)[1]
+    touching = _vertices(hm, vm) & win.rim
+    return len(np.unique(labels.reshape(win.shape)[touching]))
 
 
 def k_lower_bound(s: int) -> int:
@@ -158,19 +157,18 @@ def discretize_line(spec: BusemannSpec, window: Window):
 
 
 def _cells(window: Window, sites):
-    """Grid indices of the sites, refused off the window (they would wrap)."""
+    """Indices of the sites, refused off the window with GeoGraphError."""
     for s in sites:
         if not window.contains(s):
             raise GeoGraphError("site %s outside window" % (s,))
-    a = np.array(sites).reshape(-1, 2)
-    return a[:, 0] - window.xmin, a[:, 1] - window.ymin
+    return [window.index(s) for s in sites]
 
 
-def _line_ticks(graph: GridGraph, spec: BusemannSpec, window: Window):
+def _line_ticks(graph: GridGraph, spec: BusemannSpec):
     """Ticks between the discretized line L + n*v and every window site, in
     one solve from the line: the graph is symmetric and sums ticks exactly,
     so the time from the line to x is the time from x to it."""
-    return graph.distance_to_set(discretize_line(spec, window))
+    return graph.distance_to_set(discretize_line(spec, graph.window))
 
 
 def _projections(specs, points):
@@ -189,15 +187,12 @@ def _projections(specs, points):
     return proj, 0.5 * float(proj[~np.eye(k, dtype=bool)].min())
 
 
-def busemann(field: EdgeField, spec: BusemannSpec, x, y, window: Window,
-             graph: GridGraph = None) -> float:
-    """B_S(x, y): the minimal passage time from x to the discretized line
-    minus that from y, exact in ticks, from one solve from the line."""
-    cells = _cells(window, (x, y))
-    if graph is None:
-        graph = GridGraph(field, window)
-    tx, ty = _line_ticks(graph, spec, window)[cells]
-    return float((tx - ty) / field.dist.ticks_per_unit)
+def busemann(graph: GridGraph, spec: BusemannSpec, x, y) -> float:
+    """B_S(x, y) in the graph's field: the minimal passage time from x to
+    the discretized line minus that from y, exact in ticks, from one
+    solve from the line."""
+    tx, ty = _line_ticks(graph, spec).take(_cells(graph.window, (x, y)))
+    return float((tx - ty) / graph.field.dist.ticks_per_unit)
 
 
 @dataclass(frozen=True)
@@ -227,7 +222,7 @@ def busemann_separation(field: EdgeField, specs, seeds,
     graph = GridGraph(field, window)
     mat = np.zeros((k, k))
     for i, spec in enumerate(specs):
-        ticks = _line_ticks(graph, spec, window)[cells]
+        ticks = _line_ticks(graph, spec).take(cells)
         mat[i] = (ticks - ticks[i]) / field.dist.ticks_per_unit
     proj, alpha = _projections(specs, seeds)
     return SeparationReport(matrix=mat, projections=proj, alpha=alpha)
@@ -254,11 +249,11 @@ class DisjointnessReport:
                 "events": {k: list(v) for k, v in self.events.items()}}
 
 
-def _line_geodesic(ptm: PassageTimeMap, spec: BusemannSpec, window: Window):
+def _line_geodesic(ptm: PassageTimeMap, spec: BusemannSpec):
     """The lexicographic geodesic from the solve's source to the site of
     the discretized line L + n*v with the least tick time (the least such
     site on a tie)."""
-    sites = discretize_line(spec, window)
+    sites = discretize_line(spec, ptm.graph.window)
     return geodesic(ptm, min(sites, key=lambda s: (ptm.tick_time(s), s)))
 
 
@@ -292,13 +287,13 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
     if shape is None:
         shape = l1_ball(1.0)
     graph = GridGraph(field, window)
-    ptm = solve(field, (0, 0), window, graph=graph)
+    ptm = graph.solve((0, 0))
     k = len(targets)
 
     geodesics = []
     for spec in targets:
-        path = _line_geodesic(ptm, spec, window)
-        if any(window.on_boundary(s) for s in path.sites):
+        path = _line_geodesic(ptm, spec)
+        if any(window.rim.item(window.index(s)) for s in path):
             raise RuntimeError("geodesic clipped by the window")
         geodesics.append(path)
     alpha = _projections(targets, [spec.v for spec in targets])[1]
@@ -307,20 +302,16 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
     n_q = []
     ev = {"B": [], "C": [], "D": [], "E": []}
     for spec, path in zip(targets, geodesics):
-        sites = np.array(path.sites)
+        sites = np.array(path)
         beyond_m = gauge(shape, sites / m) > 1.0
         beyond_M = gauge(shape, sites / M) > 1.0
-        outside.append({s for s, b in zip(path.sites, beyond_m) if b})
+        outside.append({s for s, b in zip(path, beyond_m) if b})
 
-        # Q-edges with both ends in the annulus, read at their lower-left
-        # end: no path site is on the boundary, so it indexes both grids
+        # Q-edges with both ends in the annulus: every step of a geodesic
+        # is tight, so its weight is the rise of the ticks along it
         annulus = beyond_m & ~beyond_M
-        along = annulus[:-1] & annulus[1:]
-        lo = np.minimum(sites[:-1], sites[1:])[along]
-        ix, iy = lo[:, 0] - window.xmin, lo[:, 1] - window.ymin
-        horizontal = (sites[:-1, 0] != sites[1:, 0])[along]
-        w = np.where(horizontal, graph.th[ix, iy],
-                     graph.tv[ix, iy]) / field.dist.ticks_per_unit
+        rise = np.diff([ptm.tick_time(s) for s in path])
+        w = rise[annulus[:-1] & annulus[1:]] / field.dist.ticks_per_unit
         count = int(np.count_nonzero(in_q_support(field.dist, w)))
         n_q.append(count)
         ev["E"].append(count >= 1)
@@ -351,8 +342,7 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
             c_ok = c_ok and abs(ptm.time(x) - m) < m * alpha / 10
             pert = round_site((x[0] + m * alpha / 20, x[1]))
             if window.contains(pert) and pert != x:
-                sub = solve(field, x, window, limit=m * alpha,
-                            graph=graph)
+                sub = graph.solve(x, limit=m * alpha)
                 try:
                     d_ok = d_ok and sub.time(pert) < m * alpha / 5
                 except LatticeError:
@@ -368,4 +358,4 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
     return DisjointnessReport(disjoint=disjoint, n_q=tuple(n_q),
                               rho_hat=tuple(c / M for c in n_q),
                               alpha=alpha, events=ev,
-                              geodesic_sites=[p.sites for p in geodesics])
+                              geodesic_sites=geodesics)

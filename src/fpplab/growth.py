@@ -14,7 +14,7 @@ import numpy as np
 
 from ._rng import derive_seed, hash_words
 from .convex import ConvexShape
-from .lattice import EdgeField, GridGraph, Window, _row, round_site
+from .lattice import EdgeField, GridGraph, Window, round_site
 from .measure import InputError, WeightDistribution
 
 NONE_OWNER = -1
@@ -56,13 +56,11 @@ class OccupancyMap:
 
     def owner(self, s) -> int:
         """The owner of a window site; LatticeError for one off it."""
-        return int(self.owner_grid.item(_row(self.config.window, s)))
+        return int(self.owner_grid.item(self.config.window.index(s)))
 
     @property
     def tie_set(self):
-        w = self.config.window
-        ii, jj = np.nonzero(self.tie_mask)
-        return {(int(i) + w.xmin, int(j) + w.ymin) for i, j in zip(ii, jj)}
+        return self.config.window.sites_of(self.tie_mask)
 
     @cached_property
     def sizes(self):
@@ -72,14 +70,10 @@ class OccupancyMap:
                            minlength=len(self.config.seeds) + 1)[1:]
 
     def region(self, i):
-        w = self.config.window
-        ii, jj = np.nonzero(self.owner_grid == i)
-        return {(int(a) + w.xmin, int(b) + w.ymin) for a, b in zip(ii, jj)}
+        return self.config.window.sites_of(self.owner_grid == i)
 
     def touches_boundary(self, i) -> bool:
-        g = self.owner_grid
-        return bool((g[0, :] == i).any() or (g[-1, :] == i).any()
-                    or (g[:, 0] == i).any() or (g[:, -1] == i).any())
+        return bool(np.any(self.owner_grid[self.config.window.rim] == i))
 
     def survivors(self, threshold) -> int:
         """Number of surviving species. Species i survives on the finite

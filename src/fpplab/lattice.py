@@ -17,21 +17,26 @@ once, as ticks / D. A domain on which a Dijkstra sum could reach 2^53
 ticks is refused before anything is allocated (check_domain).
 
 A domain is a Window (an axis-aligned rectangle) or a Diamond (an l1
-ball, whose rows have ragged y-ranges). Both number their sites row
-after row, and each site owns its edges to the right and above, so one
-assembly builds the CSR adjacency of either: four entries per site, a
-zero-weight self-loop standing for a neighbour off the domain, written
-directly with no COO stage. The CSR's int32 indices and its indptr
-depend on the domain alone. A domain object makes them at its first
-graph and keeps them, read-only, for its other graphs, such as the
-trials of a run on one window; they are freed with the domain. So a
-build allocates one fresh array, the CSR data, into which
-EdgeField.weight_grids hashes the weights block by block.
-Single-source passage times are solved with Dijkstra (scipy's compiled
-implementation). Every optimal incoming edge of a site, ties included, is
-a tight entry into it, so tie unions (the infection graph) stay
-computable. A multi-source solve also tells, through the edges its times
-make tight, which of its sources attain each time (GridGraph.minimisers).
+ball, whose rows have ragged y-ranges). Each owns its site layout: index
+refuses a site off it with LatticeError, and a Window gives its rim and
+the sites of a mask over it. Both number their sites row after row, and
+each site owns its edges to the right and above, so one assembly builds
+the CSR adjacency of either: four entries per site, a zero-weight
+self-loop standing for a neighbour off the domain, written directly with
+no COO stage. The CSR's int32 indices and its indptr depend on the
+domain alone. A domain object makes them at its first graph and keeps
+them, read-only, for its other graphs, such as the trials of a run on
+one window; they are freed with the domain. So a build allocates one
+fresh array, the CSR data, into which EdgeField.weight_grids hashes the
+weights block by block.
+
+A GridGraph is the one handle on a field over a domain. GridGraph.solve
+runs Dijkstra (scipy's compiled implementation) from one source, and the
+PassageTimeMap it returns reads the field and the domain from its graph.
+Every optimal incoming edge of a site, ties included, is a tight entry
+into it, so tie unions (the infection graph) stay computable. A
+multi-source solve also tells, through the edges its times make tight,
+which of its sources attain each time (GridGraph.minimisers).
 
 solve_targets returns exact lattice passage times to a set of targets,
 for a batch of fields of one law. It solves each field on an l1 diamond
@@ -174,10 +179,10 @@ class Window(_Rows):
     def contains(self, s: Site) -> bool:
         return self.xmin <= s[0] <= self.xmax and self.ymin <= s[1] <= self.ymax
 
-    def on_boundary(self, s: Site) -> bool:
-        return s[0] in (self.xmin, self.xmax) or s[1] in (self.ymin, self.ymax)
-
     def index(self, s: Site) -> int:
+        """The index of a site of the window; LatticeError for one off it."""
+        if not self.contains(s):
+            raise LatticeError("site %s outside the domain" % (s,))
         return (s[0] - self.xmin) * self.ny + (s[1] - self.ymin)
 
     def site(self, idx: int) -> Site:
@@ -187,6 +192,20 @@ class Window(_Rows):
         for x in range(self.xmin, self.xmax + 1):
             for y in range(self.ymin, self.ymax + 1):
                 yield (x, y)
+
+    def sites_of(self, mask) -> set:
+        """The sites where a bool array of the window's shape is True."""
+        ii, jj = np.nonzero(mask)
+        return set(zip((ii + self.xmin).tolist(), (jj + self.ymin).tolist()))
+
+    @cached_property
+    def rim(self):
+        """Read-only bool array of the window's shape, True at the sites
+        on its boundary; made at first use and kept."""
+        rim = np.ones(self.shape, dtype=bool)
+        rim[1:-1, 1:-1] = False
+        rim.flags.writeable = False
+        return rim
 
 
 def _shared(ylo, yhi):
@@ -248,6 +267,9 @@ class Diamond(_Rows):
                 <= self.radius)
 
     def index(self, s: Site) -> int:
+        """The index of a site of the diamond; LatticeError for one off it."""
+        if not self.contains(s):
+            raise LatticeError("site %s outside the domain" % (s,))
         r, i = self.radius, s[0] - self.xmin
         # rows 0..i-1 hold i^2 sites up to the middle row; past it, rows
         # i..2r mirror rows 0..2r-i and hold (2r + 1 - i)^2
@@ -329,13 +351,6 @@ def check_domain(dist: WeightDistribution, domain):
         raise DomainError(
             "passage times on a domain of l1 diameter %d reach 2^53 ticks "
             "of %s" % (domain.diameter, dist))
-
-
-def _row(domain, s: Site) -> int:
-    """The index of a site of the domain; LatticeError for one off it."""
-    if not domain.contains(s):
-        raise LatticeError("site %s outside the domain" % (s,))
-    return domain.index(s)
 
 
 class _Topology:
@@ -428,14 +443,14 @@ class GridGraph:
         to every domain site. limit, in ticks, prunes the search: sites
         beyond it come back inf."""
         d = _csgraph_dijkstra(self._csr, directed=True,
-                              indices=_row(self.window, source),
+                              indices=self.window.index(source),
                               limit=np.inf if limit is None else float(limit))
         return d.reshape(self.window.shape)
 
     def distance_to_set(self, sites):
         """min over a site set of the passage time, in ticks, to each
         domain site: every site of the set starts at 0."""
-        idx = [_row(self.window, s) for s in sites]
+        idx = [self.window.index(s) for s in sites]
         if not idx:
             raise LatticeError("empty site set")
         d = _csgraph_dijkstra(self._csr, directed=True, indices=idx,
@@ -488,10 +503,25 @@ class GridGraph:
                 return_predecessors=False)] = True
         return reach, is_min.reshape((len(sites),) + reach.shape)
 
+    def solve(self, source: Site, limit=None):
+        """Exact in-domain passage times from the source to every site,
+        as a PassageTimeMap.
+
+        limit optionally prunes the search: sites with time > limit come
+        back as unexplored (their true time exceeds limit, which callers
+        must only use when they query nearer sites).
+        """
+        limit = math.inf if limit is None else float(limit)
+        ticks = self.distances(source, limit=None if limit == math.inf else
+                               math.floor(Fraction(limit)
+                                          * self.field.dist.ticks_per_unit))
+        return PassageTimeMap(self, source, ticks, limit)
+
 
 @dataclass
 class PassageTimeMap:
-    """Single-source passage times and the graph they were solved on.
+    """Single-source passage times on a graph (GridGraph.solve), which
+    holds their field and their domain.
 
     ticks are the times in ticks (exact; inf where the limit cut the
     solve), and grid the same in real units, ticks / D. tight, the
@@ -499,16 +529,14 @@ class PassageTimeMap:
     optimal incoming edge of every site, ties included.
     """
 
-    field: EdgeField
-    window: Window
-    source: Site
-    ticks: np.ndarray  # (nx, ny)
     graph: GridGraph
-    limit: float = np.inf
+    source: Site
+    ticks: np.ndarray  # the domain's shape
+    limit: float
 
     @cached_property
     def grid(self):
-        return self.ticks / self.field.dist.ticks_per_unit
+        return self.ticks / self.graph.field.dist.ticks_per_unit
 
     @cached_property
     def tight(self):
@@ -516,63 +544,27 @@ class PassageTimeMap:
 
     def tick_time(self, s: Site):
         """The passage time to s in ticks, exact."""
-        t = self.ticks.item(_row(self.window, s))
+        t = self.ticks.item(self.graph.window.index(s))
         if not math.isfinite(t):
             raise LatticeError(
                 "site %s beyond the solve limit %g" % (s, self.limit))
         return t
 
     def time(self, s: Site) -> float:
-        return float(self.tick_time(s) / self.field.dist.ticks_per_unit)
+        return float(self.tick_time(s) / self.graph.field.dist.ticks_per_unit)
 
     def pred_sites(self, s: Site):
         """The sites u of every optimal incoming edge u -> s, in sorted
         order: the neighbour u in slot j of s is one when the entry back,
         slot 3 - j of u, is tight. A self-loop (u == s) is no neighbour."""
-        k = _row(self.window, s)
-        return [self.window.site(u)
+        k = self.graph.window.index(s)
+        return [self.graph.window.site(u)
                 for j, u in enumerate(self.graph.neighbours[k].tolist())
                 if u != k and self.tight.item(u, 3 - j)]
 
     def boundary_contact(self, t) -> bool:
         """True if the ball of radius t touches the window boundary."""
-        g = self.grid
-        edges = np.concatenate([g[0, :], g[-1, :], g[:, 0], g[:, -1]])
-        return bool(np.any(edges <= t))
-
-
-def solve(field: EdgeField, source: Site, window: Window,
-          limit=None, graph: GridGraph = None) -> PassageTimeMap:
-    """Exact in-window passage times from the source to every site.
-
-    limit optionally prunes the search: sites with time > limit come back
-    as unexplored (their true time exceeds limit, which callers must only
-    use when they query nearer sites). graph allows reuse of a prebuilt
-    GridGraph for repeated solves on one field.
-    """
-    if graph is None:
-        graph = GridGraph(field, window)
-    ticks = graph.distances(
-        source, limit=None if limit is None or limit == math.inf
-        else math.floor(Fraction(limit) * field.dist.ticks_per_unit))
-    return PassageTimeMap(field=field, window=window, source=source,
-                          ticks=ticks, graph=graph,
-                          limit=np.inf if limit is None else float(limit))
-
-
-@dataclass(frozen=True)
-class LatticePath:
-    """Sequence of adjacent sites."""
-
-    sites: tuple
-
-    def __post_init__(self):
-        for a, b in zip(self.sites, self.sites[1:]):
-            if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
-                raise LatticeError("non-adjacent consecutive sites %s %s" % (a, b))
-
-    def __len__(self):
-        return len(self.sites)
+        return bool(np.any(self.grid[self.graph.window.rim] <= t))
 
 
 def _plateau_escape(ptm: PassageTimeMap, v: Site, visited):
@@ -603,9 +595,10 @@ def _plateau_escape(ptm: PassageTimeMap, v: Site, visited):
     raise LatticeError("stuck on a zero-weight plateau at %s" % (v,))
 
 
-def geodesic(ptm: PassageTimeMap, target: Site) -> LatticePath:
-    """A minimizing path from the source to the target, walking
-    predecessors and choosing the smallest site at every tie."""
+def geodesic(ptm: PassageTimeMap, target: Site) -> tuple:
+    """A minimizing path from the source to the target, as its tuple of
+    sites, walking predecessors and choosing the smallest site at every
+    tie."""
     rev = [target]
     visited = {target}
     v = target
@@ -622,7 +615,7 @@ def geodesic(ptm: PassageTimeMap, target: Site) -> LatticePath:
                 rev.append(u)
                 visited.add(u)
             v = rev[-1]
-    return LatticePath(tuple(rev[::-1]))
+    return tuple(rev[::-1])
 
 
 def ball(ptm: PassageTimeMap, t) -> set:
@@ -637,9 +630,7 @@ def ball(ptm: PassageTimeMap, t) -> set:
         warnings.warn("ball(t=%g) touches the window boundary; "
                       "truncation may bias the result" % t,
                       stacklevel=2)
-    ii, jj = np.nonzero(ptm.grid <= t)
-    xmin, ymin = ptm.window.xmin, ptm.window.ymin
-    return {(int(i) + xmin, int(j) + ymin) for i, j in zip(ii, jj)}
+    return ptm.graph.window.sites_of(ptm.grid <= t)
 
 
 def monotone_upper_bounds(hw, vw, window: Window, source: Site, targets):

@@ -318,8 +318,9 @@ def construct_sequence(base: WeightDistribution,
 
     Stage n moves mass r_n = p_{n-1} - p_n from the atom at 1 to an atom
     at y_n (or, with spread h > 0, to a uniform piece on [y_n-h, y_n+h)).
-    Each output keeps total mass 1, no mass below 1 and mass p_n at 1, up
-    to float rounding: the atom at 1 stays, since every p_n > 0.
+    Each output keeps total mass 1, up to float rounding, no mass below 1
+    and mass exactly p_n at 1: the atom at 1 is set to p_n, not reduced
+    by r_n, so it stays, since every p_n > 0, however small.
     """
     if abs(base.mass_at(1.0) - schedule.p0) > _MASS_TOL:
         raise DistributionError(
@@ -338,7 +339,7 @@ def construct_sequence(base: WeightDistribution,
         if h > 0 and y - h < 1.0:
             raise DistributionError("piece around y_%d extends below 1" % (n + 1))
         atoms = {loc: m for loc, m in cur.atoms}
-        atoms[1.0] = atoms[1.0] - r
+        atoms[1.0] = p_n
         pieces = list(cur.pieces)
         if h > 0:
             pieces.append((y - h, y + h, r))

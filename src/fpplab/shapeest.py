@@ -153,22 +153,21 @@ def empirical_shape(dist: WeightDistribution, plan: DirectionPlan) -> ShapeEstim
                          trials=plan.trials)
 
 
-def sides_estimate(est, theta_stat: float) -> int:
+def sides_estimate(est: ShapeEstimate, theta_stat: float) -> int:
     """Extreme-point count at the statistical angle tolerance theta_stat.
 
     theta_stat should exceed the noise-induced turning angles of the
     empirical hull (unlike the exact-geometry tolerance in convex.hull).
     """
-    shape = est.shape if isinstance(est, ShapeEstimate) else est
-    return len(extreme_points(shape, theta_stat))
+    return len(extreme_points(est.shape, theta_stat))
 
 
-def eps_density(est, eps: float) -> bool:
-    """True iff counted extreme points are eps-dense in the hull boundary.
+def eps_density(shape: ConvexShape, eps: float) -> bool:
+    """True iff counted extreme points are eps-dense in the boundary of a
+    convex shape, such as a ShapeEstimate's shape.
 
     Checked on a boundary discretization of step eps/10 in l1 arc length.
     """
-    shape = est.shape if isinstance(est, ShapeEstimate) else est
     ext = extreme_points(shape)
     step = eps / 10.0
     for a, b in shape.edges():

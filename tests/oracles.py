@@ -86,9 +86,9 @@ def pruned_search_times(field, window, source):
 
 
 def path_weight(field, path):
-    """The sum of the edge weights of a LatticePath, in its order."""
-    return sum(field.edge_weight(a, b)
-               for a, b in zip(path.sites, path.sites[1:]))
+    """The sum of the edge weights of a path, a tuple of sites, in its
+    order."""
+    return sum(field.edge_weight(a, b) for a, b in zip(path, path[1:]))
 
 
 def exit_edges(center, radius):

@@ -17,7 +17,7 @@ from fpplab.geograph import (BusemannSpec, busemann, disjointness_diagnostic,
                              ends_estimate, infection_graph, k_lower_bound)
 from fpplab.growth import (NONE_OWNER, CompetitionConfig, coexistence_stats,
                            compete, place_seeds)
-from fpplab.lattice import (EdgeField, GridGraph, Window, ball, solve)
+from fpplab.lattice import EdgeField, GridGraph, Window, ball
 from fpplab.measure import mk_distribution, point_mass
 from fpplab.oriented import alpha_rotated, estimate_alpha, estimate_pc
 from fpplab.shapeest import (DirectionPlan, empirical_shape, flat_edge_report,
@@ -37,7 +37,7 @@ def test_criterion_01_solver_matches_exhaustive_enumeration():
     for seed in range(34):
         for d in dists:
             f = EdgeField(seed, d)
-            ptm = solve(f, (0, 0), w)
+            ptm = GridGraph(f, w).solve((0, 0))
             oracle = exhaustive_times(f, w, (0, 0))
             for s in w.sites():
                 assert abs(ptm.time(s) - oracle[s]) <= 1e-12
@@ -48,7 +48,7 @@ def test_criterion_01_solver_matches_exhaustive_enumeration():
 def test_criterion_02_unit_weights_give_l1_balls_and_shape():
     # balls: B(t) equals the exact l1 ball of radius floor(t), t <= 30
     w = Window.square(32)
-    ptm = solve(EdgeField(0, point_mass(1.0)), (0, 0), w)
+    ptm = GridGraph(EdgeField(0, point_mass(1.0)), w).solve((0, 0))
     for t in list(range(31)) + [0.5, 7.9, 29.99, 30.0]:
         got = ball(ptm, t)
         r = int(t)
@@ -132,13 +132,13 @@ def test_criterion_07_busemann_identities():
             spec = BusemannSpec(v=v, w=t, n=int(rng.integers(5, 9)))
             x, y, z = [tuple(int(c) for c in rng.integers(-4, 5, size=2))
                        for _ in range(3)]
-            bxy = busemann(f, spec, x, y, w, graph=g)
-            byx = busemann(f, spec, y, x, w, graph=g)
-            byz = busemann(f, spec, y, z, w, graph=g)
-            bxz = busemann(f, spec, x, z, w, graph=g)
+            bxy = busemann(g, spec, x, y)
+            byx = busemann(g, spec, y, x)
+            byz = busemann(g, spec, y, z)
+            bxz = busemann(g, spec, x, z)
             assert abs(bxy + byx) <= 1e-9
             assert abs(bxy + byz - bxz) <= 1e-9
-            tau = solve(f, x, w, graph=g).time(y)
+            tau = g.solve(x).time(y)
             assert abs(bxy) <= tau + 1e-9
             n_instances += 1
     assert n_instances == 1000
@@ -151,8 +151,8 @@ def test_criterion_07_busemann_identities():
         oy = pruned_search_times(f, w5, (1, 2))
         S = [(4, yy) for yy in range(5)]
         want = min(ox[s] for s in S) - min(oy[s] for s in S)
-        assert busemann(f, spec, (0, 0), (1, 2), w5) == pytest.approx(
-            want, abs=1e-12)
+        assert busemann(GridGraph(f, w5), spec, (0, 0),
+                        (1, 2)) == pytest.approx(want, abs=1e-12)
 
 
 def test_criterion_08_competition_partition_exactness():

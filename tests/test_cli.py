@@ -14,7 +14,6 @@ from fpplab.cli import main
 from fpplab.expcli import (ConfigError, RunError, config_hash, run, sweep,
                            validate_config)
 from fpplab.lattice import Window, _Topology
-from fpplab.measure import _MASS_TOL
 
 
 def shape_cfg(seed=1, trials=2):
@@ -314,20 +313,22 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
     def test_construct_keeps_a_tiny_atom_at_one(self, tmp_path, capsys):
-        # p_n > 0 however small: the atom at 1 stays, its mass p_n up to
-        # the float rounding of the subtractions
-        cfg = {"kind": "construct", "seed": 0, "params": {
-            "base": {"atoms": [[1.0, 0.9], [3.0, 0.1]]},
-            "schedule": {"p0": 0.9, "p_seq": [1e-13, 1e-14],
-                         "y_seq": [2.5, 2.0]}}}
-        path = self.write(tmp_path, cfg)
-        assert main(["construct", "--config", path,
-                     "--out", str(tmp_path / "o")]) == 0
-        line = json.loads(capsys.readouterr().out.strip())
-        for i, p_n in ((1, 1e-13), (2, 1e-14)):
-            with open(line["payloads"][i]) as f:
-                atoms = dict(map(tuple, json.load(f)["atoms"]))
-            assert atoms[1.0] == pytest.approx(p_n, abs=_MASS_TOL)
+        # p_n > 0 however small: the atom at 1 stays, its mass exactly p_n,
+        # even below the float resolution of p_{n-1} (0.9 - (0.9 - 1e-17)
+        # is 0.0)
+        for p_seq, y_seq in (([1e-13, 1e-14], [2.5, 2.0]),
+                             ([1e-17], [2.5])):
+            cfg = {"kind": "construct", "seed": 0, "params": {
+                "base": {"atoms": [[1.0, 0.9], [3.0, 0.1]]},
+                "schedule": {"p0": 0.9, "p_seq": p_seq, "y_seq": y_seq}}}
+            path = self.write(tmp_path, cfg)
+            assert main(["construct", "--config", path,
+                         "--out", str(tmp_path / "o")]) == 0
+            line = json.loads(capsys.readouterr().out.strip())
+            for i, p_n in enumerate(p_seq, 1):
+                with open(line["payloads"][i]) as f:
+                    atoms = dict(map(tuple, json.load(f)["atoms"]))
+                assert atoms[1.0] == p_n
 
     def test_env_output_root(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FPPLAB_OUT", str(tmp_path / "envout"))

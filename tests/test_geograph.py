@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from fpplab.convex import gauge, hull, tangent_at
-from fpplab.geograph import (BusemannSpec, GeoGraphError, busemann,
-                             busemann_separation, discretize_line,
+from fpplab.geograph import (BusemannSpec, GeoGraphError, InfectionGraph,
+                             busemann, busemann_separation, discretize_line,
                              disjointness_diagnostic, ends_estimate,
                              infection_graph, k_lower_bound)
-from fpplab.lattice import EdgeField, GridGraph, Window, solve
+from fpplab.lattice import EdgeField, GridGraph, Window
 from fpplab.measure import in_q_support, mk_distribution, point_mass
 from oracles import (MIX, STAGE3, UNIF12, ZERO_ATOM, edges_graph,
                      line_sites_loop, pruned_search_times)
@@ -30,9 +30,9 @@ class TestInfectionGraph:
         # unexplored sites (inf + 1 == inf) is not optimal
         f = EdgeField(0, point_mass(1.0))
         w = Window.square(10)
-        ptm = solve(f, (0, 0), w, limit=3)
+        ptm = GridGraph(f, w).solve((0, 0), limit=3)
         assert np.isfinite(ptm.ticks).sum() == 25
-        g = infection_graph(f, w, ptm=ptm)
+        g = InfectionGraph.from_map(ptm)
         assert g.n_edges == 36
         assert g.vertex_count() == 25
 
@@ -47,8 +47,8 @@ class TestInfectionGraph:
         # (exact identity in ticks, in the direction the edge was relaxed)
         w = Window.square(8)
         f = EdgeField(3, MIX)
-        ptm = solve(f, (0, 0), w)
-        g = infection_graph(f, w, ptm=ptm)
+        ptm = GridGraph(f, w).solve((0, 0))
+        g = InfectionGraph.from_map(ptm)
         grids = f.weight_grids(w, ticks=True)
         for mask, grid, step in zip((g.h_mask, g.v_mask), grids,
                                     ((1, 0), (0, 1))):
@@ -177,30 +177,30 @@ class TestBusemann:
     def test_same_point_zero(self):
         w = Window.square(8)
         f = EdgeField(2, UNIF12)
-        assert busemann(f, self.spec(), (1, 1), (1, 1), w) == 0.0
+        assert busemann(GridGraph(f, w), self.spec(), (1, 1), (1, 1)) == 0.0
 
     def test_antisymmetry(self):
         w = Window.square(8)
         f = EdgeField(2, UNIF12)
-        b1 = busemann(f, self.spec(), (0, 0), (2, -3), w)
-        b2 = busemann(f, self.spec(), (2, -3), (0, 0), w)
+        b1 = busemann(GridGraph(f, w), self.spec(), (0, 0), (2, -3))
+        b2 = busemann(GridGraph(f, w), self.spec(), (2, -3), (0, 0))
         assert b1 == pytest.approx(-b2, abs=1e-12)
 
     def test_cocycle(self):
         w = Window.square(8)
         f = EdgeField(4, MIX)
         x, y, z = (0, 0), (3, 1), (-2, 4)
-        bxy = busemann(f, self.spec(), x, y, w)
-        byz = busemann(f, self.spec(), y, z, w)
-        bxz = busemann(f, self.spec(), x, z, w)
+        bxy = busemann(GridGraph(f, w), self.spec(), x, y)
+        byz = busemann(GridGraph(f, w), self.spec(), y, z)
+        bxz = busemann(GridGraph(f, w), self.spec(), x, z)
         assert bxy + byz == pytest.approx(bxz, abs=1e-9)
 
     def test_bounded_by_passage_time(self):
         w = Window.square(8)
         f = EdgeField(7, UNIF12)
         x, y = (-3, 2), (4, -1)
-        tau = solve(f, x, w).time(y)
-        assert abs(busemann(f, self.spec(), x, y, w)) <= tau + 1e-12
+        tau = GridGraph(f, w).solve(x).time(y)
+        assert abs(busemann(GridGraph(f, w), self.spec(), x, y)) <= tau + 1e-12
 
     @pytest.mark.parametrize("dist", [STAGE3, MIX, ZERO_ATOM],
                              ids=["stage3", "mix", "zero_atom"])
@@ -218,10 +218,10 @@ class TestBusemann:
             for spec in specs:
                 line = [w.index(s) for s in discretize_line(spec, w)]
                 for x, y in pairs:
-                    tx = solve(f, x, w, graph=g).ticks.ravel()[line].min()
-                    ty = solve(f, y, w, graph=g).ticks.ravel()[line].min()
+                    tx = g.solve(x).ticks.ravel()[line].min()
+                    ty = g.solve(y).ticks.ravel()[line].min()
                     want = float((tx - ty) / dist.ticks_per_unit)
-                    assert busemann(f, spec, x, y, w, graph=g) == want
+                    assert busemann(g, spec, x, y) == want
 
     def test_point_outside_window_rejected(self):
         # (-9, 0) would be index -1 into the grids of Window.square(8)
@@ -230,7 +230,7 @@ class TestBusemann:
         for x, y in [((-9, 0), (0, 0)), ((0, 0), (-9, 0)),
                      ((0, 9), (0, 0))]:
             with pytest.raises(GeoGraphError):
-                busemann(f, self.spec(), x, y, w)
+                busemann(GridGraph(f, w), self.spec(), x, y)
 
     def test_brute_force_small_window(self):
         # exact agreement with exhaustive path enumeration on 5x5
@@ -242,7 +242,7 @@ class TestBusemann:
             oracle_y = pruned_search_times(f, w, (1, 2))
             S = discretize_line(spec, w)
             want = min(oracle[s] for s in S) - min(oracle_y[s] for s in S)
-            got = busemann(f, spec, (0, 0), (1, 2), w)
+            got = busemann(GridGraph(f, w), spec, (0, 0), (1, 2))
             assert got == pytest.approx(want, abs=1e-12)
 
 

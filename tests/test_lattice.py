@@ -11,10 +11,9 @@ from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from fpplab._rng import hash_words, uniform01
 from fpplab.lattice import (Diamond, DomainError, EdgeField, GridGraph,
-                            LatticeError, LatticePath, Window, _exit_bounds,
-                            _Topology, ball, canonical_edge, check_domain,
-                            geodesic, monotone_upper_bounds, round_site,
-                            solve, solve_targets)
+                            LatticeError, Window, _exit_bounds, _Topology,
+                            ball, canonical_edge, check_domain, geodesic,
+                            monotone_upper_bounds, round_site, solve_targets)
 from fpplab.measure import mk_distribution, point_mass
 from oracles import (EPS_ATOM, MIX, STAGE3, UNIF12, ZERO_ATOM, exhaustive_times,
                      exit_edges, path_weight)
@@ -44,10 +43,15 @@ class TestBasics:
         for s in w.sites():
             assert w.site(w.index(s)) == s
 
-    def test_path_validation(self):
-        with pytest.raises(LatticeError):
-            LatticePath(((0, 0), (2, 0)))
-        p = LatticePath(((0, 0), (1, 0), (1, 1)))
+    def test_rim_and_sites_of(self):
+        w = Window(-2, 1, 0, 4)
+        assert w.sites_of(w.rim) == {
+            s for s in w.sites()
+            if s[0] in (w.xmin, w.xmax) or s[1] in (w.ymin, w.ymax)}
+        assert w.rim is w.rim and not w.rim.flags.writeable
+        mask = np.random.default_rng(0).random(w.shape) < 0.5
+        assert w.sites_of(mask) == {w.site(k) for k in np.flatnonzero(mask)}
+
 
 
 class TestEdgeField:
@@ -168,7 +172,7 @@ class TestSolveOracle:
         w = Window(0, 3, 0, 3)
         for seed in range(30):
             f = EdgeField(seed, UNIF12)
-            ptm = solve(f, (0, 0), w)
+            ptm = GridGraph(f, w).solve((0, 0))
             oracle = exhaustive_times(f, w, (0, 0))
             for s in w.sites():
                 assert ptm.time(s) == pytest.approx(oracle[s], abs=1e-12)
@@ -178,7 +182,7 @@ class TestSolveOracle:
         d = mk_distribution(atoms=[(1.0, 0.5), (2.0, 0.5)])
         for seed in range(20):
             f = EdgeField(seed, d)
-            ptm = solve(f, (1, 1), w)
+            ptm = GridGraph(f, w).solve((1, 1))
             oracle = exhaustive_times(f, w, (1, 1))
             for s in w.sites():
                 assert ptm.time(s) == oracle[s]
@@ -187,24 +191,24 @@ class TestSolveOracle:
         w = Window.square(8)
         f = EdgeField(5, MIX)
         a, b = (0, 0), (5, -3)
-        assert solve(f, a, w).time(b) == pytest.approx(
-            solve(f, b, w).time(a), abs=1e-12)
+        assert GridGraph(f, w).solve(a).time(b) == pytest.approx(
+            GridGraph(f, w).solve(b).time(a), abs=1e-12)
 
     def test_subpath_optimality(self):
         # times along a geodesic are the prefix sums of its edge weights
         w = Window.square(12)
         f = EdgeField(9, UNIF12)
-        ptm = solve(f, (0, 0), w)
+        ptm = GridGraph(f, w).solve((0, 0))
         path = geodesic(ptm, (7, 5))
         acc = 0.0
-        for a, b in zip(path.sites, path.sites[1:]):
+        for a, b in zip(path, path[1:]):
             acc += f.edge_weight(a, b)
             assert ptm.time(b) == pytest.approx(acc, abs=1e-12)
 
     def test_limit_prunes(self):
         w = Window.square(10)
         f = EdgeField(1, UNIF12)
-        ptm = solve(f, (0, 0), w, limit=3.0)
+        ptm = GridGraph(f, w).solve((0, 0), limit=3.0)
         assert ptm.time((1, 0)) < 3.0
         with pytest.raises(LatticeError):
             ptm.time((10, 10))
@@ -215,10 +219,10 @@ class TestGeodesics:
         w = Window.square(15)
         for seed in range(5):
             f = EdgeField(seed, MIX)
-            ptm = solve(f, (0, 0), w)
+            ptm = GridGraph(f, w).solve((0, 0))
             t = (9, -6)
             path = geodesic(ptm, t)
-            assert path.sites[0] == (0, 0) and path.sites[-1] == t
+            assert path[0] == (0, 0) and path[-1] == t
             assert path_weight(f, path) == pytest.approx(ptm.time(t),
                                                          abs=1e-12)
 
@@ -227,7 +231,7 @@ class TestGeodesics:
         w = Window.square(10)
         for seed in range(10):
             f = EdgeField(seed, d)
-            ptm = solve(f, (0, 0), w)
+            ptm = GridGraph(f, w).solve((0, 0))
             path = geodesic(ptm, (6, 2))
             assert path_weight(f, path) == ptm.time((6, 2))
 
@@ -235,7 +239,7 @@ class TestGeodesics:
 class TestBall:
     def test_unit_weights_give_l1_balls(self):
         w = Window.square(12)
-        ptm = solve(EdgeField(0, point_mass(1.0)), (0, 0), w)
+        ptm = GridGraph(EdgeField(0, point_mass(1.0)), w).solve((0, 0))
         for t in [0, 1, 3.5, 7]:
             got = ball(ptm, t)
             want = {(x, y) for x in range(-12, 13) for y in range(-12, 13)
@@ -244,13 +248,13 @@ class TestBall:
 
     def test_boundary_warning(self):
         w = Window.square(5)
-        ptm = solve(EdgeField(0, point_mass(1.0)), (0, 0), w)
+        ptm = GridGraph(EdgeField(0, point_mass(1.0)), w).solve((0, 0))
         with pytest.warns(UserWarning):
             ball(ptm, 5.0)
 
     def test_negative_radius(self):
         w = Window.square(3)
-        ptm = solve(EdgeField(0, point_mass(1.0)), (0, 0), w)
+        ptm = GridGraph(EdgeField(0, point_mass(1.0)), w).solve((0, 0))
         with pytest.raises(LatticeError):
             ball(ptm, -1.0)
 
@@ -260,7 +264,7 @@ class TestMonotoneBound:
         w = Window.square(10)
         for seed in range(10):
             f = EdgeField(seed, UNIF12)
-            ptm = solve(f, (0, 0), w)
+            ptm = GridGraph(f, w).solve((0, 0))
             targets = [(7, 3), (-4, 8), (-6, -6), (9, 0)]
             hw, vw = f.weight_grids(w)
             ubs = monotone_upper_bounds(hw, vw, w, (0, 0), targets)
@@ -325,7 +329,7 @@ class TestSolveTargets:
         for seed in range(3):
             f = EdgeField(seed, dist)
             times, _ = solve_targets([f], (0, 0), self.TARGETS)
-            ptm = solve(f, (0, 0), big)
+            ptm = GridGraph(f, big).solve((0, 0))
             want = np.array([ptm.time(t) for t in self.TARGETS])
             assert not ptm.boundary_contact(want.max())
             assert np.array_equal(times[0], want)
@@ -340,7 +344,7 @@ class TestSolveTargets:
         times, _ = solve_targets(fields, (0, 0), self.TARGETS)
         assert times.shape == (len(fields), len(self.TARGETS))
         for f, row in zip(fields, times):
-            ptm = solve(f, (0, 0), big)
+            ptm = GridGraph(f, big).solve((0, 0))
             want = np.array([ptm.time(t) for t in self.TARGETS])
             assert not ptm.boundary_contact(want.max())
             assert np.array_equal(row, want)
@@ -362,7 +366,7 @@ class TestSolveTargets:
         targets = [(6, 0), (4, 3), (-2, 5), (0, -6)]
         times, regrowths = solve_targets([f], (0, 0), targets)
         assert regrowths >= 1
-        ptm = solve(f, (0, 0), Window.square(60))
+        ptm = GridGraph(f, Window.square(60)).solve((0, 0))
         assert not ptm.boundary_contact(times.max())
         assert np.array_equal(times[0], [ptm.time(t) for t in targets])
 
@@ -393,7 +397,7 @@ class TestSolveTargets:
         assert made == sorted(set(radii))
         big = Window.square(150)
         for f, row in zip(fields, times):
-            ptm = solve(f, (0, 0), big)
+            ptm = GridGraph(f, big).solve((0, 0))
             want = np.array([ptm.time(t) for t in targets])
             assert not ptm.boundary_contact(want.max())
             assert np.array_equal(row, want)
@@ -433,7 +437,7 @@ class TestSolveTargets:
         found = 0
         for seed in range(200):
             f = EdgeField(seed, SLOW)
-            ptm = solve(f, (0, 0), big)
+            ptm = GridGraph(f, big).solve((0, 0))
             diamond, d = self.diamond_ticks(seed, SLOW, 6)
             deficit = (d[diamond.index((4, 0))]
                        - exit_bound(diamond, d, edges, (4, 0), 1))
@@ -461,7 +465,7 @@ class TestSolveTargets:
         beaten = 0
         for seed in range(60):
             f = EdgeField(seed, LEAVER)
-            ptm = solve(f, (0, 0), big)
+            ptm = GridGraph(f, big).solve((0, 0))
             want = ptm.time((2, 0))
             assert not ptm.boundary_contact(want)
             diamond, d = self.diamond_ticks(seed, LEAVER, 4)
@@ -487,8 +491,8 @@ class TestSolveTargets:
         assert regrown == 1
         assert times.tolist() == [[13.0], [4.0]]
         big = Window.square(24)
-        assert times[:, 0].tolist() == [solve(f, (0, 0), big).time((2, 0))
-                                        for f in fields]
+        assert times[:, 0].tolist() == [
+            GridGraph(f, big).solve((0, 0)).time((2, 0)) for f in fields]
 
     def test_regrowth_beyond_first_radius_is_counted(self, monkeypatch):
         # regrown counts the fields whose first diamond fails, wherever it
@@ -518,7 +522,7 @@ class TestSolveTargets:
         dist = point_mass(atom)
         source, targets = (5, -3), [(17, -3), (9, 6), (-2, -11), (5, -3)]
         fields = [EdgeField(seed, dist) for seed in (0, 3)]
-        want = [[solve(f, source, Window.square(25)).time(t)
+        want = [[GridGraph(f, Window.square(25)).solve(source).time(t)
                  for t in targets] for f in fields]
 
         def no_graph(*args):
@@ -540,7 +544,7 @@ class TestSolveTargets:
         f = EdgeField(3, UNIF12)
         source, targets = (7, -4), [(15, 0), (0, -10), (7, -4)]
         times, _ = solve_targets([f], source, targets)
-        ptm = solve(f, source, Window.square(50))
+        ptm = GridGraph(f, Window.square(50)).solve(source)
         assert np.array_equal(times[0], [ptm.time(t) for t in targets])
 
 
@@ -940,6 +944,17 @@ class TestTight:
 
 
 class TestOffDomain:
+    def test_window_index_refused(self):
+        # by its arithmetic alone, (0, 4) would take the index 28 of (1, -3)
+        with pytest.raises(LatticeError):
+            Window.square(3).index((0, 4))
+
+    def test_diamond_index_refused(self):
+        # by its arithmetic alone, (3, 3) would take the index 27 of a
+        # diamond of 25 sites
+        with pytest.raises(LatticeError):
+            Diamond((0, 0), 3).index((3, 3))
+
     def test_site_sets_refused(self):
         g = GridGraph(EdgeField(0, UNIF12), Window.square(3))
         for sites in ([(-4, 5)], [(4, 0)], [(-4, 5), (0, 0)]):
@@ -955,7 +970,7 @@ class TestOffDomain:
                 g.minimisers(sites)
 
     def test_predecessors_refused(self):
-        ptm = solve(EdgeField(0, UNIF12), (0, 0), Window.square(3))
+        ptm = GridGraph(EdgeField(0, UNIF12), Window.square(3)).solve((0, 0))
         for s in ((-4, 2), (4, 0), (0, -4)):
             with pytest.raises(LatticeError):
                 ptm.pred_sites(s)

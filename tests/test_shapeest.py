@@ -6,7 +6,7 @@ import pytest
 
 from fpplab._rng import derive_seed
 from fpplab.convex import hausdorff, l1_ball
-from fpplab.lattice import EdgeField, Window, round_site, solve
+from fpplab.lattice import EdgeField, GridGraph, Window, round_site
 from fpplab.measure import levy_distance, mk_distribution, point_mass
 from fpplab.shapeest import (DirectionPlan, ShapeEstimateError,
                              empirical_shape, eps_density, sides_estimate,
@@ -104,7 +104,8 @@ class TestEmpiricalShape:
                 (y, x), (-y, x), (y, -x), (-y, -x))])
         per_trial = []
         for t in range(plan.trials):
-            ptm = solve(EdgeField(derive_seed(0, t), EPS_ATOM), (0, 0), big)
+            f = EdgeField(derive_seed(0, t), EPS_ATOM)
+            ptm = GridGraph(f, big).solve((0, 0))
             times = [[ptm.time(s) for s in orb] for orb in orbits]
             assert not ptm.boundary_contact(max(map(max, times)))
             per_trial.append([np.mean(ts) / 40 for ts in times])

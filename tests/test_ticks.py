@@ -14,10 +14,10 @@ import pytest
 
 from fpplab import expcli, growth
 from fpplab.cli import main
-from fpplab.geograph import infection_graph
+from fpplab.geograph import InfectionGraph, infection_graph
 from fpplab.growth import NONE_OWNER, CompetitionConfig, compete
 from fpplab.lattice import (DomainError, EdgeField, GridGraph, LatticeError,
-                            Window, canonical_edge, check_domain, solve)
+                            Window, canonical_edge, check_domain)
 from fpplab.measure import DistributionError, TICK_LIMIT, mk_distribution
 from oracles import (MIX, NEIGHBOURS, STAGE3, UNIF12, ZERO_ATOM,
                      random_owners_loop)
@@ -84,7 +84,7 @@ class TestFractionOracle:
             f = EdgeField(seed, LAWS[name])
             weights = exact_weights(f, w)
             T = fraction_times(weights, (0, 0))
-            ptm = solve(f, (0, 0), w)
+            ptm = GridGraph(f, w).solve((0, 0))
             D = f.dist.ticks_per_unit
             for s in w.sites():
                 assert Fraction(int(ptm.tick_time(s)), D) == T[s]
@@ -94,7 +94,7 @@ class TestFractionOracle:
             tight = ptm.tight.reshape(w.nx, w.ny, 4)
             right, left = tight[:-1, :, 3], tight[1:, :, 0]
             up, down = tight[:, :-1, 2], tight[:, 1:, 1]
-            graph = infection_graph(f, w, ptm=ptm)
+            graph = InfectionGraph.from_map(ptm)
             for i in range(w.nx):
                 for j in range(w.ny):
                     u = (w.xmin + i, w.ymin + j)
