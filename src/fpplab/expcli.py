@@ -334,7 +334,7 @@ def _run_ends(cfg, p):
     for t in range(trials):
         field = EdgeField(derive_seed(cfg["seed"], t), dist)
         g = infection_graph(field, window)
-        counts = {m: ends_estimate(g, m) for m in m_grid}
+        counts = dict(zip(m_grid, ends_estimate(g, m_grid)))
         best_m = max(m_grid, key=lambda m: (counts[m], -m))
         rows.append({"trial": t, "best_m": best_m, "ends": counts[best_m],
                      "counts": {str(m): c for m, c in counts.items()}})

@@ -3,12 +3,16 @@
 The infection graph is the union over all in-window sites of every
 optimal incoming edge of a single-source solve (ties included). Ends are
 proxied by counting boundary-touching components after removing a scaled
-ball around the origin. Busemann functions are differences of minimal
+ball around the origin, for every removal radius from one components
+pass at the largest. Busemann functions are differences of minimal
 passage times to a discretized line, read from one solve from the line.
 busemann and InfectionGraph.from_map take the GridGraph or the solve
-alone and read the field and the window from it. A GeoGraphError refuses
-an input; a geodesic clipped by the window, which depends on the field,
-is a RuntimeError.
+alone and read the field and the window from it. The line solves and the
+diagnostic's solve from the origin stop at a cut in ticks: the largest
+weight of an L-shaped path to a site whose time bounds every time they
+read, which Dijkstra's limit keeps exact. A GeoGraphError refuses an
+input; a geodesic clipped by the window, which depends on the field, is
+a RuntimeError.
 """
 
 import math
@@ -86,25 +90,53 @@ def check_removal_radius(window: Window, removal_radius: int):
                             % removal_radius)
 
 
-def ends_estimate(graph: InfectionGraph, removal_radius: int) -> int:
-    """Boundary-touching components after deleting the l1 ball of the
-    given radius around the origin (finite-window proxy for the number
-    of ends)."""
+def _components(n, rows, cols):
+    """(count, labels) of the components of n nodes, edges rows - cols."""
+    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return connected_components(adj, directed=False)
+
+
+def _edges(window, h_mask, v_mask):
+    """(rows, cols): the flat indices of the two ends of each edge of the
+    masks, the edges right, then the edges up."""
+    idx = np.arange(window.n_sites).reshape(window.shape)
+    return (np.concatenate([idx[:-1][h_mask], idx[:, :-1][v_mask]]),
+            np.concatenate([idx[1:][h_mask], idx[:, 1:][v_mask]]))
+
+
+def ends_estimate(graph: InfectionGraph, radii) -> list:
+    """For each removal radius m, in order, the boundary-touching
+    components after deleting the l1 ball of radius m around the origin
+    (finite-window proxy for the number of ends).
+
+    All radii are checked first. One components pass runs at the largest
+    radius R; a component at m is a union of those at R joined through
+    the edges into the shell m < |x|_1 <= R. No rim site is adjacent to
+    an allowed ball (check_removal_radius), so the rim sites that touch
+    an edge are the same at every radius."""
     win = graph.window
-    check_removal_radius(win, removal_radius)
+    for m in radii:
+        check_removal_radius(win, m)
+    R = max(radii)
     x, y = np.ogrid[win.xmin:win.xmax + 1, win.ymin:win.ymax + 1]
-    keep = np.abs(x) + np.abs(y) > removal_radius  # vertices outside the ball
+    r = np.abs(x) + np.abs(y)
+    keep = r > R  # vertices outside the largest ball
     hm = graph.h_mask & keep[:-1, :] & keep[1:, :]
     vm = graph.v_mask & keep[:, :-1] & keep[:, 1:]
-    idx = np.arange(win.n_sites).reshape(win.shape)
-    hu, vu = idx[:-1][hm], idx[:, :-1][vm]
-    rows = np.concatenate([hu, vu])
-    cols = np.concatenate([hu + win.ny, vu + 1])
-    adj = csr_matrix((np.ones(len(rows)), (rows, cols)),
-                     shape=(win.n_sites, win.n_sites))
-    labels = connected_components(adj, directed=False)[1]
-    touching = _vertices(hm, vm) & win.rim
-    return len(np.unique(labels.reshape(win.shape)[touching]))
+    n, labels = _components(win.n_sites, *_edges(win, hm, vm))
+    touching = labels.reshape(win.shape)[_vertices(hm, vm) & win.rim]
+    # the edges that the largest ball removes, and the l1 norm of the
+    # nearer end of each: a ball of radius m keeps those beyond m
+    hd, vd = graph.h_mask & ~hm, graph.v_mask & ~vm
+    rows, cols = _edges(win, hd, vd)
+    near = np.concatenate([np.minimum(r[:-1], r[1:])[hd],
+                           np.minimum(r[:, :-1], r[:, 1:])[vd]])
+    counts = []
+    for m in radii:
+        shell = near > m
+        merged = _components(n, labels[rows[shell]], labels[cols[shell]])[1]
+        counts.append(len(np.unique(merged[touching])))
+    return counts
 
 
 def k_lower_bound(s: int) -> int:
@@ -164,11 +196,30 @@ def _cells(window: Window, sites):
     return [window.index(s) for s in sites]
 
 
-def _line_ticks(graph: GridGraph, spec: BusemannSpec):
-    """Ticks between the discretized line L + n*v and every window site, in
-    one solve from the line: the graph is symmetric and sums ticks exactly,
-    so the time from the line to x is the time from x to it."""
-    return graph.distance_to_set(discretize_line(spec, graph.window))
+def _l_path_ticks(graph: GridGraph, a, b):
+    """The weight in ticks of the path from a along x to (b_x, a_y), then
+    along y to b: an upper bound on the time between two window sites,
+    summed exactly (check_domain)."""
+    (ax, ay), (bx, by) = np.subtract((a, b), (graph.window.xmin,
+                                              graph.window.ymin))
+    return float(graph.th[min(ax, bx):max(ax, bx), ay].sum()
+                 + graph.tv[bx, min(ay, by):max(ay, by)].sum())
+
+
+def _nearest(line, site):
+    """The first of the line's sites nearest the given site in l1."""
+    return line[int(np.abs(np.array(line) - site).sum(axis=1).argmin())]
+
+
+def _line_ticks(graph: GridGraph, spec: BusemannSpec, sites):
+    """Ticks between the discretized line L + n*v and each of the sites,
+    in one solve from the line (the graph is symmetric and sums ticks
+    exactly), stopped at the largest weight of an L-path from a site's
+    nearest line site to it, which bounds the site's time."""
+    cells = _cells(graph.window, sites)
+    line = discretize_line(spec, graph.window)
+    cut = max(_l_path_ticks(graph, _nearest(line, x), x) for x in sites)
+    return graph.distance_to_set(line, limit=cut).take(cells)
 
 
 def _projections(specs, points):
@@ -191,7 +242,7 @@ def busemann(graph: GridGraph, spec: BusemannSpec, x, y) -> float:
     """B_S(x, y) in the graph's field: the minimal passage time from x to
     the discretized line minus that from y, exact in ticks, from one
     solve from the line."""
-    tx, ty = _line_ticks(graph, spec).take(_cells(graph.window, (x, y)))
+    tx, ty = _line_ticks(graph, spec, (x, y))
     return float((tx - ty) / graph.field.dist.ticks_per_unit)
 
 
@@ -218,11 +269,11 @@ def busemann_separation(field: EdgeField, specs, seeds,
     k = len(seeds)
     if len(specs) != k:
         raise GeoGraphError("need one line spec per seed")
-    cells = _cells(window, seeds)
+    _cells(window, seeds)  # refused before the graph is built
     graph = GridGraph(field, window)
     mat = np.zeros((k, k))
     for i, spec in enumerate(specs):
-        ticks = _line_ticks(graph, spec).take(cells)
+        ticks = _line_ticks(graph, spec, seeds)
         mat[i] = (ticks - ticks[i]) / field.dist.ticks_per_unit
     proj, alpha = _projections(specs, seeds)
     return SeparationReport(matrix=mat, projections=proj, alpha=alpha)
@@ -249,12 +300,18 @@ class DisjointnessReport:
                 "events": {k: list(v) for k, v in self.events.items()}}
 
 
-def _line_geodesic(ptm: PassageTimeMap, spec: BusemannSpec):
+def _grid_index(window: Window, sites):
+    """The index arrays of the sites in an array of the window's shape."""
+    sites = np.array(sites)
+    return sites[:, 0] - window.xmin, sites[:, 1] - window.ymin
+
+
+def _line_geodesic(ptm: PassageTimeMap, line):
     """The lexicographic geodesic from the solve's source to the site of
-    the discretized line L + n*v with the least tick time (the least such
-    site on a tie)."""
-    sites = discretize_line(spec, ptm.graph.window)
-    return geodesic(ptm, min(sites, key=lambda s: (ptm.tick_time(s), s)))
+    the discretized line with the least tick time (the least such site
+    on a tie), found in one gather over the line's cells."""
+    ticks = ptm.ticks[_grid_index(ptm.graph.window, line)].tolist()
+    return geodesic(ptm, min(zip(ticks, line))[1])
 
 
 def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
@@ -287,21 +344,35 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
     if shape is None:
         shape = l1_ball(1.0)
     graph = GridGraph(field, window)
-    ptm = graph.solve((0, 0))
+    alpha = _projections(targets, [spec.v for spec in targets])[1]
+    lines = [discretize_line(spec, window) for spec in targets]
+    # the sites mD_i that events C and D read: m times the two boundary
+    # points around v_i, +-arc_halfwidth/2 along the tangent
+    arcs = [[round_site((m * p[0], m * p[1])) for p in (
+        boundary_project(shape, (spec.v[0] + a * spec.w[0],
+                                 spec.v[1] + a * spec.w[1]))
+        for a in (-arc_halfwidth / 2, arc_halfwidth / 2))]
+        if alpha > 0 and math.isfinite(alpha) else [] for spec in targets]
+    # every time read below is at most the time of one of these sites: a
+    # geodesic's sites are no later than its line's nearest site
+    bounds = [_nearest(line, (0, 0)) for line in lines] + [
+        x for arc in arcs for x in arc if window.contains(x)]
+    cut = max(_l_path_ticks(graph, (0, 0), x) for x in bounds)
+    ptm = PassageTimeMap(graph, (0, 0), graph.distances((0, 0), limit=cut),
+                         cut / field.dist.ticks_per_unit)
     k = len(targets)
 
     geodesics = []
-    for spec in targets:
-        path = _line_geodesic(ptm, spec)
-        if any(window.rim.item(window.index(s)) for s in path):
+    for line in lines:
+        path = _line_geodesic(ptm, line)
+        if window.rim[_grid_index(window, path)].any():
             raise RuntimeError("geodesic clipped by the window")
         geodesics.append(path)
-    alpha = _projections(targets, [spec.v for spec in targets])[1]
 
     outside = []
     n_q = []
     ev = {"B": [], "C": [], "D": [], "E": []}
-    for spec, path in zip(targets, geodesics):
+    for spec, path, arc in zip(targets, geodesics, arcs):
         sites = np.array(path)
         beyond_m = gauge(shape, sites / m) > 1.0
         beyond_M = gauge(shape, sites / M) > 1.0
@@ -310,7 +381,7 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
         # Q-edges with both ends in the annulus: every step of a geodesic
         # is tight, so its weight is the rise of the ticks along it
         annulus = beyond_m & ~beyond_M
-        rise = np.diff([ptm.tick_time(s) for s in path])
+        rise = np.diff(ptm.ticks[_grid_index(window, path)])
         w = rise[annulus[:-1] & annulus[1:]] / field.dist.ticks_per_unit
         count = int(np.count_nonzero(in_q_support(field.dist, w)))
         n_q.append(count)
@@ -323,19 +394,13 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
             l1(boundary_project(shape, p), spec.v) <= arc_halfwidth
             for p in firsts))
 
-        # sampled arc sites mD_i: two boundary points around v_i
-        if alpha <= 0 or not math.isfinite(alpha):
+        if not arc:  # alpha is not positive and finite
             ev["C"].append(False)
             ev["D"].append(False)
             continue
-        arc_pts = []
-        for a in (-arc_halfwidth / 2, arc_halfwidth / 2):
-            p = (spec.v[0] + a * spec.w[0], spec.v[1] + a * spec.w[1])
-            arc_pts.append(boundary_project(shape, p))
         c_ok = True
         d_ok = True
-        for p in arc_pts:
-            x = round_site((m * p[0], m * p[1]))
+        for x in arc:
             if not window.contains(x):
                 c_ok = d_ok = False
                 break

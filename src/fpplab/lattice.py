@@ -31,10 +31,12 @@ fresh array, the CSR data, into which EdgeField.weight_grids hashes the
 weights block by block.
 
 A GridGraph is the one handle on a field over a domain. GridGraph.solve
-runs Dijkstra (scipy's compiled implementation) from one source, and the
-PassageTimeMap it returns reads the field and the domain from its graph.
-Every optimal incoming edge of a site, ties included, is a tight entry
-into it, so tie unions (the infection graph) stay computable. A
+runs Dijkstra (scipy's compiled implementation) from one source on a
+Window, and the PassageTimeMap it returns reads the field and the window
+from its graph. Every optimal incoming edge of a site, ties included, is
+a tight entry into it, so tie unions (the infection graph) stay
+computable; geodesic walks them by flat index, in slot order, which is
+the sites' lexicographic order. A
 multi-source solve also tells, through the edges its times make tight,
 which of its sources attain each time (GridGraph.minimisers).
 
@@ -447,14 +449,16 @@ class GridGraph:
                               limit=np.inf if limit is None else float(limit))
         return d.reshape(self.window.shape)
 
-    def distance_to_set(self, sites):
+    def distance_to_set(self, sites, limit=None):
         """min over a site set of the passage time, in ticks, to each
-        domain site: every site of the set starts at 0."""
+        domain site: every site of the set starts at 0. limit, in ticks,
+        prunes the search as in distances."""
         idx = [self.window.index(s) for s in sites]
         if not idx:
             raise LatticeError("empty site set")
         d = _csgraph_dijkstra(self._csr, directed=True, indices=idx,
-                              min_only=True)
+                              min_only=True,
+                              limit=np.inf if limit is None else float(limit))
         return d.reshape(self.window.shape)
 
     @cached_property
@@ -504,13 +508,16 @@ class GridGraph:
         return reach, is_min.reshape((len(sites),) + reach.shape)
 
     def solve(self, source: Site, limit=None):
-        """Exact in-domain passage times from the source to every site,
-        as a PassageTimeMap.
+        """Exact in-window passage times from the source to every site,
+        as a PassageTimeMap; LatticeError off a Window (see distances).
 
         limit optionally prunes the search: sites with time > limit come
         back as unexplored (their true time exceeds limit, which callers
         must only use when they query nearer sites).
         """
+        if not isinstance(self.window, Window):
+            raise LatticeError("a single-source solve needs a Window, "
+                               "not %s" % type(self.window).__name__)
         limit = math.inf if limit is None else float(limit)
         ticks = self.distances(source, limit=None if limit == math.inf else
                                math.floor(Fraction(limit)
@@ -553,69 +560,67 @@ class PassageTimeMap:
     def time(self, s: Site) -> float:
         return float(self.tick_time(s) / self.graph.field.dist.ticks_per_unit)
 
-    def pred_sites(self, s: Site):
-        """The sites u of every optimal incoming edge u -> s, in sorted
-        order: the neighbour u in slot j of s is one when the entry back,
-        slot 3 - j of u, is tight. A self-loop (u == s) is no neighbour."""
-        k = self.graph.window.index(s)
-        return [self.graph.window.site(u)
-                for j, u in enumerate(self.graph.neighbours[k].tolist())
-                if u != k and self.tight.item(u, 3 - j)]
-
     def boundary_contact(self, t) -> bool:
         """True if the ball of radius t touches the window boundary."""
         return bool(np.any(self.grid[self.graph.window.rim] <= t))
 
 
-def _plateau_escape(ptm: PassageTimeMap, v: Site, visited):
-    """BFS through zero-weight optimal edges to a site with a strict drop.
+def _preds(ptm: PassageTimeMap, k: int):
+    """The flat indices u of every optimal incoming edge u -> k, in slot
+    order, which is the sites' lexicographic order: the neighbour u in
+    slot j of k is one when the entry back, slot 3 - j of u, is tight. A
+    self-loop (u == k) is no neighbour."""
+    return [u for j, u in enumerate(ptm.graph.neighbours[k].tolist())
+            if u != k and ptm.tight.item(u, 3 - j)]
+
+
+def _plateau_escape(ptm: PassageTimeMap, k: int, visited):
+    """BFS through zero-weight optimal edges from the flat index k to a
+    site with a strict drop, as the indices of the path after k.
 
     Needed only when the distribution has an atom at zero. Deterministic:
-    neighbors are explored in sorted order.
+    predecessors are explored in slot order, the sites' sorted order.
     """
     from collections import deque
-    t_v = ptm.tick_time(v)
-    q = deque([v])
-    parent = {v: None}
+    tick = ptm.ticks.item
+    source = ptm.graph.window.index(ptm.source)
+    q = deque([k])
+    parent = {k: None}
     while q:
         u = q.popleft()
-        if u != v:
-            if u == ptm.source or any(
-                    ptm.tick_time(w) < t_v for w in ptm.pred_sites(u)):
-                path = []
-                while u is not None:
-                    path.append(u)
-                    u = parent[u]
-                return path[::-1][1:]  # drop v itself
-        for w in sorted(ptm.pred_sites(u)):
-            if (w not in parent and w not in visited
-                    and ptm.tick_time(w) == t_v):
+        if u != k and (u == source or any(
+                tick(w) < tick(k) for w in _preds(ptm, u))):
+            path = []
+            while u is not None:
+                path.append(u)
+                u = parent[u]
+            return path[::-1][1:]  # drop k itself
+        for w in _preds(ptm, u):
+            if w not in parent and w not in visited and tick(w) == tick(k):
                 parent[w] = u
                 q.append(w)
-    raise LatticeError("stuck on a zero-weight plateau at %s" % (v,))
+    raise LatticeError("stuck on a zero-weight plateau at index %d" % k)
 
 
 def geodesic(ptm: PassageTimeMap, target: Site) -> tuple:
     """A minimizing path from the source to the target, as its tuple of
-    sites, walking predecessors and choosing the smallest site at every
-    tie."""
-    rev = [target]
-    visited = {target}
-    v = target
-    while v != ptm.source:
-        t_v = ptm.tick_time(v)
-        strict = sorted(u for u in ptm.pred_sites(v)
-                        if ptm.tick_time(u) < t_v)
-        if strict:
-            v = strict[0]
-            rev.append(v)
-            visited.add(v)
-        else:
-            for u in _plateau_escape(ptm, v, visited):
-                rev.append(u)
-                visited.add(u)
-            v = rev[-1]
-    return tuple(rev[::-1])
+    sites, walking predecessors by flat index and choosing the smallest
+    site at every tie: the first tight slot with a strict drop."""
+    window = ptm.graph.window
+    ptm.tick_time(target)  # refuses a target off the window or unsolved
+    tick = ptm.ticks.item
+    source = window.index(ptm.source)
+    k = window.index(target)
+    rev = [k]
+    visited = {k}
+    while k != source:
+        step = [u for u in _preds(ptm, k) if tick(u) < tick(k)][:1]
+        if not step:
+            step = _plateau_escape(ptm, k, visited)
+        rev.extend(step)
+        visited.update(step)
+        k = rev[-1]
+    return tuple(map(window.site, reversed(rev)))
 
 
 def ball(ptm: PassageTimeMap, t) -> set:

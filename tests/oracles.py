@@ -3,18 +3,26 @@
 The two passage-time oracles return a dict site -> minimal passage time
 from the source within the window, using only EdgeField.edge_weight,
 called once per edge of each search.
-line_sites_loop is the scalar reference of geograph.discretize_line, and
-random_owners_loop that of growth.compete's random tie policy.
+line_sites_loop is the scalar reference of geograph.discretize_line,
+random_owners_loop that of growth.compete's random tie policy,
+geodesic_loop that of lattice.geodesic, walking sites through
+pred_sites, and ends_loop that of geograph.ends_estimate, one components
+pass per radius.
 edges_graph builds a hand-made infection graph from an edge list,
 path_weight sums a path's edge weights, and exit_edges lists the edges
 that leave an l1 diamond.
 """
 
+from collections import deque
+
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from fpplab._rng import hash_words
-from fpplab.geograph import GeoGraphError, InfectionGraph
-from fpplab.lattice import round_site
+from fpplab.geograph import (GeoGraphError, InfectionGraph,
+                             check_removal_radius)
+from fpplab.lattice import LatticeError, round_site
 from fpplab.measure import mk_distribution
 
 UNIF12 = mk_distribution(pieces=[(1.0, 2.0, 1.0)])
@@ -158,3 +166,87 @@ def random_owners_loop(is_min, seed, window):
         h = int(hash_words(seed, i + window.xmin, j + window.ymin, 7))
         owner[i, j] = cands[h % len(cands)]
     return owner
+
+
+def pred_sites(ptm, s):
+    """The sites u of every optimal incoming edge u -> s of a solve, in
+    sorted order: the neighbour u in slot j of s is one when the entry
+    back, slot 3 - j of u, is tight. A self-loop (u == s) is no
+    neighbour."""
+    window = ptm.graph.window
+    k = window.index(s)
+    return [window.site(u)
+            for j, u in enumerate(ptm.graph.neighbours[k].tolist())
+            if u != k and ptm.tight.item(u, 3 - j)]
+
+
+def _plateau_escape_loop(ptm, v, visited):
+    """BFS through zero-weight optimal edges to a site with a strict drop,
+    neighbours explored in sorted order."""
+    t_v = ptm.tick_time(v)
+    q = deque([v])
+    parent = {v: None}
+    while q:
+        u = q.popleft()
+        if u != v:
+            if u == ptm.source or any(
+                    ptm.tick_time(w) < t_v for w in pred_sites(ptm, u)):
+                path = []
+                while u is not None:
+                    path.append(u)
+                    u = parent[u]
+                return path[::-1][1:]  # drop v itself
+        for w in sorted(pred_sites(ptm, u)):
+            if (w not in parent and w not in visited
+                    and ptm.tick_time(w) == t_v):
+                parent[w] = u
+                q.append(w)
+    raise LatticeError("stuck on a zero-weight plateau at %s" % (v,))
+
+
+def geodesic_loop(ptm, target):
+    """The lexicographic geodesic from the source to the target, one site
+    at a time: the smallest strictly earlier predecessor at every step,
+    or an escape from a zero-weight plateau."""
+    rev = [target]
+    visited = {target}
+    v = target
+    while v != ptm.source:
+        t_v = ptm.tick_time(v)
+        strict = sorted(u for u in pred_sites(ptm, v)
+                        if ptm.tick_time(u) < t_v)
+        if strict:
+            v = strict[0]
+            rev.append(v)
+            visited.add(v)
+        else:
+            for u in _plateau_escape_loop(ptm, v, visited):
+                rev.append(u)
+                visited.add(u)
+            v = rev[-1]
+    return tuple(rev[::-1])
+
+
+def ends_loop(graph, removal_radius):
+    """Boundary-touching components of an infection graph after deleting
+    the l1 ball of the radius around the origin, from one components
+    pass over the edges with both ends outside it."""
+    win = graph.window
+    check_removal_radius(win, removal_radius)
+    x, y = np.ogrid[win.xmin:win.xmax + 1, win.ymin:win.ymax + 1]
+    keep = np.abs(x) + np.abs(y) > removal_radius
+    hm = graph.h_mask & keep[:-1, :] & keep[1:, :]
+    vm = graph.v_mask & keep[:, :-1] & keep[:, 1:]
+    idx = np.arange(win.n_sites).reshape(win.shape)
+    hu, vu = idx[:-1][hm], idx[:, :-1][vm]
+    rows = np.concatenate([hu, vu])
+    cols = np.concatenate([hu + win.ny, vu + 1])
+    adj = csr_matrix((np.ones(len(rows)), (rows, cols)),
+                     shape=(win.n_sites, win.n_sites))
+    labels = connected_components(adj, directed=False)[1]
+    verts = np.zeros(win.shape, dtype=bool)
+    verts[:-1, :] |= hm
+    verts[1:, :] |= hm
+    verts[:, :-1] |= vm
+    verts[:, 1:] |= vm
+    return len(np.unique(labels.reshape(win.shape)[verts & win.rim]))

@@ -199,7 +199,7 @@ def test_criterion_10_infection_graph_ends():
     hits = 0
     for seed in range(50):
         g = infection_graph(EdgeField(seed, UNIF12), window)
-        if ends_estimate(g, 20) >= 4:
+        if ends_estimate(g, [20])[0] >= 4:
             hits += 1
     assert hits >= 30
     assert k_lower_bound(4) == 0

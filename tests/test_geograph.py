@@ -3,15 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
+from fpplab import geograph
 from fpplab.convex import gauge, hull, tangent_at
 from fpplab.geograph import (BusemannSpec, GeoGraphError, InfectionGraph,
                              busemann, busemann_separation, discretize_line,
                              disjointness_diagnostic, ends_estimate,
                              infection_graph, k_lower_bound)
-from fpplab.lattice import EdgeField, GridGraph, Window
+from fpplab.lattice import EdgeField, GridGraph, Window, geodesic
 from fpplab.measure import in_q_support, mk_distribution, point_mass
-from oracles import (MIX, STAGE3, UNIF12, ZERO_ATOM, edges_graph,
-                     line_sites_loop, pruned_search_times)
+from oracles import (MIX, STAGE3, UNIF12, ZERO_ATOM, edges_graph, ends_loop,
+                     geodesic_loop, line_sites_loop, pruned_search_times)
 
 OCTAGON = hull([(1, 0.4), (0.4, 1), (-0.4, 1), (-1, 0.4), (-1, -0.4),
                 (-0.4, -1), (0.4, -1), (1, -0.4)])
@@ -85,23 +86,50 @@ class TestEnds:
         return edges_graph(edges, self.window())
 
     def test_star_has_four(self):
-        assert ends_estimate(self.star(), 1) == 4
+        assert ends_estimate(self.star(), [1]) == [4]
 
     def test_path_has_two(self):
         edges = [((k, 0), (k + 1, 0)) for k in range(-5, 5)]
         g = edges_graph(edges, self.window())
-        assert ends_estimate(g, 1) == 2
+        assert ends_estimate(g, [1]) == [2]
 
     def test_removal_radius_bound(self):
         with pytest.raises(GeoGraphError):
-            ends_estimate(self.star(), 3)
+            ends_estimate(self.star(), [3])
+
+    def test_one_bad_radius_refused_before_any_pass(self, monkeypatch):
+        # 3 >= half / 2 on the 11 x 11 window; the radius 1 beside it is
+        # fine, but no components pass runs for it either
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a components pass ran")
+
+        monkeypatch.setattr(geograph, "connected_components", no_pass)
+        with pytest.raises(GeoGraphError):
+            ends_estimate(self.star(), [1, 3])
+
+    @pytest.mark.parametrize("dist", [
+        UNIF12, MIX, mk_distribution(atoms=[(1.0, 0.5), (2.0, 0.5)]),
+        mk_distribution(atoms=[(0.0, 0.3), (1.0, 0.7)])],
+        ids=["unif12", "mix15", "half12", "zero_atom"])
+    def test_all_radii_equal_one_pass_per_radius(self, dist):
+        # one pass at the largest radius, merged for the others, against
+        # the per-radius oracle at every valid radius of three windows,
+        # the radii given unsorted and repeated
+        for W, seeds in ((20, 6), (41, 6), (150, 2)):
+            win = Window.square(W)
+            valid = [m for m in (1, 2, 3, 5, 8, 10, 20, 30, 37) if m < W / 2]
+            radii = valid[1::2] + valid[::2] + valid[-1:] + valid[:1]
+            for seed in range(seeds):
+                g = infection_graph(EdgeField(seed, dist), win)
+                assert ends_estimate(g, radii) == [ends_loop(g, m)
+                                                   for m in radii]
 
     def test_random_tree_majority_at_least_four(self):
         w = Window.square(40)
         hits = 0
         for seed in range(10):
             g = infection_graph(EdgeField(seed, UNIF12), w)
-            if ends_estimate(g, 5) >= 4:
+            if ends_estimate(g, [5])[0] >= 4:
                 hits += 1
         assert hits >= 6
 
@@ -329,3 +357,101 @@ class TestDiagnostics:
             disjointness_diagnostic(f, ts, 10, 5, w)  # m >= M
         with pytest.raises(GeoGraphError):
             disjointness_diagnostic(f, ts, 5, 25, w)  # M >= half-width
+
+
+class TestCutSolves:
+    """The busemann and diagnose solves stop at an L-path bound; each
+    result equals the one read from solves with no limit. Under delta_1
+    the L-path weight is the time, so the cut falls exactly on a time
+    that is read; 0.3 delta_0 + 0.7 delta_1 has zero-weight plateaus."""
+
+    LAWS = [point_mass(1.0), mk_distribution(atoms=[(1.0, 0.5), (2.0, 0.5)]),
+            mk_distribution(atoms=[(0.0, 0.3), (1.0, 0.7)])]
+    IDS = ["delta1", "half12", "zero_atom"]
+
+    @pytest.fixture
+    def cut_and_uncut(self, monkeypatch):
+        """call -> (cut, uncut, pruned): call() as it is and with every
+        solve's limit dropped, each a result or the message of a
+        RuntimeError, and whether the cut left a site of a line solve or
+        of a solve from the origin unsettled."""
+        state = {}
+        for name in ("distances", "distance_to_set"):
+            def spy(graph, at, limit=None, name=name,
+                    solve=getattr(GridGraph, name)):
+                d = solve(graph, at, limit=limit if state["cut"] else None)
+                if name == "distance_to_set" or at == (0, 0):
+                    state["pruned"] |= not np.isfinite(d).all()
+                return d
+
+            monkeypatch.setattr(GridGraph, name, spy)
+
+        def outcome(call):
+            try:
+                return call()
+            except RuntimeError as e:  # a geodesic clipped by the window
+                return str(e)
+
+        def run(call):
+            state.update(cut=True, pruned=False)
+            cut = outcome(call)
+            pruned = state["pruned"]
+            state["cut"] = False
+            return cut, outcome(call), pruned
+
+        return run
+
+    @pytest.mark.parametrize("dist", LAWS, ids=IDS)
+    def test_separation_equals_uncut(self, dist, cut_and_uncut):
+        rng = np.random.default_rng(7)
+        pruned = 0
+        for seed in range(20):
+            W = 20 + seed
+            w = Window.square(W)
+            specs = TestDiagnostics.four_targets(None, W // 2)
+            seeds = [tuple(int(c) for c in rng.integers(-W, W + 1, 2))
+                     for _ in specs]
+            cut, uncut, p = cut_and_uncut(
+                lambda: busemann_separation(
+                    EdgeField(seed, dist), specs, seeds, w))
+            assert np.array_equal(cut.matrix, uncut.matrix)
+            pruned += p
+        assert pruned >= 10
+
+    @pytest.mark.parametrize("dist", LAWS, ids=IDS)
+    def test_diagnostic_equals_uncut(self, dist, cut_and_uncut):
+        pruned = 0
+        for seed in range(20):
+            W = 21 + seed % 20
+            w = Window.square(W)
+            m, M = W // 6, W // 2
+            # lines beyond M, and lines nearer than the arc sites mD_i,
+            # whose times then set the cut
+            for n in (M + 3, m // 2 + 1):
+                targets = TestDiagnostics.four_targets(None, n)
+                cut, uncut, p = cut_and_uncut(
+                    lambda: disjointness_diagnostic(
+                        EdgeField(seed, dist), targets, m, M, w))
+                if isinstance(uncut, str):
+                    assert cut == uncut
+                    continue
+                assert cut.to_dict() == uncut.to_dict()
+                assert cut.geodesic_sites == uncut.geodesic_sites
+                pruned += p
+        assert pruned >= 10
+
+    @pytest.mark.parametrize("dist", LAWS, ids=IDS)
+    def test_geodesic_equals_site_walk(self, dist):
+        # the index walk against the site-by-site walk of the same
+        # solve, on full and on limited solves
+        rng = np.random.default_rng(3)
+        for seed in range(20):
+            W = 20 + seed
+            graph = GridGraph(EdgeField(seed, dist), Window.square(W))
+            for limit in (None, W / 2):
+                ptm = graph.solve((0, 0), limit=limit)
+                for _ in range(4):
+                    t = tuple(int(c) for c in rng.integers(-W, W + 1, 2))
+                    if not np.isfinite(ptm.ticks[t[0] + W, t[1] + W]):
+                        continue
+                    assert geodesic(ptm, t) == geodesic_loop(ptm, t)

@@ -970,7 +970,18 @@ class TestOffDomain:
                 g.minimisers(sites)
 
     def test_predecessors_refused(self):
+        # the walk of predecessors refuses a target off the window
         ptm = GridGraph(EdgeField(0, UNIF12), Window.square(3)).solve((0, 0))
         for s in ((-4, 2), (4, 0), (0, -4)):
             with pytest.raises(LatticeError):
-                ptm.pred_sites(s)
+                geodesic(ptm, s)
+
+    def test_solve_refused_on_a_diamond(self):
+        # a PassageTimeMap reads its times as window grids (geodesic,
+        # ball), so a single-source solve takes a Window; distances
+        # still solves a Diamond
+        g = GridGraph(EdgeField(0, UNIF12), Diamond((0, 0), 3))
+        for limit in (None, 2.0):
+            with pytest.raises(LatticeError, match="Window"):
+                g.solve((0, 0), limit=limit)
+        assert np.isfinite(g.distances((0, 0))).all()

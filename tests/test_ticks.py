@@ -20,7 +20,7 @@ from fpplab.lattice import (DomainError, EdgeField, GridGraph, LatticeError,
                             Window, canonical_edge, check_domain)
 from fpplab.measure import DistributionError, TICK_LIMIT, mk_distribution
 from oracles import (MIX, NEIGHBOURS, STAGE3, UNIF12, ZERO_ATOM,
-                     random_owners_loop)
+                     pred_sites, random_owners_loop)
 
 STAGE3_X10 = mk_distribution(atoms=[(10.0, 0.66), (16.0, 0.06),
                                     (20.0, 0.08), (25.0, 0.1), (30.0, 0.1)])
@@ -112,7 +112,7 @@ class TestFractionOracle:
                         assert graph.v_mask[i, j] == (abs(T[u] - T[v]) == wt)
             for s in w.sites():
                 nbrs = [(s[0] + dx, s[1] + dy) for dx, dy in NEIGHBOURS]
-                assert set(ptm.pred_sites(s)) == {
+                assert set(pred_sites(ptm, s)) == {
                     u for u in nbrs
                     if (u, s) in weights and T[u] + weights[u, s] == T[s]}
 
