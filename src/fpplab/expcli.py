@@ -1,9 +1,11 @@
 """Experiment runner: config validation, dispatch, persistence.
 
 A config is a JSON object with kind, seed, optional trials/threads/out and
-a kind-specific params block. SCHEMAS holds one JSON Schema per kind,
-composed from single definitions of the parts the kinds share: the
-envelope, the law, the seed-site list and the line spec. run()
+a kind-specific params block. SCHEMAS holds one draft-07 JSON Schema per
+kind, composed from single definitions of the parts the kinds share: the
+envelope, the law, the seed-site list and the line spec. validate_config
+checks them itself, accepting and refusing what jsonschema 4.26 does, with
+its message, except that NaN and ±Infinity are no numbers. run()
 validates, dispatches, derives per-trial seeds from the master seed, runs
 the trials serially, writes the outputs that the runner returns, each
 file atomically, and prints a one-line JSON summary: a run whose runner
@@ -21,10 +23,12 @@ ends and diagnose runners check their radii and lines before trial 0.
 """
 
 import csv
-import functools
 import hashlib
 import io
 import json
+import math
+import numbers
+import operator
 import os
 import tempfile
 import time
@@ -132,12 +136,16 @@ KINDS = tuple(SCHEMAS)
 
 
 def load_config(path):
+    """The JSON value in the file at path: NaN and ±Infinity are not JSON."""
     try:
         with open(path) as f:
-            cfg = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+            return json.load(f, parse_constant=_not_json)
+    except (OSError, ValueError) as e:
         raise ConfigError("cannot load config %s: %s" % (path, e))
-    return cfg
+
+
+def _not_json(token):
+    raise ValueError("%s is not a JSON number" % token)
 
 
 def validate_config(cfg):
@@ -147,23 +155,72 @@ def validate_config(cfg):
     if kind not in KINDS:
         raise ConfigError("unknown kind %r (expected one of %s)"
                           % (kind, ", ".join(KINDS)))
-    from jsonschema.exceptions import best_match
-    # the error jsonschema.validate would raise, without checking the
-    # schema again on every run
-    e = best_match(_validator(kind).iter_errors(cfg))
+    # jsonschema's best_match: the highest error, then the last path,
+    # then the first (its type term never decides: a path meets one schema)
+    e = max(_errors(SCHEMAS[kind], cfg, ()), default=None,
+            key=lambda err: (-len(err[0]), err[0]))
     if e is not None:
-        raise ConfigError("config invalid for kind %s: %s" % (kind, e.message))
+        raise ConfigError("config invalid for kind %s: %s" % (kind, e[1]))
     return cfg
 
 
-@functools.cache
-def _validator(kind):
-    """The validator of SCHEMAS[kind], its schema checked once."""
-    # imported here, so that importing the runner stays cheap
-    from jsonschema.validators import validator_for
-    cls = validator_for(SCHEMAS[kind])
-    cls.check_schema(SCHEMAS[kind])
-    return cls(SCHEMAS[kind])
+_TYPES = {"object": lambda x: isinstance(x, dict),
+          "array": lambda x: isinstance(x, list),
+          "string": lambda x: isinstance(x, str),
+          # a bool is no number, and neither is NaN or ±Infinity
+          "number": lambda x: (isinstance(x, numbers.Number)
+                               and not isinstance(x, bool)
+                               and x == x and abs(x) != math.inf),
+          "integer": lambda x: not isinstance(x, bool) and (
+              isinstance(x, int) or isinstance(x, float) and x.is_integer())}
+_BOUNDS = {"minimum": (operator.lt, "less than"),
+           "maximum": (operator.gt, "greater than"),
+           "exclusiveMinimum": (operator.le, "less than or equal to"),
+           "exclusiveMaximum": (operator.ge, "greater than or equal to")}
+
+
+def _errors(schema, x, path):
+    """Yield (path, message) for each error of the value x at path, in
+    jsonschema 4.26's order and words. A keyword that _of, _tuple,
+    _object and _config do not write raises, as does a const or enum
+    that is not a string (compared with ==)."""
+    obj, arr = isinstance(x, dict), isinstance(x, list)
+    for key, v in schema.items():
+        bad = None
+        if key in _BOUNDS:  # on any number, whatever the type
+            test, words = _BOUNDS[key]
+            bad = _TYPES["number"](x) and test(x, v) and (
+                "%r is %s the %s of %r" % (x, words, key[-7:].lower(), v))
+        elif key == "type":
+            bad = not _TYPES[v](x) and "%r is not of type %r" % (x, v)
+        elif key == "const" and isinstance(v, str):
+            bad = x != v and "%r was expected" % (v,)
+        elif key == "enum" and all(isinstance(each, str) for each in v):
+            bad = x not in v and "%r is not one of %r" % (x, v)
+        elif key == "minItems":
+            bad = arr and len(x) < v and "%r %s" % (
+                x, "should be non-empty" if v == 1 else "is too short")
+        elif key == "maxItems":
+            bad = arr and len(x) > v and "%r %s" % (
+                x, "is expected to be empty" if v == 0 else "is too long")
+        elif key == "additionalProperties" and v is False:
+            extra = obj and sorted(x.keys() - schema["properties"], key=str)
+            bad = extra and "Additional properties are not allowed " + (
+                "(%s %s unexpected)" % (", ".join(map(repr, extra)),
+                                        "was" if len(extra) == 1 else "were"))
+        elif key == "items":
+            for i, item in enumerate(x if arr else ()):
+                yield from _errors(v, item, path + (i,))
+        elif key == "properties":
+            for k in [k for k in v if obj and k in x]:
+                yield from _errors(v[k], x[k], path + (k,))
+        elif key == "required":
+            yield from ((path, "%r is a required property" % (k,))
+                        for k in v if obj and k not in x)
+        elif key != "$schema":
+            raise NotImplementedError("schema keyword %s: %r" % (key, v))
+        if bad:
+            yield path, bad
 
 
 def config_hash(cfg) -> str:

@@ -1,6 +1,8 @@
+import copy
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -79,16 +81,14 @@ class TestValidation:
             "targets": []}},
     ])
     def test_message_is_what_jsonschema_validate_gives(self, cfg):
-        # the cached validator reports the same best-matching error
+        # the package's validator reports jsonschema's best-matching error
         import jsonschema
         with pytest.raises(jsonschema.ValidationError) as want:
             jsonschema.validate(cfg, expcli.SCHEMAS[cfg["kind"]])
-        expcli._validator.cache_clear()
-        for _ in range(2):  # the first call fills the cache
-            with pytest.raises(ConfigError) as got:
-                validate_config(cfg)
-            assert str(got.value) == "config invalid for kind %s: %s" % (
-                cfg["kind"], want.value.message)
+        with pytest.raises(ConfigError) as got:
+            validate_config(cfg)
+        assert str(got.value) == "config invalid for kind %s: %s" % (
+            cfg["kind"], want.value.message)
 
     def test_hash_key_order_invariant(self):
         a = {"kind": "shape", "seed": 1, "params": {"n": 50,
@@ -231,20 +231,37 @@ class TestMain:
         assert main(["shape", "--config", path]) == 2
 
     def test_schema_validator_loaded_only_to_validate(self, tmp_path):
-        # a fresh interpreter: importing the runner leaves jsonschema
-        # unloaded, and a config the schema refuses still exits 2
-        path = self.write(tmp_path, {"kind": "shape", "seed": 0,
-                                     "params": {}})
-        code = ("import sys, fpplab.expcli\n"
-                "assert 'jsonschema' not in sys.modules\n"
+        # a fresh interpreter runs one config of every kind and one that
+        # the schema refuses: the package validates them all, and
+        # jsonschema is never loaded
+        cfgs = list(VALID.values()) + [{"kind": "shape", "seed": 0,
+                                        "params": {}}]
+        paths = [self.write(tmp_path, cfg, "c%d.json" % i)
+                 for i, cfg in enumerate(cfgs)]
+        code = ("import sys\n"
                 "from fpplab.cli import main\n"
-                "sys.exit(main(['shape', '--config', sys.argv[1]]))")
+                "out, args = sys.argv[1], sys.argv[2:]\n"
+                "codes = [main([kind, '--config', path, '--out', out])\n"
+                "         for kind, path in zip(args[::2], args[1::2])]\n"
+                "print(codes, 'jsonschema' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
             os.path.dirname(fpplab.__file__)))
-        proc = subprocess.run([sys.executable, "-c", code, path], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 2, proc.stderr
+        args = [a for cfg, path in zip(cfgs, paths)
+                for a in (cfg["kind"], path)]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "o")] + args,
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(
+            [0] * len(VALID) + [2]) + " False"
         assert "config invalid for kind shape" in proc.stderr
+
+    def test_undecodable_config_exit_two(self, tmp_path):
+        # a file that the locale's encoding cannot decode is a config
+        # error, not a traceback (and a schema error where it can)
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"kind": "shape", "seed": 0, "params": "\xff"}')
+        assert main(["shape", "--config", str(path)]) == 2
 
     def test_kind_mismatch_exit_two(self, tmp_path):
         path = self.write(tmp_path, shape_cfg())
@@ -477,3 +494,136 @@ class TestFigures:
             root = ET.fromstring(data)
             assert root.tag == "{http://www.w3.org/2000/svg}svg"
             assert len(root) > 1
+
+
+# every optional field set, so that a mutation can reach each schema node
+FULL = {kind: json.loads(json.dumps(dict(cfg, trials=2, threads=1, out="o")))
+        for kind, cfg in VALID.items()}
+FULL["shape"]["params"]["dist"]["pieces"] = [[1.0, 2.0, 0.5]]
+FULL["construct"]["params"]["schedule"].update(stages=2, spread=0.5)
+FULL["oriented"]["params"]["pc_grid"] = [0.6, 0.7]
+FULL["compete"]["params"]["tie_policy"] = "strict"
+FULL["diagnose"]["params"]["arc_halfwidth"] = 0.25
+# finite values only: NaN and ±Infinity are refused where jsonschema
+# takes them (TestNonFinite)
+JUNK = [None, True, False, 0, 1, -1, 2, 3, 16, 10 ** 30, -0.5, 0.0, 0.5,
+        1.0, 1.5, 2.0, 1e300, "", "x", "strict", "shape", [], [0],
+        [1.0, 2.0], [[1.0, 1.0]], [1, 2, 3], {}, {"n": 1}]
+IMPLEMENTED = {"$schema", "type", "properties", "required",
+               "additionalProperties", "items", "minItems", "maxItems",
+               "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+               "const", "enum"}
+
+
+def schema_nodes(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from schema_nodes(sub)
+    if "items" in schema:
+        yield from schema_nodes(schema["items"])
+
+
+def value_paths(value, path=()):
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for k, v in items:
+        yield from value_paths(v, path + (k,))
+
+
+def mutate(rng, cfg, keys):
+    """Replace a node of cfg with junk, delete it, or add a key or an
+    item to it; never the kind, which picks the schema."""
+    path = rng.choice([p for p in value_paths(cfg) if p != ("kind",)])
+    parent = cfg
+    for k in path[:-1]:
+        parent = parent[k]
+    node = parent[path[-1]] if path else cfg
+    op = rng.choice(["replace", "delete", "add"])
+    if op == "add" and isinstance(node, dict):
+        node[rng.choice(keys)] = copy.deepcopy(rng.choice(JUNK))
+    elif op == "add" and isinstance(node, list):
+        item = copy.deepcopy(rng.choice(node + JUNK))
+        node.insert(rng.randint(0, len(node)), item)
+    elif op == "delete" and path:
+        del parent[path[-1]]
+    elif path:
+        parent[path[-1]] = copy.deepcopy(rng.choice(JUNK))
+
+
+class TestSchemaParity:
+    """The package's validator accepts and refuses what jsonschema 4.26
+    does, with its message; jsonschema is the tests' reference only."""
+
+    def test_every_keyword_is_implemented(self):
+        for kind, schema in expcli.SCHEMAS.items():
+            for node in schema_nodes(schema):
+                assert set(node) <= IMPLEMENTED, (kind, node)
+                # compared with ==, which is jsonschema's equal on strings
+                for value in [node.get("const", "")] + node.get("enum", []):
+                    assert isinstance(value, str), (kind, node)
+
+    def test_unimplemented_keyword_raises(self, monkeypatch):
+        monkeypatch.setitem(expcli.SCHEMAS, "shape", dict(
+            expcli.SCHEMAS["shape"], minProperties=1))
+        with pytest.raises(NotImplementedError, match="minProperties"):
+            validate_config(shape_cfg())
+
+    def test_seeded_mutations_match_jsonschema(self):
+        from jsonschema import Draft7Validator
+        from jsonschema.exceptions import best_match
+        keys = sorted({k for schema in expcli.SCHEMAS.values()
+                       for node in schema_nodes(schema)
+                       for k in node.get("properties", {})}
+                      - {"kind"} | {"extra"})
+        rng = random.Random(26)
+        accepted, diffs = 0, []
+        for kind in expcli.KINDS:
+            reference = Draft7Validator(expcli.SCHEMAS[kind])
+            for _ in range(750):
+                cfg = copy.deepcopy(FULL[kind])
+                for _ in range(rng.randint(1, 3)):
+                    mutate(rng, cfg, keys)
+                want = best_match(reference.iter_errors(cfg))
+                try:
+                    validate_config(cfg)
+                    got = None
+                except ConfigError as e:
+                    got = str(e)
+                accepted += got is None
+                if got != (want and "config invalid for kind %s: %s" % (
+                        kind, want.message)):
+                    diffs.append((cfg, got, want and want.message))
+        assert diffs == []
+        assert 500 < accepted < 7 * 750 - 500
+
+
+class TestNonFinite:
+    """NaN and ±Infinity are no JSON numbers: a config file that holds
+    one, or a config given to run() with one, exits 2 and writes
+    nothing."""
+
+    @pytest.mark.parametrize("cfg", [
+        with_params("oriented", p_values=[float("nan")]),
+        with_params("compete", dist={"atoms": [[float("nan"), 1.0]]}),
+        dict(shape_cfg(), params=dict(shape_cfg()["params"], dist={
+            "atoms": [[float("inf"), 1.0]]})),
+        with_params("diagnose", arc_halfwidth=-float("inf")),
+    ], ids=["oriented_nan", "compete_nan", "shape_infinity",
+            "diagnose_minus_infinity"])
+    def test_token_in_file_exit_two(self, tmp_path, capsys, cfg):
+        assert exit_code(tmp_path, cfg) == 2
+        assert "is not a JSON number" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="is not of type 'number'"):
+            run(cfg, out_root=str(tmp_path / "o"), echo=False)
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_literal_exit_two(self, tmp_path, capsys):
+        # json reads 1e400 as float('inf'), past the token check
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(oriented_cfg([0.7])).replace(
+            "0.7", "1e400"))
+        assert main(["oriented", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "inf is not of type 'number'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -6,9 +6,6 @@ import math
 import tracemalloc
 from fractions import Fraction
 
-# expcli imports the validator on first use; load it before any
-# allocation peak is measured, so that the peaks are the runs' own
-import jsonschema  # noqa: F401
 import numpy as np
 import pytest
 
