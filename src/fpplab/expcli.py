@@ -480,6 +480,9 @@ def sweep(configs, out_root=None, echo=True):
     """
     if not configs:
         raise ConfigError("sweep needs at least one config")
+    for cfg in configs:  # one that is no object is refused as run() would
+        if not isinstance(cfg, dict):
+            validate_config(cfg)
     kinds = {c.get("kind") for c in configs}
     if len(kinds) != 1:
         raise ConfigError("sweep configs must share one kind, got %s"

@@ -364,6 +364,8 @@ class _Topology:
     own; missing[s] lists the sites whose neighbour in slot s is off the
     domain, where indices holds a self-loop. It keeps no reference to its
     domain, so it is freed with the domain, with no cycle to collect.
+    Each neighbour column is written in place, slot 0 holding the site
+    index k until last, so a build holds at most one (n,) temporary.
     """
 
     def __init__(self, domain):
@@ -386,11 +388,13 @@ class _Topology:
             _row_ends(starts, np.r_[lo - ylo[:-1], lens[-1]],
                       np.r_[yhi[:-1] - hi, 0]))
         nbr4 = np.empty((n, 4), dtype=np.int32)
-        k = np.arange(n, dtype=np.int32)
-        steps = (-np.repeat(left, lens), -1, 1, np.repeat(right, lens))
-        for s, step in enumerate(steps):
-            np.add(k, step, out=nbr4[:, s])
-            nbr4[self.missing[s], s] = self.missing[s]
+        nbr4[:, 0] = np.arange(n, dtype=np.int32)
+        np.subtract(nbr4[:, 0], 1, out=nbr4[:, 1])
+        np.add(nbr4[:, 1], 2, out=nbr4[:, 2])
+        np.add(nbr4[:, 0], np.repeat(right, lens), out=nbr4[:, 3])
+        nbr4[:, 0] -= np.repeat(left, lens)
+        for s, m in enumerate(self.missing):
+            nbr4[m, s] = m
         self.indices = nbr4.reshape(-1)
         self.indptr = np.arange(0, 4 * n + 1, 4, dtype=np.int32)
         self.indices.flags.writeable = self.indptr.flags.writeable = False
@@ -693,19 +697,36 @@ def _exit_bounds(d, diamond, dx, dy, a):
     The ring site z past either end of row i touches that end and the
     same end of the next row toward the middle; the two past the outer
     rows touch their one site. So g(z) = a + min d over z's inside
-    neighbours is read off the row ends, over the 4 (R + 1) ring sites.
+    neighbours is read off the row ends. A quarter of the ring is
+    z = (sx k, sy (R + 1 - k)), k = 0 .. R + 1, and for A = sx dx, C =
+    sy dy, |z - x|_1 = (R + 1 - A - C) + 2 dist(k, [A, R + 1 - C]). So a
+    prefix minimum of g(z) - 2 a k from each end of the quarter (k
+    counted from that end) and one minimum.reduceat between A and
+    R + 1 - C give its least g(z) + a |z - x|_1, with no (targets x
+    ring) array: O(R + targets) in time and memory, in sums of whole
+    ticks, exact below 2^53.
     """
     R = diamond.radius
     first, last = diamond.boundary()
     cols = np.arange(-R, R + 1)
     toward = cols + R - np.sign(cols)
-    ends, inner = np.r_[first, last], np.r_[first[toward], last[toward]]
-    g = np.r_[np.minimum(d[ends], d[inner]), d[first[[0, -1]]]] + a
-    h = R + 1 - np.abs(cols)
-    zx = np.r_[cols, cols, -R - 1, R + 1]
-    zy = np.r_[-h, h, 0, 0]
-    steps = np.abs(zx - dx[:, None]) + np.abs(zy - dy[:, None])
-    return (g + a * steps).min(axis=1)
+    tips = d[first[[0, -1]]]
+    slope = 2 * a * np.arange(R + 2)
+    best = np.inf
+    for sy, ends in ((-1, first), (1, last)):
+        side = np.r_[tips[0], np.minimum(d[ends], d[ends[toward]]),
+                     tips[1]] + a
+        for sx in (-1, 1):
+            g = np.r_[side[R + 1::sx], np.inf]  # g(0 .. R + 1), then inf
+            A, C = sx * dx, sy * dy
+            i, j = np.maximum(A, 0), np.maximum(C, 0)
+            below = np.r_[np.inf, np.minimum.accumulate(g[:-1] - slope)]
+            above = np.r_[np.inf, np.minimum.accumulate(g[-2::-1] - slope)]
+            over = np.minimum.reduceat(g, np.c_[i, R + 2 - j].ravel())[::2]
+            near = np.minimum(np.minimum(below[i] + 2 * a * A, over),
+                              above[j] + 2 * a * C)
+            best = np.minimum(best, a * (R + 1 - A - C) + near)
+    return best
 
 
 def solve_targets(fields, source: Site, targets):

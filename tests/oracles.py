@@ -8,6 +8,8 @@ random_owners_loop that of growth.compete's random tie policy,
 geodesic_loop that of lattice.geodesic, walking sites through
 pred_sites, and ends_loop that of geograph.ends_estimate, one components
 pass per radius.
+exit_bounds_ring is that of lattice._exit_bounds, one (targets x ring)
+matrix of bounds.
 edges_graph builds a hand-made infection graph from an edge list,
 path_weight sums a path's edge weights, and exit_edges lists the edges
 that leave an l1 diamond.
@@ -114,6 +116,24 @@ def exit_edges(center, radius):
                 if abs(z[0] - cx) + abs(z[1] - cy) == radius + 1:
                     out.append(((x, y), z))
     return out
+
+
+def exit_bounds_ring(d, diamond, dx, dy, a):
+    """The least d[y] + a + a |z - x|_1 over the exit edges y -> z of the
+    diamond, for each target x = center + (dx[j], dy[j]), from the bound
+    of every target at every one of the 4 (R + 1) ring sites z, each
+    weighted a + min d over its inside neighbours."""
+    R = diamond.radius
+    first, last = diamond.boundary()
+    cols = np.arange(-R, R + 1)
+    toward = cols + R - np.sign(cols)
+    ends, inner = np.r_[first, last], np.r_[first[toward], last[toward]]
+    g = np.r_[np.minimum(d[ends], d[inner]), d[first[[0, -1]]]] + a
+    h = R + 1 - np.abs(cols)
+    zx = np.r_[cols, cols, -R - 1, R + 1]
+    zy = np.r_[-h, h, 0, 0]
+    steps = np.abs(zx - dx[:, None]) + np.abs(zy - dy[:, None])
+    return (g + a * steps).min(axis=1)
 
 
 def edges_graph(edges, window):

@@ -211,6 +211,19 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep([shape_cfg(), oriented_cfg([0.7])])
 
+    @pytest.mark.parametrize("bad", [5, None, "x"])
+    def test_config_that_is_no_object_refused_as_run_refuses_it(
+            self, bad, tmp_path):
+        # refused with run()'s message before any config runs, even a
+        # valid one ahead of it
+        with pytest.raises(ConfigError) as want:
+            run(bad, out_root=str(tmp_path), echo=False)
+        for cfgs in ([bad], [oriented_cfg([0.7]), bad]):
+            with pytest.raises(ConfigError) as got:
+                sweep(cfgs, out_root=str(tmp_path), echo=False)
+            assert str(got.value) == str(want.value)
+        assert files_under(tmp_path) == []
+
 
 class TestMain:
     def write(self, tmp_path, cfg, name="c.json"):

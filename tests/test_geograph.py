@@ -124,6 +124,19 @@ class TestEnds:
                 assert ends_estimate(g, radii) == [ends_loop(g, m)
                                                    for m in radii]
 
+    @pytest.mark.parametrize("dist", [
+        UNIF12, MIX, mk_distribution(atoms=[(1.0, 0.5), (2.0, 0.5)])],
+        ids=["unif12", "mix15", "half12"])
+    def test_count_never_falls_as_the_radius_grows(self, dist):
+        # a component at radius m is a union of components at a larger
+        # radius, and one that touches the rim holds one that does
+        win = Window.square(40)
+        radii = list(range(1, 20))
+        for seed in range(8):
+            counts = ends_estimate(infection_graph(EdgeField(seed, dist), win),
+                                   radii)
+            assert counts == sorted(counts)
+
     def test_random_tree_majority_at_least_four(self):
         w = Window.square(40)
         hits = 0

@@ -9,14 +9,16 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
+from fpplab import lattice
 from fpplab._rng import hash_words, uniform01
 from fpplab.lattice import (Diamond, DomainError, EdgeField, GridGraph,
                             LatticeError, Window, _exit_bounds, _Topology,
                             ball, canonical_edge, check_domain, geodesic,
                             monotone_upper_bounds, round_site, solve_targets)
 from fpplab.measure import mk_distribution, point_mass
+from fpplab.shapeest import DirectionPlan, empirical_shape
 from oracles import (EPS_ATOM, MIX, STAGE3, UNIF12, ZERO_ATOM, exhaustive_times,
-                     exit_edges, path_weight)
+                     exit_bounds_ring, exit_edges, path_weight)
 
 ATOMIC = mk_distribution(atoms=[(1.0, 0.8), (3.0, 0.2)])
 # heavy edges that can wall a near target off inside a small diamond,
@@ -607,6 +609,72 @@ class TestExitCertificate:
         assert passed and refused
 
 
+def diamond_targets(rng, R, k):
+    """The source, k sites on the rim and k inside of the diamond of
+    radius R, as offsets (dx, dy) from its center."""
+    dx = rng.integers(-R, R + 1, 2 * k)
+    room = R - np.abs(dx)
+    dy = np.r_[room[:k] * rng.choice((-1, 1), k),
+               rng.integers(-room[k:], room[k:] + 1)]
+    return np.r_[0, dx], np.r_[0, dy]
+
+
+class TestExitBounds:
+    """_exit_bounds, read off prefix minima along each quarter of the
+    ring, against the (targets x ring) oracle, exactly in ticks."""
+
+    def test_equals_ring_oracle(self):
+        rng = np.random.default_rng(27)
+        for case in range(2048):
+            R = 1 + case % 64
+            diamond = Diamond(tuple(rng.integers(-9, 10, 2).tolist()), R)
+            if case % 5 == 4:
+                # times near 2^50 ticks, edges up to 2^40 ticks
+                a = int(rng.integers(0, 1 << 40))
+                d = ((1 << 50) - rng.integers(0, 1 << 40, diamond.n_sites)
+                     ).astype(float)
+            else:
+                a = 0 if case % 4 == 0 else int(rng.integers(1, 12))
+                d = rng.integers(0, 50 * R + 1, diamond.n_sites).astype(float)
+            dx, dy = diamond_targets(rng, R, int(rng.integers(1, 12)))
+            assert np.array_equal(_exit_bounds(d, diamond, dx, dy, a),
+                                  exit_bounds_ring(d, diamond, dx, dy, a))
+
+    def test_stage_solves_equal_ring_oracle(self, monkeypatch):
+        # the shape kind at 17 directions and n = 200, as in the
+        # benchmark: 64 targets on the diamond of radius 200 + 6
+        calls = []
+
+        def checked(d, diamond, dx, dy, a):
+            got = _exit_bounds(d, diamond, dx, dy, a)
+            assert np.array_equal(got, exit_bounds_ring(d, diamond, dx, dy, a))
+            calls.append((diamond.radius, len(dx)))
+            return got
+
+        monkeypatch.setattr(lattice, "_exit_bounds", checked)
+        empirical_shape(STAGE3, DirectionPlan.default(D=17, n=200, trials=2,
+                                                      seed=1))
+        assert calls == [(206, 64)] * 2
+
+    def test_holds_no_targets_by_ring_array(self):
+        # 64 targets by the 4 * 207 ring sites made a 1.4 MiB matrix
+        diamond = Diamond((0, 0), 206)
+        rng = np.random.default_rng(1)
+        d = ((1 << 50) - rng.integers(0, 1 << 30, diamond.n_sites)
+             ).astype(float)
+        dx, dy = diamond_targets(rng, 200, 32)
+        dx, dy = dx[:64], dy[:64]
+        diamond.boundary()  # its row table, made with the first graph
+        tracemalloc.start()
+        try:
+            got = _exit_bounds(d, diamond, dx, dy, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 << 10
+        assert np.array_equal(got, exit_bounds_ring(d, diamond, dx, dy, 3))
+
+
 def domain_sites(domain):
     """The sites of a Window or a Diamond, row after row, y ascending."""
     if isinstance(domain, Window):
@@ -706,6 +774,22 @@ class TestGraphBuild:
             assert peak <= 64 * n
             assert np.shares_memory(g._csr.indices, first._csr.indices)
             del first, g
+
+    @pytest.mark.parametrize("domain", [Diamond((0, 0), 206),
+                                        Window.square(150)],
+                             ids=["diamond", "window"])
+    def test_topology_build_holds_one_temporary(self, domain):
+        # beside the arrays it keeps, a topology's build holds at most
+        # one (n,) int32 temporary at a time
+        n = domain.n_sites
+        tracemalloc.start()
+        try:
+            topo = _Topology(domain)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept >= topo.indices.nbytes + topo.indptr.nbytes
+        assert peak <= kept + 4 * n + (64 << 10)
 
     def test_graphs_of_one_domain_share_a_read_only_topology(self):
         for make in (lambda: Window(-5, 7, 2, 9), lambda: Diamond((1, 1), 6)):
