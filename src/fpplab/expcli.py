@@ -480,8 +480,10 @@ def sweep(configs, out_root=None, echo=True):
     """
     if not configs:
         raise ConfigError("sweep needs at least one config")
-    for cfg in configs:  # one that is no object is refused as run() would
-        if not isinstance(cfg, dict):
+    # one that is no object, or has no known kind, is refused as run()
+    # would, before the merged CSV is named after that kind
+    for cfg in configs:
+        if not isinstance(cfg, dict) or cfg.get("kind") not in KINDS:
             validate_config(cfg)
     kinds = {c.get("kind") for c in configs}
     if len(kinds) != 1:

@@ -7,12 +7,14 @@ ball around the origin, for every removal radius from one components
 pass at the largest. Busemann functions are differences of minimal
 passage times to a discretized line, read from one solve from the line.
 busemann and InfectionGraph.from_map take the GridGraph or the solve
-alone and read the field and the window from it. The line solves and the
-diagnostic's solve from the origin stop at a cut in ticks: the largest
-weight of an L-shaped path to a site whose time bounds every time they
-read, which Dijkstra's limit keeps exact. A GeoGraphError refuses an
-input; a geodesic clipped by the window, which depends on the field, is
-a RuntimeError.
+alone and read the field and the window from it. Every solve here stops
+at a cut in ticks, the weight of an L-shaped path that bounds each time
+it reads, which Dijkstra's limit keeps exact: for the line solves and
+the diagnostic's solve from the origin, the largest such weight to a
+site whose time bounds the others; for event D's solve from an arc
+site, the weight from it to its perturbed site. A GeoGraphError refuses
+an input; a geodesic clipped by the window, which depends on the field,
+is a RuntimeError.
 """
 
 import math
@@ -24,8 +26,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .convex import (ConvexShape, boundary_project, gauge, l1, l1_ball,
                      projection_coefficient)
-from .lattice import (EdgeField, GridGraph, LatticeError, PassageTimeMap,
-                      Window, geodesic, round_site)
+from .lattice import (EdgeField, GridGraph, PassageTimeMap, Window,
+                      geodesic, round_site)
 from .measure import InputError, in_q_support
 
 
@@ -358,8 +360,7 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
     bounds = [_nearest(line, (0, 0)) for line in lines] + [
         x for arc in arcs for x in arc if window.contains(x)]
     cut = max(_l_path_ticks(graph, (0, 0), x) for x in bounds)
-    ptm = PassageTimeMap(graph, (0, 0), graph.distances((0, 0), limit=cut),
-                         cut / field.dist.ticks_per_unit)
+    ptm = graph.solve((0, 0), limit=cut)
     k = len(targets)
 
     geodesics = []
@@ -407,11 +408,10 @@ def disjointness_diagnostic(field: EdgeField, targets, m: int, M: int,
             c_ok = c_ok and abs(ptm.time(x) - m) < m * alpha / 10
             pert = round_site((x[0] + m * alpha / 20, x[1]))
             if window.contains(pert) and pert != x:
-                sub = graph.solve(x, limit=m * alpha)
-                try:
-                    d_ok = d_ok and sub.time(pert) < m * alpha / 5
-                except LatticeError:
-                    d_ok = False
+                # the L-path from x to pert bounds tau(x, pert), so the
+                # cut solve always reaches pert
+                sub = graph.solve(x, limit=_l_path_ticks(graph, x, pert))
+                d_ok = d_ok and sub.time(pert) < m * alpha / 5
         ev["C"].append(c_ok)
         ev["D"].append(d_ok)
 

@@ -32,7 +32,8 @@ weights block by block.
 
 A GridGraph is the one handle on a field over a domain. GridGraph.solve
 runs Dijkstra (scipy's compiled implementation) from one source on a
-Window, and the PassageTimeMap it returns reads the field and the window
+Window, cut at an optional limit in ticks like every solve here. It is
+the one maker of a PassageTimeMap, which reads the field and the window
 from its graph. Every optimal incoming edge of a site, ties included, is
 a tight entry into it, so tie unions (the infection graph) stay
 computable; geodesic walks them by flat index, in slot order, which is
@@ -54,7 +55,6 @@ exactly in ticks, whatever the radius. A one-atom law needs no solve.
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -513,29 +513,26 @@ class GridGraph:
 
     def solve(self, source: Site, limit=None):
         """Exact in-window passage times from the source to every site,
-        as a PassageTimeMap; LatticeError off a Window (see distances).
+        as a PassageTimeMap, the one maker of it; LatticeError off a
+        Window (see distances).
 
-        limit optionally prunes the search: sites with time > limit come
-        back as unexplored (their true time exceeds limit, which callers
-        must only use when they query nearer sites).
+        limit, in ticks, optionally prunes the search: sites with time >
+        limit come back as unexplored (their true time exceeds limit,
+        which callers must only use when they query nearer sites).
         """
         if not isinstance(self.window, Window):
             raise LatticeError("a single-source solve needs a Window, "
                                "not %s" % type(self.window).__name__)
-        limit = math.inf if limit is None else float(limit)
-        ticks = self.distances(source, limit=None if limit == math.inf else
-                               math.floor(Fraction(limit)
-                                          * self.field.dist.ticks_per_unit))
-        return PassageTimeMap(self, source, ticks, limit)
+        return PassageTimeMap(self, source, self.distances(source, limit))
 
 
 @dataclass
 class PassageTimeMap:
-    """Single-source passage times on a graph (GridGraph.solve), which
-    holds their field and their domain.
+    """Single-source passage times on a graph, which holds their field
+    and their domain. GridGraph.solve is the one maker of them.
 
-    ticks are the times in ticks (exact; inf where the limit cut the
-    solve), and grid the same in real units, ticks / D. tight, the
+    ticks are the times in ticks (exact; inf where the solve's limit, in
+    ticks, cut it), and grid the same in real units, ticks / D. tight, the
     graph's tight mask for these times (GridGraph.tight), holds every
     optimal incoming edge of every site, ties included.
     """
@@ -543,7 +540,6 @@ class PassageTimeMap:
     graph: GridGraph
     source: Site
     ticks: np.ndarray  # the domain's shape
-    limit: float
 
     @cached_property
     def grid(self):
@@ -557,8 +553,7 @@ class PassageTimeMap:
         """The passage time to s in ticks, exact."""
         t = self.ticks.item(self.graph.window.index(s))
         if not math.isfinite(t):
-            raise LatticeError(
-                "site %s beyond the solve limit %g" % (s, self.limit))
+            raise LatticeError("site %s beyond the solve limit" % (s,))
         return t
 
     def time(self, s: Site) -> float:

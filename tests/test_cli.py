@@ -224,6 +224,20 @@ class TestSweep:
             assert str(got.value) == str(want.value)
         assert files_under(tmp_path) == []
 
+    @pytest.mark.parametrize("bad", [{}, {"kind": "nope"}, {"kind": None}],
+                             ids=["missing", "unknown", "null"])
+    def test_config_with_no_known_kind_refused_as_run_refuses_it(
+            self, bad, tmp_path):
+        # no sweep-None.csv or sweep-nope.csv of error rows: the sweep
+        # is refused with run()'s message and writes nothing
+        with pytest.raises(ConfigError) as want:
+            run(bad, out_root=str(tmp_path), echo=False)
+        for cfgs in ([bad], [bad, bad], [oriented_cfg([0.7]), bad]):
+            with pytest.raises(ConfigError) as got:
+                sweep(cfgs, out_root=str(tmp_path), echo=False)
+            assert str(got.value) == str(want.value)
+        assert files_under(tmp_path) == []
+
 
 class TestMain:
     def write(self, tmp_path, cfg, name="c.json"):

@@ -208,12 +208,19 @@ class TestSolveOracle:
             assert ptm.time(b) == pytest.approx(acc, abs=1e-12)
 
     def test_limit_prunes(self):
-        w = Window.square(10)
-        f = EdgeField(1, UNIF12)
-        ptm = GridGraph(f, w).solve((0, 0), limit=3.0)
-        assert ptm.time((1, 0)) < 3.0
-        with pytest.raises(LatticeError):
-            ptm.time((10, 10))
+        # the limit is in ticks: the solved sites are exactly those whose
+        # unlimited time is at most the limit. The second law has D = 2,
+        # so its 7 ticks are 3.5 in real units
+        for dist, limit in ((UNIF12, 3 * UNIF12.ticks_per_unit),
+                            (mk_distribution(atoms=[(1.0, 0.5), (2.5, 0.5)]),
+                             7)):
+            g = GridGraph(EdgeField(1, dist), Window.square(10))
+            ptm = g.solve((0, 0), limit=limit)
+            assert ptm.tick_time((1, 0)) <= limit
+            with pytest.raises(LatticeError):
+                ptm.time((10, 10))
+            assert np.array_equal(np.isfinite(ptm.ticks),
+                                  g.distances((0, 0)) <= limit)
 
 
 class TestGeodesics:
