@@ -4,8 +4,8 @@ fpplab <kind> --config FILE [--seed N] [--trials N] [--out DIR]
 
 The config file holds one experiment config (or a list of them, which is
 run as a sweep). Command line flags override the corresponding config
-fields. Trials run serially; --threads N is accepted and ignored, so
-existing command lines keep working, but N must be >= 1 as in a config.
+fields, and are validated with them: --trials on a kind without a trial
+count (one not in expcli.TRIALS) is a config error. Trials run serially.
 Exit codes: 0 success, 2 config error (a bad flag too), 3 runtime error.
 """
 
@@ -13,17 +13,6 @@ import argparse
 import sys
 
 from .expcli import KINDS, ConfigError, RunError, load_config, run, sweep
-
-
-def positive_int(text):
-    """argparse type: an integer >= 1, as a config's threads field."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError("%r is not an integer >= 1" % text)
-    return value
 
 
 def build_parser():
@@ -37,8 +26,6 @@ def build_parser():
         sp.add_argument("--seed", type=int, help="override the master seed")
         sp.add_argument("--trials", type=int, help="override the trial count")
         sp.add_argument("--out", help="override the output directory")
-        sp.add_argument("--threads", type=positive_int,
-                        help="accepted and ignored: trials run serially")
     return parser
 
 

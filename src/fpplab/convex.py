@@ -98,11 +98,7 @@ def hull(points, theta_tol=1e-9) -> ConvexShape:
     if len(verts) < 3:
         raise GeometryError("degenerate hull after merging")
     # angle-based pruning pass (the chain already removed exact collinear)
-    pruned = []
-    n = len(verts)
-    for i in range(n):
-        if _turn_angle(verts[i - 1], verts[i], verts[(i + 1) % n]) > theta_tol:
-            pruned.append(verts[i])
+    pruned = extreme_points(ConvexShape(tuple(verts)), theta_tol)
     if len(pruned) < 3:
         raise GeometryError("degenerate hull after pruning")
     return _canonicalize(pruned)

@@ -1,16 +1,18 @@
 """Experiment runner: config validation, dispatch, persistence.
 
-A config is a JSON object with kind, seed, optional trials/threads/out and
-a kind-specific params block. SCHEMAS holds one draft-07 JSON Schema per
-kind, composed from single definitions of the parts the kinds share: the
-envelope, the law, the seed-site list and the line spec. validate_config
-checks them itself, accepting and refusing what jsonschema 4.26 does, with
-its message, except that NaN and ±Infinity are no numbers. run()
-validates, dispatches, derives per-trial seeds from the master seed, runs
-the trials serially, writes the outputs that the runner returns, each
-file atomically, and prints a one-line JSON summary: a run whose runner
-fails writes nothing. Payload bytes depend only on the config; threads
-is an accepted hint that changes nothing.
+A config is a JSON object with kind, seed, an optional out and a
+kind-specific params block, and an optional trials for the kinds in
+TRIALS, which holds their default trial counts. A field that would change
+no payload byte is not in the schema, so a config that sets one is
+refused. SCHEMAS holds one draft-07 JSON Schema per kind, composed from
+single definitions of the parts the kinds share: the envelope, the law,
+the seed-site list and the line spec. validate_config checks them itself,
+accepting and refusing what jsonschema 4.26 does, with its message,
+except that NaN and ±Infinity are no numbers. run() validates,
+dispatches, derives per-trial seeds from the master seed, runs the trials
+serially, writes the outputs that the runner returns, each file
+atomically, and prints a one-line JSON summary: a run whose runner fails
+writes nothing. Payload bytes depend only on the config.
 
 What the schema cannot see is refused where it is parsed, by a
 measure.InputError that run() reports as a ConfigError before any output
@@ -90,13 +92,19 @@ _LINES = _of("array", minItems=1, items=_object(
     "v", "w", "n"))
 
 
+# The default trial count of each kind whose runner reads one; a config
+# of another kind that sets trials is refused
+TRIALS = {"shape": 10, "oriented": 100, "compete": 10, "ends": 10,
+          "diagnose": 1}
+
+
 def _config(kind, params, *required):
+    envelope = {"kind": {"const": kind}, "out": _of("string"),
+                "params": _object(params, *required), "seed": _count(0)}
+    if kind in TRIALS:
+        envelope["trials"] = _count(1)
     return {"$schema": "http://json-schema.org/draft-07/schema#",
-            **_object({"kind": {"const": kind}, "out": _of("string"),
-                       "params": _object(params, *required),
-                       "seed": _count(0), "threads": _count(1),
-                       "trials": _count(1)},
-                      "kind", "seed", "params")}
+            **_object(envelope, "kind", "seed", "params")}
 
 
 SCHEMAS = {
@@ -305,6 +313,10 @@ class ResultArtifact:
         return json.dumps(d, sort_keys=True)
 
 
+def _trials(cfg):
+    return cfg.get("trials", TRIALS[cfg["kind"]])
+
+
 def _line_spec(d):
     return BusemannSpec(v=tuple(d["v"]), w=tuple(d["w"]), n=int(d["n"]))
 
@@ -315,7 +327,7 @@ def _line_spec(d):
 def _run_shape(cfg, p):
     dist = WeightDistribution.from_dict(p["dist"])
     plan = DirectionPlan.default(D=p["directions"], n=p["n"],
-                                 trials=cfg.get("trials", 10),
+                                 trials=_trials(cfg),
                                  seed=cfg["seed"])
     est = empirical_shape(dist, plan)
     outputs = {"shape.json": est.to_dict(),
@@ -336,7 +348,7 @@ def _run_construct(cfg, p):
 
 
 def _run_oriented(cfg, p):
-    trials = cfg.get("trials", 100)
+    trials = _trials(cfg)
     T = p["T"]
     pv = [float(x) for x in p["p_values"]]
     # every p reads the same clusters (the monotone coupling), grown once
@@ -365,7 +377,7 @@ def _run_compete(cfg, p):
                                window=Window.square(p["window"]),
                                tie_policy=p.get("tie_policy", "strict"),
                                seed=cfg["seed"])
-    trials = cfg.get("trials", 10)
+    trials = _trials(cfg)
     res = coexistence_stats(config, trials, p["survival_threshold"])
     rows = [{"trial": t, "alive": alive, "sizes": list(sizes), "ties": ties}
             for t, (alive, sizes, ties)
@@ -385,7 +397,7 @@ def _run_ends(cfg, p):
     m_grid = [int(m) for m in p["m_grid"]]
     for m in m_grid:
         check_removal_radius(window, m)
-    trials = cfg.get("trials", 10)
+    trials = _trials(cfg)
 
     rows = []
     for t in range(trials):
@@ -422,7 +434,7 @@ def _run_diagnose(cfg, p):
         discretize_line(spec, window)  # refuses a line that misses it
     m, M = p["m"], p["M"]
     ahw = p.get("arc_halfwidth", 0.25)
-    trials = cfg.get("trials", 1)
+    trials = _trials(cfg)
 
     reports = [disjointness_diagnostic(
         EdgeField(derive_seed(cfg["seed"], t), dist), targets, m, M, window,
@@ -444,8 +456,7 @@ _RUNNERS = {"shape": _run_shape, "construct": _run_construct,
 def run(cfg, out_root=None, echo=True) -> ResultArtifact:
     """Validate, dispatch and persist one experiment.
 
-    The config's threads field is an accepted hint: trials run serially
-    and it changes nothing. Each runner makes its domain once, so the
+    Trials run serially. Each runner makes its domain once, so the
     graphs of its trials share one CSR topology, which goes with the
     domain when the runner returns. An InputError from the runner is a
     ConfigError.

@@ -8,6 +8,8 @@ criterion within its runtime budget on a laptop-class machine.
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -227,8 +229,9 @@ def test_criterion_11_annulus_q_edge_density():
     assert float(np.median(rhos)) > 0.0
 
 
-def test_criterion_12_payloads_independent_of_thread_hint(tmp_path):
-    # identical configs with different thread hints produce byte-identical
+def test_criterion_12_payloads_independent_of_hash_seed(tmp_path):
+    # identical configs run in fresh interpreters with different string
+    # hash seeds (so different set orders) produce byte-identical
     # CSV/JSON payloads
     configs = [
         {"kind": "oriented", "seed": 2, "trials": 40,
@@ -241,12 +244,27 @@ def test_criterion_12_payloads_independent_of_thread_hint(tmp_path):
          "params": {"dist": {"pieces": [[1.0, 2.0, 1.0]]},
                     "window": 30, "m_grid": [3, 5]}},
     ]
-    for cfg in configs:
-        a = expcli.run(dict(cfg, threads=1), out_root=str(tmp_path / "t1"),
-                       echo=False)
-        b = expcli.run(dict(cfg, threads=4), out_root=str(tmp_path / "t4"),
-                       echo=False)
-        assert a.payloads and len(a.payloads) == len(b.payloads)
-        for pa, pb in zip(a.payloads, b.payloads):
-            with open(pa, "rb") as fa, open(pb, "rb") as fb:
-                assert fa.read() == fb.read()
+    code = ("import json, sys\n"
+            "from fpplab import expcli\n"
+            "for cfg in json.loads(sys.argv[2]):\n"
+            "    art = expcli.run(cfg, out_root=sys.argv[1], echo=False)\n"
+            "    print(json.dumps(art.payloads))\n")
+    runs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(
+                       expcli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(out), json.dumps(configs)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        paths = [p for line in proc.stdout.splitlines()
+                 for p in json.loads(line)]
+        assert len(paths) >= len(configs)
+        payloads = []
+        for p in paths:
+            with open(p, "rb") as f:
+                payloads.append((os.path.relpath(p, out), f.read()))
+        runs.append(payloads)
+    assert runs[0] == runs[1]

@@ -116,15 +116,6 @@ class TestRun:
         for pa, pb in zip(a.payloads, b.payloads):
             assert open(pa, "rb").read() == open(pb, "rb").read()
 
-    def test_thread_hint_does_not_change_bytes(self, tmp_path):
-        cfg = oriented_cfg([0.7, 0.8, 0.9])
-        a = run(dict(cfg, threads=1), out_root=str(tmp_path / "a"),
-                echo=False)
-        b = run(dict(cfg, threads=4), out_root=str(tmp_path / "b"),
-                echo=False)
-        for pa, pb in zip(a.payloads, b.payloads):
-            assert open(pa, "rb").read() == open(pb, "rb").read()
-
     def test_construct_emits_stage_files(self, tmp_path):
         cfg = {"kind": "construct", "seed": 0,
                "params": {"base": {"atoms": [[1.0, 0.9], [3.0, 0.1]]},
@@ -339,16 +330,6 @@ class TestMain:
         h2 = json.loads(capsys.readouterr().out.strip())["hash"]
         assert h1 != h2
 
-    def test_threads_flag_accepted_and_ignored(self, tmp_path, capsys):
-        path = self.write(tmp_path, shape_cfg())
-        payloads = []
-        for out, extra in (("a", []), ("b", ["--threads", "4"])):
-            assert main(["shape", "--config", path,
-                         "--out", str(tmp_path / out)] + extra) == 0
-            line = json.loads(capsys.readouterr().out.strip())
-            payloads.append([open(p, "rb").read() for p in line["payloads"]])
-        assert payloads[0] == payloads[1]
-
     def test_zero_threads_in_config_exit_two(self, tmp_path):
         cfg = dict(shape_cfg(), threads=0)
         path = self.write(tmp_path, cfg)
@@ -426,6 +407,27 @@ class TestSharedDefinitions:
     def test_unknown_top_level_key(self, tmp_path, kind):
         cfg = dict(VALID[kind], workers=2)
         assert exit_code(tmp_path, cfg) == 2
+
+    # threads, and trials on a kind with no trial count, would change no
+    # payload byte: a config or a flag that sets one is refused
+    @pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+    @pytest.mark.parametrize("kind,field", [
+        (kind, "threads") for kind in expcli.KINDS] + [
+        (kind, "trials") for kind in expcli.KINDS
+        if kind not in expcli.TRIALS])
+    def test_field_that_changes_nothing_exit_two(self, tmp_path, capsys,
+                                                 kind, field, flag):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(
+            VALID[kind] if flag else dict(VALID[kind], **{field: 1})))
+        argv = [kind, "--config", str(path), "--out", str(tmp_path / "o")]
+        try:
+            code = main(argv + (["--" + field, "1"] if flag else []))
+        except SystemExit as e:  # argparse refuses a flag it does not know
+            code = e.code
+        assert code == 2
+        assert not (tmp_path / "o").exists()
+        assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", LAW_KEY)
     def test_unknown_key_in_law(self, tmp_path, kind):
@@ -524,8 +526,9 @@ class TestFigures:
 
 
 # every optional field set, so that a mutation can reach each schema node
-FULL = {kind: json.loads(json.dumps(dict(cfg, trials=2, threads=1, out="o")))
-        for kind, cfg in VALID.items()}
+FULL = {kind: json.loads(json.dumps(dict(
+    cfg, out="o", **({"trials": 2} if kind in expcli.TRIALS else {}))))
+    for kind, cfg in VALID.items()}
 FULL["shape"]["params"]["dist"]["pieces"] = [[1.0, 2.0, 0.5]]
 FULL["construct"]["params"]["schedule"].update(stages=2, spread=0.5)
 FULL["oriented"]["params"]["pc_grid"] = [0.6, 0.7]

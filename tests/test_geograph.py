@@ -384,10 +384,11 @@ class TestCutSolves:
 
     @pytest.fixture
     def cut_and_uncut(self, monkeypatch):
-        """call -> (cut, uncut, pruned): call() as it is and with every
-        solve's limit dropped, each a result or the message of a
-        RuntimeError, and whether the cut left a site of a line solve or
-        of a solve from the origin unsettled."""
+        """call -> (cut, uncut, pruned, away): call() as it is and with
+        every solve's limit dropped, each a result or the message of a
+        RuntimeError, whether the cut left a site of a line solve or of
+        a solve from the origin unsettled, and how many cut solves ran
+        from a site other than the origin."""
         state = {}
         for name in ("distances", "distance_to_set"):
             def spy(graph, at, limit=None, name=name,
@@ -395,6 +396,8 @@ class TestCutSolves:
                 d = solve(graph, at, limit=limit if state["cut"] else None)
                 if name == "distance_to_set" or at == (0, 0):
                     state["pruned"] |= not np.isfinite(d).all()
+                else:
+                    state["away"] += state["cut"]
                 return d
 
             monkeypatch.setattr(GridGraph, name, spy)
@@ -406,11 +409,11 @@ class TestCutSolves:
                 return str(e)
 
         def run(call):
-            state.update(cut=True, pruned=False)
+            state.update(cut=True, pruned=False, away=0)
             cut = outcome(call)
             pruned = state["pruned"]
             state["cut"] = False
-            return cut, outcome(call), pruned
+            return cut, outcome(call), pruned, state["away"]
 
         return run
 
@@ -424,7 +427,7 @@ class TestCutSolves:
             specs = TestDiagnostics.four_targets(None, W // 2)
             seeds = [tuple(int(c) for c in rng.integers(-W, W + 1, 2))
                      for _ in specs]
-            cut, uncut, p = cut_and_uncut(
+            cut, uncut, p, _ = cut_and_uncut(
                 lambda: busemann_separation(
                     EdgeField(seed, dist), specs, seeds, w))
             assert np.array_equal(cut.matrix, uncut.matrix)
@@ -433,16 +436,19 @@ class TestCutSolves:
 
     @pytest.mark.parametrize("dist", LAWS, ids=IDS)
     def test_diagnostic_equals_uncut(self, dist, cut_and_uncut):
-        pruned = 0
-        for seed in range(20):
-            W = 21 + seed % 20
+        # the axis targets give alpha = 1/2, so event D's perturbed site
+        # is the arc site itself while m < 20, and its own cut solve runs
+        # only from m = 20 on
+        cases = [(W, W // 6, W // 2) for W in range(21, 41)] + [
+            (48, m, 30) for m in (20, 21, 23, 26)]
+        pruned = away = 0
+        for seed, (W, m, M) in enumerate(cases):
             w = Window.square(W)
-            m, M = W // 6, W // 2
             # lines beyond M, and lines nearer than the arc sites mD_i,
             # whose times then set the cut
             for n in (M + 3, m // 2 + 1):
                 targets = TestDiagnostics.four_targets(None, n)
-                cut, uncut, p = cut_and_uncut(
+                cut, uncut, p, a = cut_and_uncut(
                     lambda: disjointness_diagnostic(
                         EdgeField(seed, dist), targets, m, M, w))
                 if isinstance(uncut, str):
@@ -451,7 +457,9 @@ class TestCutSolves:
                 assert cut.to_dict() == uncut.to_dict()
                 assert cut.geodesic_sites == uncut.geodesic_sites
                 pruned += p
+                away += a
         assert pruned >= 10
+        assert away > 0
 
     @pytest.mark.parametrize("dist", LAWS, ids=IDS)
     def test_geodesic_equals_site_walk(self, dist):

@@ -25,7 +25,7 @@ import tempfile
 
 import pytest
 
-from fpplab.expcli import run
+from fpplab.expcli import SCHEMAS, run
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DIGESTS = os.path.join(HERE, "golden_digests.json")
@@ -87,6 +87,27 @@ def test_payload_digests_unchanged(tmp_path, kind):
     with open(DIGESTS) as f:
         want = json.load(f)[kind]
     assert payload_digests(CONFIGS[kind], str(tmp_path)) == want
+
+
+# construct's stages are exact, so its seed changes nothing; it stays
+# required because the benchmark's construct input sets it
+INERT = {("construct", "seed")}
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_every_envelope_field_changes_the_payloads(tmp_path, kind):
+    # a field that changes no payload byte is a knob to delete: two
+    # values of each settable envelope field give different payloads
+    cfg, properties = CONFIGS[kind], SCHEMAS[kind]["properties"]
+    inert = set()
+    for name in set(properties) - {"kind", "params", "out"}:
+        value = cfg.get(name, properties[name]["minimum"])
+        a, b = [payload_digests(dict(cfg, **{name: v}),
+                                str(tmp_path / ("%s-%d" % (name, v))))
+                for v in (value, value + 1)]
+        if a == b:
+            inert.add((kind, name))
+    assert inert == {(k, name) for k, name in INERT if k == kind}
 
 
 if __name__ == "__main__":
