@@ -308,3 +308,16 @@ class TestAdmission:
                     compete(CompetitionConfig(dist=law, seeds=seeds,
                                               tie_policy=policy,
                                               window=Window.square(edge)))
+
+
+class TestThreadsFlag:
+    # --threads no longer exists, so argparse refuses every value of it
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_non_positive_threads_exit_two(self, tmp_path, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(compete_cfg(PI_ATOM, 20)))
+        with pytest.raises(SystemExit) as exc:
+            main(["compete", "--config", str(path), "--out",
+                  str(tmp_path / "o"), "--threads", value])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
