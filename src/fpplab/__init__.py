@@ -18,8 +18,8 @@ from .convex import (ConvexShape, GeometryError, extreme_points,
                      predicted_flat_edge)
 from .oriented import (OrientedError, alpha_rotated, estimate_alpha,
                        estimate_pc, oriented_cluster)
-from .shapeest import (DirectionPlan, ShapeEstimate, empirical_shape,
-                       sides_estimate, time_constant)
+from .shapeest import (ShapeEstimate, empirical_shape, sides_estimate,
+                       time_constant)
 from .growth import (CompetitionConfig, OccupancyMap, coexistence_stats,
                      compete, place_seeds)
 from .geograph import (BusemannSpec, InfectionGraph, busemann,

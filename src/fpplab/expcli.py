@@ -8,11 +8,13 @@ refused. SCHEMAS holds one draft-07 JSON Schema per kind, composed from
 single definitions of the parts the kinds share: the envelope, the law,
 the seed-site list and the line spec. validate_config checks them itself,
 accepting and refusing what jsonschema 4.26 does, with its message,
-except that NaN and ±Infinity are no numbers. run() validates,
-dispatches, derives per-trial seeds from the master seed, runs the trials
-serially, writes the outputs that the runner returns, each file
-atomically, and prints a one-line JSON summary: a run whose runner fails
-writes nothing. Payload bytes depend only on the config.
+except that NaN and ±Infinity are no numbers, and returns the config
+with each value that the schema types integer made an int, so that 2.0
+runs, hashes and names its output directory as 2 does. run() hashes and
+dispatches that parse, derives per-trial seeds from the master seed,
+runs the trials serially, writes the outputs that the runner returns,
+each file atomically, and prints a one-line JSON summary: a run whose
+runner fails writes nothing. Payload bytes depend only on the config.
 
 What the schema cannot see is refused where it is parsed, by a
 measure.InputError that run() reports as a ConfigError before any output
@@ -50,7 +52,7 @@ from .lattice import EdgeField, Window
 from .measure import (ConstructionSchedule, InputError, WeightDistribution,
                       construct_sequence, levy_distance)
 from .oriented import alpha_and_pc, alpha_rotated
-from .shapeest import DirectionPlan, empirical_shape
+from .shapeest import empirical_shape
 
 
 class ConfigError(ValueError):
@@ -113,12 +115,12 @@ SCHEMAS = {
         "dist", "directions", "n"),
     "construct": _config("construct", {"base": _LAW, "schedule": _object({
         "p0": _of("number"), "p_seq": _of("array", items=_of("number")),
-        "y_seq": _of("array", items=_of("number")), "stages": _count(0),
+        "y_seq": _of("array", items=_of("number")),
         "spread": _of("number", minimum=0)}, "p0", "p_seq", "y_seq")},
         "base", "schedule"),
     "oriented": _config("oriented", {
         "p_values": _of("array", minItems=1,
-                        items=_of("number", minimum=0, maximum=1)),
+                        items=_of("number", exclusiveMinimum=0, maximum=1)),
         "T": _count(1),
         "pc_grid": _of("array", minItems=2, items=_of(
             "number", exclusiveMinimum=0, exclusiveMaximum=1))},
@@ -157,6 +159,8 @@ def _not_json(token):
 
 
 def validate_config(cfg):
+    """The config parsed: refused with a ConfigError, or returned with
+    each value that SCHEMAS[kind] types integer made an int."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("config must be an object with a 'kind' field")
     kind = cfg["kind"]
@@ -169,7 +173,18 @@ def validate_config(cfg):
             key=lambda err: (-len(err[0]), err[0]))
     if e is not None:
         raise ConfigError("config invalid for kind %s: %s" % (kind, e[1]))
-    return cfg
+    return _typed(SCHEMAS[kind], cfg)
+
+
+def _typed(schema, x):
+    """The valid value x with each integer-typed value in it an int."""
+    if schema.get("type") == "integer":
+        return int(x)
+    if "properties" in schema:
+        return {k: _typed(schema["properties"][k], v) for k, v in x.items()}
+    if "items" in schema:
+        return [_typed(schema["items"], item) for item in x]
+    return x
 
 
 _TYPES = {"object": lambda x: isinstance(x, dict),
@@ -318,7 +333,7 @@ def _trials(cfg):
 
 
 def _line_spec(d):
-    return BusemannSpec(v=tuple(d["v"]), w=tuple(d["w"]), n=int(d["n"]))
+    return BusemannSpec(v=tuple(d["v"]), w=tuple(d["w"]), n=d["n"])
 
 
 # --- per-kind runners: (cfg, params) -> (outputs, summary) -----------
@@ -326,10 +341,8 @@ def _line_spec(d):
 
 def _run_shape(cfg, p):
     dist = WeightDistribution.from_dict(p["dist"])
-    plan = DirectionPlan.default(D=p["directions"], n=p["n"],
-                                 trials=_trials(cfg),
-                                 seed=cfg["seed"])
-    est = empirical_shape(dist, plan)
+    est = empirical_shape(dist, p["directions"], p["n"], _trials(cfg),
+                          cfg["seed"])
     outputs = {"shape.json": est.to_dict(),
                "shape.svg": svgout.shape_figure(est.shape,
                                                 reference=l1_ball(1.0))}
@@ -343,8 +356,8 @@ def _run_construct(cfg, p):
     seq = construct_sequence(base, sched)
     outputs = {"mu_%d.json" % i: mu.to_dict() for i, mu in enumerate(seq)}
     steps = [levy_distance(a, b) for a, b in zip(seq, seq[1:])]
-    outputs["payload.json"] = {"stages": sched.stages, "levy_steps": steps}
-    return outputs, {"stages": sched.stages}
+    outputs["payload.json"] = {"stages": len(steps), "levy_steps": steps}
+    return outputs, {"stages": len(steps)}
 
 
 def _run_oriented(cfg, p):
@@ -394,7 +407,7 @@ def _run_compete(cfg, p):
 def _run_ends(cfg, p):
     dist = WeightDistribution.from_dict(p["dist"])
     window = Window.square(p["window"])
-    m_grid = [int(m) for m in p["m_grid"]]
+    m_grid = p["m_grid"]
     for m in m_grid:
         check_removal_radius(window, m)
     trials = _trials(cfg)
@@ -456,12 +469,13 @@ _RUNNERS = {"shape": _run_shape, "construct": _run_construct,
 def run(cfg, out_root=None, echo=True) -> ResultArtifact:
     """Validate, dispatch and persist one experiment.
 
-    Trials run serially. Each runner makes its domain once, so the
-    graphs of its trials share one CSR topology, which goes with the
-    domain when the runner returns. An InputError from the runner is a
-    ConfigError.
+    The hash, the output directory and the runner read the config that
+    validate_config returns. Trials run serially. Each runner makes its
+    domain once, so the graphs of its trials share one CSR topology,
+    which goes with the domain when the runner returns. An InputError
+    from the runner is a ConfigError.
     """
-    validate_config(cfg)
+    cfg = validate_config(cfg)
     h = config_hash(cfg)
     kind = cfg["kind"]
     root = output_root(cfg, out_root)
@@ -504,6 +518,7 @@ def sweep(configs, out_root=None, echo=True):
     arts = []
     for cfg in configs:
         try:
+            cfg = validate_config(cfg)  # so that an error row hashes the parse
             arts.append(run(cfg, out_root=out_root, echo=echo))
         except (ConfigError, RunError) as e:
             arts.append(ResultArtifact(kind=str(kind),

@@ -269,12 +269,13 @@ def in_q_support(dist: WeightDistribution, w):
 
 @dataclass(frozen=True)
 class ConstructionSchedule:
-    """Schedule for the staged mass-moving construction.
+    """Schedule for the staged mass-moving construction: one stage per
+    entry of p_seq, so N = len(p_seq).
 
     p0:     initial mass of the atom at 1
     p_seq:  strictly decreasing targets for the atom mass, below p0
-    y_seq:  strictly decreasing placement points > 1 for the moved mass
-    stages: number of stages N to perform
+    y_seq:  strictly decreasing placement points > 1 for the moved mass,
+            one per stage
     spread: half-width h >= 0; if positive the moved mass becomes a
             uniform piece on [y - h, y + h) instead of an atom at y
     """
@@ -282,23 +283,21 @@ class ConstructionSchedule:
     p0: float
     p_seq: tuple
     y_seq: tuple
-    stages: int
     spread: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.p0 <= 1:
             raise DistributionError("p0 %g outside (0, 1]" % self.p0)
-        if self.stages < 0:
-            raise DistributionError("stages must be >= 0")
-        if len(self.p_seq) < self.stages or len(self.y_seq) < self.stages:
-            raise DistributionError("p_seq/y_seq shorter than stages")
+        if len(self.y_seq) != len(self.p_seq):
+            raise DistributionError("y_seq has %d entries, p_seq %d"
+                                    % (len(self.y_seq), len(self.p_seq)))
         prev = self.p0
-        for p in self.p_seq[: self.stages]:
+        for p in self.p_seq:
             if not 0 < p < prev:
                 raise DistributionError("p_seq not strictly decreasing below p0")
             prev = p
         prev = float("inf")
-        for y in self.y_seq[: self.stages]:
+        for y in self.y_seq:
             if not 1 < y < prev:
                 raise DistributionError("y_seq not strictly decreasing above 1")
             prev = y
@@ -308,7 +307,6 @@ class ConstructionSchedule:
     @classmethod
     def from_dict(cls, d):
         return cls(p0=d["p0"], p_seq=tuple(d["p_seq"]), y_seq=tuple(d["y_seq"]),
-                   stages=d.get("stages", len(d["p_seq"])),
                    spread=d.get("spread", 0.0))
 
 
@@ -332,9 +330,7 @@ def construct_sequence(base: WeightDistribution,
     cur = base
     p_prev = schedule.p0
     h = schedule.spread
-    for n in range(schedule.stages):
-        p_n = schedule.p_seq[n]
-        y = schedule.y_seq[n]
+    for n, (p_n, y) in enumerate(zip(schedule.p_seq, schedule.y_seq)):
         r = p_prev - p_n
         if h > 0 and y - h < 1.0:
             raise DistributionError("piece around y_%d extends below 1" % (n + 1))

@@ -1,9 +1,10 @@
 """Empirical limit shapes from directional time constants.
 
-The shape estimate samples first-quadrant directions, measures the
-passage time to round(n * direction) over independent trials, averages
-each direction's full dihedral orbit (lattice symmetry halves the
-variance), and inverts: the boundary point in direction u is u / m(u).
+The shape estimate samples equally spaced first-quadrant directions,
+from angle 0 to pi/2, measures the passage time to round(n * direction)
+over independent trials, averages each direction's full dihedral orbit
+(lattice symmetry halves the variance), and inverts: the boundary point
+in direction u is u / m(u).
 
 All trials of an estimate go to one lattice.solve_targets call, which
 serves every direction at once and returns exact lattice passage times.
@@ -34,29 +35,6 @@ from .measure import WeightDistribution
 
 class ShapeEstimateError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class DirectionPlan:
-    """Sampling plan: first-quadrant angles, scale n, trials, seed."""
-
-    angles: tuple
-    n: int
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        if len(self.angles) < 3:
-            raise ShapeEstimateError("need at least 3 directions")
-        if self.n < 16:
-            raise ShapeEstimateError("scale n must be >= 16")
-        if self.trials < 1:
-            raise ShapeEstimateError("need at least one trial")
-
-    @classmethod
-    def default(cls, D=17, n=200, trials=20, seed=0):
-        return cls(angles=tuple(np.linspace(0.0, math.pi / 2, D)),
-                   n=n, trials=trials, seed=seed)
 
 
 def _unit_l1(theta):
@@ -117,21 +95,29 @@ def time_constant(dist: WeightDistribution, direction, n: int, trials: int,
     return _mean_stderr(times[:, 0] / n)
 
 
-def empirical_shape(dist: WeightDistribution, plan: DirectionPlan) -> ShapeEstimate:
-    """Estimate the limit shape over the plan's directions.
+def empirical_shape(dist: WeightDistribution, directions: int, n: int,
+                    trials: int, seed: int) -> ShapeEstimate:
+    """Estimate the limit shape at directions >= 3 equally spaced angles
+    from 0 to pi/2, at scale n >= 16, over trials >= 1 fields.
 
     Each trial runs one source solve whose passage times serve every
     direction and its dihedral orbit; per-direction estimates are orbit
     averages over all trials, and the hull of the symmetrized boundary
     points is returned.
     """
-    dirs = [_unit_l1(th) for th in plan.angles]
-    n = plan.n
+    if directions < 3:
+        raise ShapeEstimateError("need at least 3 directions")
+    if n < 16:
+        raise ShapeEstimateError("scale n must be >= 16")
+    if trials < 1:
+        raise ShapeEstimateError("need at least one trial")
+    angles = tuple(np.linspace(0.0, math.pi / 2, directions))
+    dirs = [_unit_l1(th) for th in angles]
     orbits = [[round_site(g(n * u[0], n * u[1])) for g in _DIHEDRAL]
               for u in dirs]
     all_targets = sorted({t for orb in orbits for t in orb})
     pos = {s: i for i, s in enumerate(all_targets)}
-    times, regrown = solve_targets(_fields(dist, plan.trials, plan.seed),
+    times, regrown = solve_targets(_fields(dist, trials, seed),
                                    (0, 0), all_targets)
     m_hat = []
     stderr = []
@@ -147,10 +133,10 @@ def empirical_shape(dist: WeightDistribution, plan: DirectionPlan) -> ShapeEstim
         for g in _DIHEDRAL:
             pts.append(g(bx, by))
     shape = hull(pts)
-    return ShapeEstimate(shape=shape, angles=tuple(plan.angles),
+    return ShapeEstimate(shape=shape, angles=angles,
                          m_hat=tuple(m_hat), stderr=tuple(stderr),
                          clipped_trials=regrown, dist=dist, n=n,
-                         trials=plan.trials)
+                         trials=trials)
 
 
 def sides_estimate(est: ShapeEstimate, theta_stat: float) -> int:

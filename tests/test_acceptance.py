@@ -6,7 +6,6 @@ criterion within its runtime budget on a laptop-class machine.
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -22,7 +21,7 @@ from fpplab.growth import (NONE_OWNER, CompetitionConfig, coexistence_stats,
 from fpplab.lattice import EdgeField, GridGraph, Window, ball
 from fpplab.measure import mk_distribution, point_mass
 from fpplab.oriented import alpha_rotated, estimate_alpha, estimate_pc
-from fpplab.shapeest import (DirectionPlan, empirical_shape, flat_edge_report,
+from fpplab.shapeest import (empirical_shape, flat_edge_report,
                              sides_estimate, time_constant)
 from fpplab import expcli
 from oracles import MIX, UNIF12, exhaustive_times, pruned_search_times
@@ -58,8 +57,7 @@ def test_criterion_02_unit_weights_give_l1_balls_and_shape():
                 if abs(x) + abs(y) <= r}
         assert got == want
     # empirical shape within Hausdorff 0.02 of the l1 unit ball
-    plan = DirectionPlan.default(D=17, n=200, trials=20, seed=0)
-    est = empirical_shape(point_mass(1.0), plan)
+    est = empirical_shape(point_mass(1.0), 17, 200, 20, 0)
     assert hausdorff(est.shape, l1_ball(1.0)) < 0.02
 
 
@@ -80,9 +78,7 @@ def test_criterion_04_flat_edge_endpoints_and_sides():
     # detected endpoints within l1 0.05 of the oriented-percolation
     # prediction; extreme-point count >= 8 at the calibrated tolerance
     d8 = mk_distribution(atoms=[(1.0, 0.8), (3.0, 0.2)])
-    plan = DirectionPlan(angles=tuple(np.linspace(0, math.pi / 2, 65)),
-                         n=200, trials=20, seed=3)
-    est = empirical_shape(d8, plan)
+    est = empirical_shape(d8, 65, 200, 20, 3)
     a_hat, _, _ = estimate_alpha(0.8, T=400, trials=300, seed=4)
     rep = flat_edge_report(est, alpha_rotated(a_hat), tol=0.02)
     assert rep.intersects

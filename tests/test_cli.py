@@ -90,6 +90,18 @@ class TestValidation:
         assert str(got.value) == "config invalid for kind %s: %s" % (
             cfg["kind"], want.value.message)
 
+    def test_integer_fields_arrive_as_ints(self):
+        cfg = shape_cfg()
+        cfg.update(seed=1.0, trials=2.0)
+        cfg["params"]["n"] = 50.0
+        parsed = validate_config(cfg)
+        assert parsed == shape_cfg()
+        assert [type(x) for x in (parsed["seed"], parsed["trials"],
+                                  parsed["params"]["n"])] == [int] * 3
+        # a number field keeps its type, and the input is not changed
+        assert type(parsed["params"]["dist"]["atoms"][0][0]) is float
+        assert type(cfg["params"]["n"]) is float
+
     def test_hash_key_order_invariant(self):
         a = {"kind": "shape", "seed": 1, "params": {"n": 50,
              "directions": 5, "dist": {"atoms": [[1.0, 1.0]]}}}
@@ -174,6 +186,13 @@ class TestSweep:
         merged = os.path.join(str(tmp_path), "sweep-oriented.csv")
         lines = open(merged).read().splitlines()
         assert len(lines) == 4  # header + 3 rows
+
+    def test_error_row_hashes_the_parsed_config(self, tmp_path):
+        # a failing config with T written 80.0 is labelled as T = 80 is
+        cfgs = [oriented_cfg([0.3], T=80), oriented_cfg([0.3], T=80.0)]
+        arts = sweep(cfgs, out_root=str(tmp_path), echo=False)
+        assert all("all 30 runs died" in a.error for a in arts)
+        assert {a.config_hash for a in arts} == {config_hash(cfgs[0])}
 
     def test_failed_config_leaves_no_payload(self, tmp_path, monkeypatch):
         figure = expcli.svgout.shape_figure
@@ -309,6 +328,9 @@ class TestMain:
         # a crossing needs two grid points
         {"p_values": [0.7], "T": 50, "pc_grid": []},
         {"p_values": [0.7], "T": 50, "pc_grid": [0.65]},
+        # at p = 0 no bond opens, so every run would die
+        {"p_values": [0.0], "T": 50},
+        {"p_values": [0.0, 0.7], "T": 50},
     ])
     def test_bad_p_exit_two_before_any_work(self, tmp_path, monkeypatch,
                                             params):
@@ -446,6 +468,22 @@ class TestSharedDefinitions:
         cfg["params"]["schedule"]["p_seq"] = [0.8, 0.85]
         assert exit_code(tmp_path, cfg) == 2
 
+    def test_construct_stages_exit_two(self, tmp_path, capsys):
+        # construct runs one stage per entry of p_seq: stages is no field
+        cfg = json.loads(json.dumps(VALID["construct"]))
+        cfg["params"]["schedule"]["stages"] = 2
+        assert exit_code(tmp_path, cfg) == 2
+        assert "'stages' was unexpected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("y_seq", [[2.0, 1.5, 1.2], [2.0]],
+                             ids=["longer", "shorter"])
+    def test_construct_y_seq_length_exit_two(self, tmp_path, capsys, y_seq):
+        cfg = json.loads(json.dumps(VALID["construct"]))
+        cfg["params"]["schedule"]["y_seq"] = y_seq
+        assert exit_code(tmp_path, cfg) == 2
+        assert "y_seq has %d entries, p_seq 2" % len(y_seq) in (
+            capsys.readouterr().err)
+
 
 def with_params(kind, **params):
     cfg = json.loads(json.dumps(VALID[kind]))
@@ -530,7 +568,7 @@ FULL = {kind: json.loads(json.dumps(dict(
     cfg, out="o", **({"trials": 2} if kind in expcli.TRIALS else {}))))
     for kind, cfg in VALID.items()}
 FULL["shape"]["params"]["dist"]["pieces"] = [[1.0, 2.0, 0.5]]
-FULL["construct"]["params"]["schedule"].update(stages=2, spread=0.5)
+FULL["construct"]["params"]["schedule"]["spread"] = 0.5
 FULL["oriented"]["params"]["pc_grid"] = [0.6, 0.7]
 FULL["compete"]["params"]["tie_policy"] = "strict"
 FULL["diagnose"]["params"]["arc_halfwidth"] = 0.25

@@ -25,6 +25,7 @@ import tempfile
 
 import pytest
 
+from fpplab.cli import main
 from fpplab.expcli import SCHEMAS, run
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -108,6 +109,47 @@ def test_every_envelope_field_changes_the_payloads(tmp_path, kind):
         if a == b:
             inert.add((kind, name))
     assert inert == {(k, name) for k, name in INERT if k == kind}
+
+
+def as_floats(schema, x):
+    """x with each value that schema types integer written as a float."""
+    if schema.get("type") == "integer":
+        return float(x)
+    if "properties" in schema:
+        return {k: as_floats(schema["properties"][k], v)
+                for k, v in x.items()}
+    if "items" in schema:
+        return [as_floats(schema["items"], v) for v in x]
+    return x
+
+
+def cli_outputs(cfg, out_root):
+    """The fpplab command's exit code for cfg, and the SHA-256 of each
+    file it writes, by path under out_root."""
+    path = os.path.join(out_root, "c.json")
+    os.makedirs(out_root)
+    with open(path, "w") as f:
+        json.dump(cfg, f)
+    out = os.path.join(out_root, "out")
+    code = main([cfg["kind"], "--config", path, "--out", out])
+    digests = {}
+    for d, _, names in os.walk(out):
+        for name in names:
+            with open(os.path.join(d, name), "rb") as f:
+                digests[os.path.relpath(os.path.join(d, name), out)] = (
+                    hashlib.sha256(f.read()).hexdigest())
+    return code, digests
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_integer_fields_written_as_floats_run_as_ints(tmp_path, kind):
+    # 2.0 is an integer to the schema: written so, every integer field
+    # runs as its int, with the same bytes in the same directory
+    floats = as_floats(SCHEMAS[kind], CONFIGS[kind])
+    assert json.dumps(floats) != json.dumps(CONFIGS[kind])
+    want = cli_outputs(CONFIGS[kind], str(tmp_path / "int"))
+    assert want[0] == 0 and want[1]
+    assert cli_outputs(floats, str(tmp_path / "float")) == want
 
 
 if __name__ == "__main__":

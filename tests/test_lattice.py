@@ -16,7 +16,7 @@ from fpplab.lattice import (Diamond, DomainError, EdgeField, GridGraph,
                             ball, canonical_edge, check_domain, geodesic,
                             monotone_upper_bounds, round_site, solve_targets)
 from fpplab.measure import mk_distribution, point_mass
-from fpplab.shapeest import DirectionPlan, empirical_shape
+from fpplab.shapeest import empirical_shape
 from oracles import (EPS_ATOM, MIX, STAGE3, UNIF12, ZERO_ATOM, exhaustive_times,
                      exit_bounds_ring, exit_edges, path_weight)
 
@@ -659,8 +659,7 @@ class TestExitBounds:
             return got
 
         monkeypatch.setattr(lattice, "_exit_bounds", checked)
-        empirical_shape(STAGE3, DirectionPlan.default(D=17, n=200, trials=2,
-                                                      seed=1))
+        empirical_shape(STAGE3, 17, 200, 2, 1)
         assert calls == [(206, 64)] * 2
 
     def test_holds_no_targets_by_ring_array(self):

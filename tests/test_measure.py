@@ -263,7 +263,7 @@ class TestConstruction:
 
     def test_stage_count_and_masses(self):
         sched = ConstructionSchedule(p0=0.9, p_seq=(0.8, 0.72),
-                                     y_seq=(2.0, 1.5), stages=2)
+                                     y_seq=(2.0, 1.5))
         seq = construct_sequence(self.base(), sched)
         assert len(seq) == 3
         assert seq[0].mass_at(1.0) == pytest.approx(0.9)
@@ -276,21 +276,20 @@ class TestConstruction:
             assert mu.min_support() >= 1.0
 
     def test_moved_mass_lands_at_y(self):
-        sched = ConstructionSchedule(p0=0.9, p_seq=(0.8,), y_seq=(2.0,),
-                                     stages=1)
+        sched = ConstructionSchedule(p0=0.9, p_seq=(0.8,), y_seq=(2.0,))
         seq = construct_sequence(self.base(), sched)
         assert seq[1].mass_at(2.0) == pytest.approx(0.1)
 
     def test_spread_makes_piece(self):
         sched = ConstructionSchedule(p0=0.9, p_seq=(0.8,), y_seq=(2.0,),
-                                     stages=1, spread=0.1)
+                                     spread=0.1)
         seq = construct_sequence(self.base(), sched)
         assert [(a, b) for a, b, _ in seq[1].pieces] == [(1.9, 2.1)]
         assert seq[1].mass_at(2.0) == 0.0
 
     def test_levy_steps_bounded_by_moved_mass(self):
         sched = ConstructionSchedule(p0=0.9, p_seq=(0.8, 0.72, 0.65),
-                                     y_seq=(2.0, 1.8, 1.6), stages=3)
+                                     y_seq=(2.0, 1.8, 1.6))
         seq = construct_sequence(self.base(), sched)
         ps = (0.9, 0.8, 0.72, 0.65)
         for n, (a, b) in enumerate(zip(seq, seq[1:])):
@@ -299,22 +298,21 @@ class TestConstruction:
 
     def test_schedule_validation(self):
         with pytest.raises(DistributionError):
-            ConstructionSchedule(p0=0.9, p_seq=(0.95,), y_seq=(2.0,), stages=1)
+            ConstructionSchedule(p0=0.9, p_seq=(0.95,), y_seq=(2.0,))
         with pytest.raises(DistributionError):
-            ConstructionSchedule(p0=0.9, p_seq=(0.8,), y_seq=(0.9,), stages=1)
+            ConstructionSchedule(p0=0.9, p_seq=(0.8,), y_seq=(0.9,))
         with pytest.raises(DistributionError):
             ConstructionSchedule(p0=0.9, p_seq=(0.8, 0.85),
-                                 y_seq=(2.0, 1.5), stages=2)
+                                 y_seq=(2.0, 1.5))
 
     def test_base_mismatch_rejected(self):
-        sched = ConstructionSchedule(p0=0.9, p_seq=(0.8,), y_seq=(2.0,),
-                                     stages=1)
+        sched = ConstructionSchedule(p0=0.9, p_seq=(0.8,), y_seq=(2.0,))
         with pytest.raises(DistributionError):
             construct_sequence(self.base(0.8), sched)
 
     def test_y_below_one_rejected(self):
         sched = ConstructionSchedule(p0=0.9, p_seq=(0.8,), y_seq=(1.05,),
-                                     stages=1, spread=0.1)
+                                     spread=0.1)
         with pytest.raises(DistributionError):
             construct_sequence(self.base(), sched)
 
@@ -332,10 +330,12 @@ class TestSerialization:
                            '"y_seq": [2.0, 1.5], "spread": 0.05}')
         s = ConstructionSchedule.from_dict(block)
         assert s == ConstructionSchedule(p0=0.9, p_seq=(0.8, 0.72),
-                                         y_seq=(2.0, 1.5), stages=2,
-                                         spread=0.05)
-        # stages defaults to the length of p_seq, spread to 0
-        block = {"p0": 0.9, "p_seq": [0.8], "y_seq": [2.0, 1.5],
-                 "stages": 1}
+                                         y_seq=(2.0, 1.5), spread=0.05)
+        # spread defaults to 0
+        block = {"p0": 0.9, "p_seq": [0.8], "y_seq": [2.0]}
         assert ConstructionSchedule.from_dict(block) == ConstructionSchedule(
-            p0=0.9, p_seq=(0.8,), y_seq=(2.0, 1.5), stages=1, spread=0.0)
+            p0=0.9, p_seq=(0.8,), y_seq=(2.0,), spread=0.0)
+        # one stage per entry of p_seq: a y_seq of another length is refused
+        for y_seq in ([2.0, 1.5], []):
+            with pytest.raises(DistributionError, match="y_seq has"):
+                ConstructionSchedule.from_dict(dict(block, y_seq=y_seq))
