@@ -5,7 +5,8 @@ fpplab <kind> --config FILE [--seed N] [--trials N] [--out DIR]
 The config file holds one experiment config (or a list of them, which is
 run as a sweep). Command line flags override the corresponding config
 fields, and are validated with them: --trials on a kind without a trial
-count (one not in expcli.TRIALS) is a config error. Trials run serially.
+count (one not in expcli.TRIALS) is a config error. The trials of compete
+and ends run over this process's CPUs, with the same bytes on any number.
 Exit codes: 0 success, 2 config error (a bad flag too), 3 runtime error.
 """
 

@@ -12,7 +12,8 @@ except that NaN and ±Infinity are no numbers, and returns the config
 with each value that the schema types integer made an int, so that 2.0
 runs, hashes and names its output directory as 2 does. run() hashes and
 dispatches that parse, derives per-trial seeds from the master seed,
-runs the trials serially, writes the outputs that the runner returns,
+maps the trials of compete and ends over the CPUs (_pool.map_trials)
+and runs the others in turn, writes the outputs that the runner returns,
 each file atomically, and prints a one-line JSON summary: a run whose
 runner fails writes nothing. Payload bytes depend only on the config.
 
@@ -41,6 +42,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import __version__, svgout
+from ._pool import map_trials
 from ._rng import derive_seed
 from .convex import l1_ball
 from .geograph import (BusemannSpec, busemann_separation,
@@ -101,8 +103,10 @@ TRIALS = {"shape": 10, "oriented": 100, "compete": 10, "ends": 10,
 
 
 def _config(kind, params, *required):
+    # the counter hash reads a seed mod 2^64: a larger one would alias
     envelope = {"kind": {"const": kind}, "out": _of("string"),
-                "params": _object(params, *required), "seed": _count(0)}
+                "params": _object(params, *required),
+                "seed": _of("integer", minimum=0, maximum=2**64 - 1)}
     if kind in TRIALS:
         envelope["trials"] = _count(1)
     return {"$schema": "http://json-schema.org/draft-07/schema#",
@@ -411,15 +415,8 @@ def _run_ends(cfg, p):
     for m in m_grid:
         check_removal_radius(window, m)
     trials = _trials(cfg)
-
-    rows = []
-    for t in range(trials):
-        field = EdgeField(derive_seed(cfg["seed"], t), dist)
-        g = infection_graph(field, window)
-        counts = dict(zip(m_grid, ends_estimate(g, m_grid)))
-        best_m = max(m_grid, key=lambda m: (counts[m], -m))
-        rows.append({"trial": t, "best_m": best_m, "ends": counts[best_m],
-                     "counts": {str(m): c for m, c in counts.items()}})
+    rows = map_trials(_ends_row, [(dist, window, m_grid, cfg["seed"], t)
+                                  for t in range(trials)])
     outputs = {"payload.json": {"trials": trials, "m_grid": m_grid,
                                 "per_trial": rows},
                "ends.csv": (["trial", "best_m", "ends"],
@@ -427,6 +424,16 @@ def _run_ends(cfg, p):
                              for r in rows])}
     med = float(np.median([r["ends"] for r in rows]))
     return outputs, {"median_ends": med}
+
+
+def _ends_row(dist, window, m_grid, seed, t):
+    """The payload row of ends trial t, whose field has the seed
+    derive_seed(seed, t): its count at every radius and the best one."""
+    g = infection_graph(EdgeField(derive_seed(seed, t), dist), window)
+    counts = dict(zip(m_grid, ends_estimate(g, m_grid)))
+    best_m = max(m_grid, key=lambda m: (counts[m], -m))
+    return {"trial": t, "best_m": best_m, "ends": counts[best_m],
+            "counts": {str(m): c for m, c in counts.items()}}
 
 
 def _run_busemann(cfg, p):
@@ -470,10 +477,12 @@ def run(cfg, out_root=None, echo=True) -> ResultArtifact:
     """Validate, dispatch and persist one experiment.
 
     The hash, the output directory and the runner read the config that
-    validate_config returns. Trials run serially. Each runner makes its
-    domain once, so the graphs of its trials share one CSR topology,
-    which goes with the domain when the runner returns. An InputError
-    from the runner is a ConfigError.
+    validate_config returns. The trials of compete and ends are mapped
+    over the CPUs (_pool.map_trials), those of the other kinds run in
+    turn, and the bytes are the same on any number of CPUs. Each runner
+    makes its domain once, so the graphs of the trials in one process
+    share one CSR topology, which goes with the domain when the runner
+    returns. An InputError from the runner is a ConfigError.
     """
     cfg = validate_config(cfg)
     h = config_hash(cfg)

@@ -12,6 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._pool import map_trials
 from ._rng import derive_seed, hash_words
 from .convex import ConvexShape
 from .lattice import EdgeField, GridGraph, Window, round_site
@@ -128,22 +129,25 @@ def coexistence_stats(config: CompetitionConfig, trials: int,
                       survival_threshold: int) -> CoexistenceResult:
     """Fraction of trials where every species survives
     (OccupancyMap.survivors). Trial t runs config with the seed
-    derive_seed(config.seed, t).
+    derive_seed(config.seed, t); the trials are mapped over the CPUs
+    (_pool.map_trials).
     """
     if survival_threshold < 1:
         raise GrowthError("survival threshold must be >= 1")
     k = len(config.seeds)
-    survivals, sizes, ties = [], [], []
-    for t in range(trials):
-        occ = compete(replace(config, seed=derive_seed(config.seed, t)))
-        survivals.append(occ.survivors(survival_threshold))
-        sizes.append(tuple(occ.sizes.tolist()))
-        ties.append(int(np.count_nonzero(occ.tie_mask)))
-        del occ  # free this trial's grids before the next trial's solves
+    survivals, sizes, ties = zip(*map_trials(
+        _trial_row, [(config, t, survival_threshold) for t in range(trials)]))
     n_all = sum(1 for alive in survivals if alive == k)
     return CoexistenceResult(fraction=n_all / trials, trials=trials,
-                             survivals=tuple(survivals), sizes=tuple(sizes),
-                             ties=tuple(ties))
+                             survivals=survivals, sizes=sizes, ties=ties)
+
+
+def _trial_row(config, t, survival_threshold):
+    """(survivors, region sizes, tie-site count) of trial t: its row
+    alone, so that its grids are freed before the next trial's solve."""
+    occ = compete(replace(config, seed=derive_seed(config.seed, t)))
+    return (occ.survivors(survival_threshold), tuple(occ.sizes.tolist()),
+            int(np.count_nonzero(occ.tie_mask)))
 
 
 def place_seeds(shape: ConvexShape, extreme_dirs, R_seq):

@@ -13,9 +13,13 @@ matrix of bounds.
 edges_graph builds a hand-made infection graph from an edge list,
 path_weight sums a path's edge weights, and exit_edges lists the edges
 that leave an l1 diamond.
+one_cpu pins the test process to one CPU, so that a run's trials run in
+it (fpplab._pool.map_trials), where a spy can count them.
 """
 
+import os
 from collections import deque
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -36,6 +40,18 @@ ZERO_ATOM = mk_distribution(atoms=[(0.0, 0.4), (1.0, 0.6)])
 STAGE3 = mk_distribution(atoms=[(1.0, 0.66), (1.6, 0.06), (2.0, 0.08),
                                 (2.5, 0.1), (3.0, 0.1)])
 NEIGHBOURS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+@contextmanager
+def one_cpu():
+    """Pin this process to one of its CPUs, and restore its affinity on
+    exit: map_trials then runs every trial here, with no worker."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
 
 
 def _weigher(field):

@@ -16,6 +16,7 @@ from fpplab.cli import main
 from fpplab.expcli import (ConfigError, RunError, config_hash, run, sweep,
                            validate_config)
 from fpplab.lattice import Window, _Topology
+from oracles import one_cpu
 
 
 def shape_cfg(seed=1, trials=2):
@@ -139,7 +140,8 @@ class TestRun:
 
     def test_run_leaves_no_topology_alive(self, tmp_path, monkeypatch):
         # the trials of a run share their window's one topology, and it
-        # goes with the window when the run returns, cycle collector off
+        # goes with the window when the run returns, cycle collector off;
+        # on one CPU the trials run here, where the spy sees them
         before = [o for o in gc.get_objects() if isinstance(o, _Topology)]
         made = []
         make = _Topology.__init__
@@ -151,8 +153,9 @@ class TestRun:
         monkeypatch.setattr(_Topology, "__init__", spy)
         gc.disable()
         try:
-            run(dict(VALID["ends"], trials=3), out_root=str(tmp_path),
-                echo=False)
+            with one_cpu():
+                run(dict(VALID["ends"], trials=3), out_root=str(tmp_path),
+                    echo=False)
             assert made == [Window.square(10)]
             del made[:]
             alive = [o for o in gc.get_objects() if isinstance(o, _Topology)
@@ -351,6 +354,21 @@ class TestMain:
               "--out", str(tmp_path / "o")])
         h2 = json.loads(capsys.readouterr().out.strip())["hash"]
         assert h1 != h2
+
+    def test_seed_beyond_the_hash_exit_two(self, tmp_path, capsys):
+        # the counter hash reads a seed mod 2^64, so 0 and 2^64 would
+        # write equal payloads under two hashes: 2^64 is refused, in the
+        # config and through --seed, and 2^64 - 1 runs
+        cfg = oriented_cfg([0.7], trials=5, T=10)
+        for seed, flags in ((2**64, []), (0, ["--seed", str(2**64)])):
+            path = self.write(tmp_path, dict(cfg, seed=seed))
+            assert main(["oriented", "--config", path, *flags,
+                         "--out", str(tmp_path / "o")]) == 2
+            assert "greater than the maximum" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+        path = self.write(tmp_path, dict(cfg, seed=2**64 - 1))
+        assert main(["oriented", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 0
 
     def test_zero_threads_in_config_exit_two(self, tmp_path):
         cfg = dict(shape_cfg(), threads=0)

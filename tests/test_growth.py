@@ -9,7 +9,7 @@ from fpplab.growth import (CompetitionConfig, GrowthError, NONE_OWNER,
                            coexistence_stats, compete, place_seeds)
 from fpplab.lattice import EdgeField, GridGraph, LatticeError, Window
 from fpplab.measure import mk_distribution, point_mass
-from oracles import UNIF12
+from oracles import UNIF12, one_cpu
 
 
 def cfg(seeds, W=10, dist=UNIF12, policy="strict", seed=0):
@@ -109,8 +109,9 @@ class TestCompete:
         seeds = [(-5, 0), (5, 0), (0, 5), (0, -5)]
         for dist in (UNIF12, point_mass(1.0)):
             calls.clear()
-            res = coexistence_stats(cfg(seeds, dist=dist, policy=policy),
-                                    trials=3, survival_threshold=1)
+            with one_cpu():  # the trials run here, where the spy counts
+                res = coexistence_stats(cfg(seeds, dist=dist, policy=policy),
+                                        trials=3, survival_threshold=1)
             # one multi-source solve from every seed, per trial
             assert len(calls) == 3
             assert all(len(idx) == len(seeds) for idx in calls)

@@ -287,6 +287,23 @@ class TestConstruction:
         assert [(a, b) for a, b, _ in seq[1].pieces] == [(1.9, 2.1)]
         assert seq[1].mass_at(2.0) == 0.0
 
+    @pytest.mark.parametrize("spread", [0.0, 0.25])
+    def test_p_n_below_the_float_resolution_is_kept(self, spread):
+        # 0.9 - (0.9 - p_n) is 0.0 for each of these p_n, down to the
+        # least subnormal: the atom at 1 is set to p_n, never reduced to
+        # a mass of 0, and the mass moved to y_n is positive
+        p_seq = (1e-17, 1e-300, 5e-324)
+        sched = ConstructionSchedule(p0=0.9, p_seq=p_seq,
+                                     y_seq=(2.5, 2.0, 1.5), spread=spread)
+        seq = construct_sequence(self.base(), sched)
+        for mu, p_n in zip(seq[1:], p_seq):
+            assert mu.mass_at(1.0) == p_n
+            assert all(m > 0 for _, m in mu.atoms)
+            assert all(m > 0 for _, _, m in mu.pieces)
+            total = (sum(m for _, m in mu.atoms)
+                     + sum(m for _, _, m in mu.pieces))
+            assert total == pytest.approx(1.0, abs=1e-12)
+
     def test_levy_steps_bounded_by_moved_mass(self):
         sched = ConstructionSchedule(p0=0.9, p_seq=(0.8, 0.72, 0.65),
                                      y_seq=(2.0, 1.8, 1.6))
