@@ -12,10 +12,12 @@ except that NaN and ±Infinity are no numbers, and returns the config
 with each value that the schema types integer made an int, so that 2.0
 runs, hashes and names its output directory as 2 does. run() hashes and
 dispatches that parse, derives per-trial seeds from the master seed,
-maps the trials of compete and ends over the CPUs (_pool.map_trials)
-and runs the others in turn, writes the outputs that the runner returns,
-each file atomically, and prints a one-line JSON summary: a run whose
-runner fails writes nothing. Payload bytes depend only on the config.
+writes the outputs that the runner returns, each file atomically, and
+prints a one-line JSON summary: a run whose runner fails writes nothing.
+Payload bytes depend only on the config. This module alone decides
+where trials run: those of compete and ends are mapped over the CPUs
+(_pool.map_trials), each returning its payload row (_compete_row,
+_ends_row), and those of the other kinds run in turn.
 
 What the schema cannot see is refused where it is parsed, by a
 measure.InputError that run() reports as a ConfigError before any output
@@ -37,7 +39,7 @@ import operator
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -49,7 +51,7 @@ from .geograph import (BusemannSpec, busemann_separation,
                        check_removal_radius, discretize_line,
                        disjointness_diagnostic, ends_estimate,
                        infection_graph)
-from .growth import TIE_POLICIES, CompetitionConfig, coexistence_stats
+from .growth import TIE_POLICIES, CompetitionConfig, compete
 from .lattice import EdgeField, Window
 from .measure import (ConstructionSchedule, InputError, WeightDistribution,
                       construct_sequence, levy_distance)
@@ -395,17 +397,27 @@ def _run_compete(cfg, p):
                                tie_policy=p.get("tie_policy", "strict"),
                                seed=cfg["seed"])
     trials = _trials(cfg)
-    res = coexistence_stats(config, trials, p["survival_threshold"])
-    rows = [{"trial": t, "alive": alive, "sizes": list(sizes), "ties": ties}
-            for t, (alive, sizes, ties)
-            in enumerate(zip(res.survivals, res.sizes, res.ties))]
+    rows = map_trials(_compete_row, [(config, p["survival_threshold"], t)
+                                     for t in range(trials)])
+    # the fraction of trials in which every species survives
+    fraction = sum(r["alive"] == len(config.seeds) for r in rows) / trials
     outputs = {"payload.json": {"trials": trials,
-                                "coexistence_fraction": res.fraction,
+                                "coexistence_fraction": fraction,
                                 "per_trial": rows},
                "survival.csv": (["trial", "alive", "ties"],
                                 [[r["trial"], r["alive"], r["ties"]]
                                  for r in rows])}
-    return outputs, {"coexistence_fraction": res.fraction}
+    return outputs, {"coexistence_fraction": fraction}
+
+
+def _compete_row(config, threshold, t):
+    """The payload row of compete trial t, whose field has the seed
+    derive_seed(config.seed, t): its survivors, region sizes and tie-site
+    count, not its grids, which are freed before the next trial's solve."""
+    occ = compete(replace(config, seed=derive_seed(config.seed, t)))
+    return {"trial": t, "alive": occ.survivors(threshold),
+            "sizes": occ.sizes.tolist(),
+            "ties": int(np.count_nonzero(occ.tie_mask))}
 
 
 def _run_ends(cfg, p):

@@ -5,15 +5,18 @@ edge-weight field; a site belongs to the species whose seed is strictly
 closest in passage time. Sites reached at exactly equal times (passage
 times are exact integer ticks) form the tie set and are never colonized
 under the strict policy.
+
+Each compete call is one competition on one field. The trials of a
+coexistence estimate, each on its own field, and the fraction of them
+in which every species survives are the runner's (expcli._run_compete).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._pool import map_trials
-from ._rng import derive_seed, hash_words
+from ._rng import hash_words
 from .convex import ConvexShape
 from .lattice import EdgeField, GridGraph, Window, round_site
 from .measure import InputError, WeightDistribution
@@ -114,40 +117,6 @@ def compete(config: CompetitionConfig) -> OccupancyMap:
     return OccupancyMap(config=config, owner_grid=owner,
                         reach_grid=reach / field.dist.ticks_per_unit,
                         tie_mask=tie)
-
-
-@dataclass(frozen=True)
-class CoexistenceResult:
-    fraction: float
-    trials: int
-    survivals: tuple  # per-trial count of surviving species
-    sizes: tuple      # per-trial tuple of region sizes, one per species
-    ties: tuple       # per-trial tie-site count
-
-
-def coexistence_stats(config: CompetitionConfig, trials: int,
-                      survival_threshold: int) -> CoexistenceResult:
-    """Fraction of trials where every species survives
-    (OccupancyMap.survivors). Trial t runs config with the seed
-    derive_seed(config.seed, t); the trials are mapped over the CPUs
-    (_pool.map_trials).
-    """
-    if survival_threshold < 1:
-        raise GrowthError("survival threshold must be >= 1")
-    k = len(config.seeds)
-    survivals, sizes, ties = zip(*map_trials(
-        _trial_row, [(config, t, survival_threshold) for t in range(trials)]))
-    n_all = sum(1 for alive in survivals if alive == k)
-    return CoexistenceResult(fraction=n_all / trials, trials=trials,
-                             survivals=survivals, sizes=sizes, ties=ties)
-
-
-def _trial_row(config, t, survival_threshold):
-    """(survivors, region sizes, tie-site count) of trial t: its row
-    alone, so that its grids are freed before the next trial's solve."""
-    occ = compete(replace(config, seed=derive_seed(config.seed, t)))
-    return (occ.survivors(survival_threshold), tuple(occ.sizes.tolist()),
-            int(np.count_nonzero(occ.tie_mask)))
 
 
 def place_seeds(shape: ConvexShape, extreme_dirs, R_seq):

@@ -298,9 +298,9 @@ class EdgeField:
         axis = 0 if v[0] == x + 1 else 1
         return float(uniform01(hash_words(self.seed, x, y, axis)))
 
-    def edge_weight(self, u: Site, v: Site = None) -> float:
+    def edge_weight(self, u: Site, v: Site) -> float:
         """Weight of the edge between adjacent sites (pure in seed, edge)."""
-        e = canonical_edge(u, v) if v is not None else u
+        e = canonical_edge(u, v)
         return float(self.dist.quantile(self.edge_uniform(e)))
 
     def weight_grids(self, window, ticks=False, out=None):

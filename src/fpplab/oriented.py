@@ -221,23 +221,16 @@ class PcEstimate:
     p_grid: tuple
 
 
-def estimate_pc(p_grid, T: int, trials: int, seed: int) -> PcEstimate:
-    """Critical-parameter estimate from survival-threshold crossings.
+def alpha_and_pc(p_values, pc_grid, T: int, trials: int, seed: int):
+    """(alphas, pc) from one growth to level 2T: alphas holds
+    estimate_alpha(p, T, trials, seed) for each p in p_values, and pc
+    the critical-parameter estimate on the grid pc_grid.
 
     The survival curve at horizon T crosses 1/2 at c_T; the
     finite-horizon refinement compares c_T with c_2T and backs the drift
     out: p_hat = c_T - (c_2T - c_T). Raises a bracketing error when the
-    grid does not straddle the crossing.
-    """
-    return alpha_and_pc((), p_grid, T, trials, seed)[1]
-
-
-def alpha_and_pc(p_values, pc_grid, T: int, trials: int, seed: int):
-    """estimate_alpha(p, T, trials, seed) for each p in p_values and
-    estimate_pc(pc_grid, T, trials, seed), from one growth to level
-    2T.
-
-    pc_grid may be None, and then so is the second result.
+    grid does not straddle the crossing. pc_grid may be None, and then
+    so is pc.
     """
     if pc_grid is not None:
         pc_grid = tuple(float(p) for p in pc_grid)

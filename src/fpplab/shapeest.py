@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_seed
-from . import convex
 from .convex import ConvexShape, hull, extreme_points, l1
 from .lattice import EdgeField, round_site, solve_targets
 from .measure import WeightDistribution
@@ -139,15 +138,6 @@ def empirical_shape(dist: WeightDistribution, directions: int, n: int,
                          trials=trials)
 
 
-def sides_estimate(est: ShapeEstimate, theta_stat: float) -> int:
-    """Extreme-point count at the statistical angle tolerance theta_stat.
-
-    theta_stat should exceed the noise-induced turning angles of the
-    empirical hull (unlike the exact-geometry tolerance in convex.hull).
-    """
-    return len(extreme_points(est.shape, theta_stat))
-
-
 def eps_density(shape: ConvexShape, eps: float) -> bool:
     """True iff counted extreme points are eps-dense in the boundary of a
     convex shape, such as a ShapeEstimate's shape.
@@ -165,9 +155,3 @@ def eps_density(shape: ConvexShape, eps: float) -> bool:
             if min(l1(p, x) for x in ext) >= eps:
                 return False
     return True
-
-
-def flat_edge_report(est: ShapeEstimate, alpha_rot: float, tol=0.02):
-    """Detected vs predicted flat edge of an empirical shape."""
-    predicted = convex.predicted_flat_edge(alpha_rot)
-    return convex.flat_edge_intersection(est.shape, tol=tol, predicted=predicted)

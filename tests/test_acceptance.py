@@ -13,16 +13,15 @@ import sys
 import numpy as np
 import pytest
 
-from fpplab.convex import (hausdorff, hull, l1, l1_ball, predicted_flat_edge)
+from fpplab.convex import (extreme_points, flat_edge_intersection,
+                           hausdorff, hull, l1, l1_ball, predicted_flat_edge)
 from fpplab.geograph import (BusemannSpec, busemann, disjointness_diagnostic,
                              ends_estimate, infection_graph, k_lower_bound)
-from fpplab.growth import (NONE_OWNER, CompetitionConfig, coexistence_stats,
-                           compete, place_seeds)
+from fpplab.growth import NONE_OWNER, CompetitionConfig, compete, place_seeds
 from fpplab.lattice import EdgeField, GridGraph, Window, ball
 from fpplab.measure import mk_distribution, point_mass
-from fpplab.oriented import alpha_rotated, estimate_alpha, estimate_pc
-from fpplab.shapeest import (empirical_shape, flat_edge_report,
-                             sides_estimate, time_constant)
+from fpplab.oriented import alpha_and_pc, alpha_rotated, estimate_alpha
+from fpplab.shapeest import empirical_shape, time_constant
 from fpplab import expcli
 from oracles import MIX, UNIF12, exhaustive_times, pruned_search_times
 
@@ -80,10 +79,11 @@ def test_criterion_04_flat_edge_endpoints_and_sides():
     d8 = mk_distribution(atoms=[(1.0, 0.8), (3.0, 0.2)])
     est = empirical_shape(d8, 65, 200, 20, 3)
     a_hat, _, _ = estimate_alpha(0.8, T=400, trials=300, seed=4)
-    rep = flat_edge_report(est, alpha_rotated(a_hat), tol=0.02)
+    rep = flat_edge_intersection(est.shape, 0.02,
+                                 predicted_flat_edge(alpha_rotated(a_hat)))
     assert rep.intersects
     assert rep.discrepancy <= 0.05
-    assert sides_estimate(est, theta_stat=0.02) >= 8
+    assert len(extreme_points(est.shape, 0.02)) >= 8
 
 
 def test_criterion_05_oriented_speed_and_critical_point():
@@ -94,7 +94,8 @@ def test_criterion_05_oriented_speed_and_critical_point():
     for lo, hi in ((0.7, 0.8), (0.8, 0.9)):
         gap = est[hi][0] - est[lo][0]
         assert gap > 3 * (est[lo][1] + est[hi][1])
-    pc = estimate_pc(np.arange(0.58, 0.76, 0.02), T=400, trials=300, seed=7)
+    _, pc = alpha_and_pc((), np.arange(0.58, 0.76, 0.02), T=400, trials=300,
+                         seed=7)
     assert 0.62 <= pc.p_hat <= 0.67
 
 
@@ -177,17 +178,18 @@ def test_criterion_08_competition_partition_exactness():
             assert occ.owner(s) == int(np.argmin(d[:, i, j]))
 
 
-def test_criterion_09_four_species_coexistence():
+def test_criterion_09_four_species_coexistence(tmp_path):
     # 4 species seeded at alternating octagon extreme points (R = 40) on a
     # 201^2 window: all-four-survival fraction positive over 200 trials
     octagon = hull([(1, 0.4), (0.4, 1), (-0.4, 1), (-1, 0.4), (-1, -0.4),
                     (-0.4, -1), (0.4, -1), (1, -0.4)])
     dirs = [octagon.vertices[i] for i in (0, 2, 4, 6)]
     sites = place_seeds(octagon, dirs, 40.0)
-    cfg = CompetitionConfig(dist=MIX, seeds=tuple(sites),
-                            window=Window.square(100), seed=9)
-    res = coexistence_stats(cfg, trials=200, survival_threshold=1000)
-    assert res.fraction > 0.0
+    cfg = {"kind": "compete", "seed": 9, "trials": 200, "params": {
+        "dist": MIX.to_dict(), "seeds": [list(s) for s in sites],
+        "window": 100, "survival_threshold": 1000}}
+    art = expcli.run(cfg, out_root=str(tmp_path), echo=False)
+    assert art.summary["coexistence_fraction"] > 0.0
 
 
 def test_criterion_10_infection_graph_ends():

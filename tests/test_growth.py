@@ -1,15 +1,18 @@
+import json
+
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import dijkstra
 
-from fpplab import lattice
 from fpplab._rng import derive_seed
-from fpplab.convex import hull, l1_ball
+from fpplab.cli import main
+from fpplab.convex import hull
+from fpplab.expcli import run
 from fpplab.growth import (CompetitionConfig, GrowthError, NONE_OWNER,
-                           coexistence_stats, compete, place_seeds)
+                           compete, place_seeds)
 from fpplab.lattice import EdgeField, GridGraph, LatticeError, Window
 from fpplab.measure import mk_distribution, point_mass
-from oracles import UNIF12, one_cpu
+from oracles import UNIF12
+from test_golden import payload_digests
 
 
 def cfg(seeds, W=10, dist=UNIF12, policy="strict", seed=0):
@@ -98,58 +101,58 @@ class TestCompete:
         assert np.allclose(occ.reach_grid,
                            d.min(axis=0) / c.dist.ticks_per_unit)
 
-    @pytest.mark.parametrize("policy", ["strict", "lexicographic", "random"])
-    def test_one_solve_per_trial(self, monkeypatch, policy):
-        calls = []
 
-        def spy(*args, **kwargs):
-            calls.append(kwargs.get("indices"))
-            return dijkstra(*args, **kwargs)
-        monkeypatch.setattr(lattice, "_csgraph_dijkstra", spy)
-        seeds = [(-5, 0), (5, 0), (0, 5), (0, -5)]
-        for dist in (UNIF12, point_mass(1.0)):
-            calls.clear()
-            with one_cpu():  # the trials run here, where the spy counts
-                res = coexistence_stats(cfg(seeds, dist=dist, policy=policy),
-                                        trials=3, survival_threshold=1)
-            # one multi-source solve from every seed, per trial
-            assert len(calls) == 3
-            assert all(len(idx) == len(seeds) for idx in calls)
-        assert sum(res.ties) > 0  # unit weights tie along the diagonals
+def compete_config(seeds, W, seed, trials, threshold, dist=UNIF12):
+    return {"kind": "compete", "seed": seed, "trials": trials, "params": {
+        "dist": dist.to_dict(), "seeds": [list(s) for s in seeds],
+        "window": W, "survival_threshold": threshold}}
+
+
+def run_payload(cfg, out):
+    """payload.json of one run of cfg into out."""
+    art = run(cfg, out_root=str(out), echo=False)
+    with open(art.payloads[0]) as f:
+        return json.load(f)
 
 
 class TestCoexistence:
-    def test_two_species_symmetric_often_coexist(self):
-        c = cfg([(-6, 0), (6, 0)], W=12, seed=1)
-        res = coexistence_stats(c, trials=20, survival_threshold=30)
-        assert 0.0 <= res.fraction <= 1.0
-        assert res.fraction > 0.5  # symmetric seeds, generous threshold
-        assert len(res.survivals) == 20
+    """The runner's coexistence statistics (expcli._run_compete): trial t
+    is one compete() on the seed derive_seed(seed, t)."""
 
-    def test_determinism(self):
-        c = cfg([(-6, 0), (6, 0)], W=12, seed=1)
-        a = coexistence_stats(c, trials=5, survival_threshold=30)
-        b = coexistence_stats(c, trials=5, survival_threshold=30)
-        assert a == b
+    def test_two_species_symmetric_often_coexist(self, tmp_path):
+        config = compete_config([(-6, 0), (6, 0)], 12, 1, 20, 30)
+        payload = run_payload(config, tmp_path)
+        assert 0.0 <= payload["coexistence_fraction"] <= 1.0
+        # symmetric seeds, generous threshold
+        assert payload["coexistence_fraction"] > 0.5
+        assert len(payload["per_trial"]) == 20
 
-    def test_per_trial_sizes_and_ties_match_compete(self):
+    def test_determinism(self, tmp_path):
+        config = compete_config([(-6, 0), (6, 0)], 12, 1, 5, 30)
+        a = payload_digests(config, str(tmp_path / "a"))
+        assert set(a) == {"payload.json", "survival.csv"}
+        assert payload_digests(config, str(tmp_path / "b")) == a
+
+    def test_per_trial_sizes_and_ties_match_compete(self, tmp_path):
         atomic = mk_distribution(atoms=[(1.0, 0.5), (2.0, 0.5)])
-        c = cfg([(-5, 0), (5, 0), (0, 5)], W=10, dist=atomic, seed=4)
-        res = coexistence_stats(c, trials=4, survival_threshold=10)
-        assert len(res.sizes) == len(res.ties) == 4
-        for t in range(4):
-            occ = compete(cfg(c.seeds, W=10, dist=atomic,
+        seeds = [(-5, 0), (5, 0), (0, 5)]
+        config = compete_config(seeds, 10, 4, 4, 10, dist=atomic)
+        rows = run_payload(config, tmp_path)["per_trial"]
+        assert [r["trial"] for r in rows] == [0, 1, 2, 3]
+        for t, r in enumerate(rows):
+            occ = compete(cfg(seeds, W=10, dist=atomic,
                               seed=derive_seed(4, t)))
-            assert res.sizes[t] == tuple(len(occ.region(i))
-                                         for i in range(3))
-            assert res.ties[t] == len(occ.tie_set)
-            assert res.survivals[t] == occ.survivors(10)
-        assert sum(res.ties) > 0  # atomic weights: ties do occur
+            assert r["sizes"] == [len(occ.region(i)) for i in range(3)]
+            assert r["ties"] == len(occ.tie_set)
+            assert r["alive"] == occ.survivors(10)
+        assert sum(r["ties"] for r in rows) > 0  # atomic weights: ties occur
 
-    def test_threshold_validation(self):
-        c = cfg([(0, 0)])
-        with pytest.raises(GrowthError):
-            coexistence_stats(c, trials=1, survival_threshold=0)
+    def test_threshold_validation(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(compete_config([(0, 0)], 10, 0, 1, 0)))
+        assert main(["compete", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestPlacement:

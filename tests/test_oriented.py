@@ -8,7 +8,7 @@ from fpplab._rng import derive_seed, hash_words
 from fpplab.expcli import run
 from fpplab.oriented import (OrientedError, _bonds, _grow, _survival,
                              _threshold, alpha_and_pc, alpha_rotated,
-                             estimate_alpha, estimate_pc, oriented_cluster)
+                             estimate_alpha, oriented_cluster)
 
 
 def reference(p, T, trials, seed):
@@ -207,17 +207,20 @@ class TestCritical:
 
     def test_pc_estimate_in_range(self):
         grid = np.arange(0.58, 0.76, 0.02)
-        est = estimate_pc(grid, 200, 200, seed=11)
+        _, est = alpha_and_pc((), grid, 200, 200, seed=11)
         assert 0.60 < est.p_hat < 0.70
         assert est.crossing_2T >= est.crossing_T - 0.02
 
     def test_bracketing_errors(self):
         with pytest.raises(OrientedError):
-            estimate_pc([0.9, 0.95], 50, 50, seed=0)  # crossing below grid
+            # crossing below grid
+            alpha_and_pc((), [0.9, 0.95], 50, 50, seed=0)
         with pytest.raises(OrientedError):
-            estimate_pc([0.05, 0.1], 50, 50, seed=0)  # crossing above grid
+            # crossing above grid
+            alpha_and_pc((), [0.05, 0.1], 50, 50, seed=0)
         with pytest.raises(OrientedError):
-            estimate_pc([0.0, 0.5], 50, 50, seed=0)  # grid outside (0,1)
+            # grid outside (0,1)
+            alpha_and_pc((), [0.0, 0.5], 50, 50, seed=0)
 
 
 class TestOneGrowth:
@@ -234,7 +237,7 @@ class TestOneGrowth:
         alphas, pc = alpha_and_pc(self.PS, grid, T, trials, seed)
         assert alphas == [estimate_alpha(p, T, trials, seed)
                           for p in self.PS]
-        alone = estimate_pc(grid, T, trials, seed)
+        _, alone = alpha_and_pc((), grid, T, trials, seed)
         for key in ("p_hat", "crossing_T", "crossing_2T", "p_grid"):
             assert getattr(pc, key) == getattr(alone, key)
         assert np.array_equal(pc.surv_T, alone.surv_T)
@@ -249,7 +252,7 @@ class TestOneGrowth:
     @pytest.mark.parametrize("grid", [(), (0.65,)])
     def test_grid_too_short_refused_as_alone(self, grid):
         with pytest.raises(OrientedError) as alone:
-            estimate_pc(grid, 40, 20, 1)
+            alpha_and_pc((), grid, 40, 20, 1)
         with pytest.raises(OrientedError) as shared:
             alpha_and_pc(self.PS, grid, 40, 20, 1)
         assert str(shared.value) == str(alone.value)

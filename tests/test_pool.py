@@ -4,7 +4,8 @@ A run's payload bytes do not depend on the number of CPUs it may use,
 a run leaves no worker behind, whether it returns or a trial fails in a
 worker, and each worker's trials share the objects their arguments
 share. The tests that need a pool skip on a one-CPU machine, where
-every trial runs in the test process.
+every trial runs in the test process. Each mapped trial makes the
+solves its row needs and no more.
 """
 
 import json
@@ -14,11 +15,15 @@ import subprocess
 import sys
 
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
-from fpplab import growth
+from fpplab import expcli, lattice
 from fpplab._pool import map_trials
 from fpplab.cli import main
 from fpplab.expcli import RunError, run
+from fpplab.lattice import Window
+from fpplab.measure import point_mass
+from oracles import UNIF12, one_cpu
 from test_golden import CONFIGS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -88,7 +93,7 @@ def test_no_worker_left_after_a_run(tmp_path):
 
 def test_trial_failing_in_a_worker_leaves_no_worker(tmp_path, monkeypatch):
     # the failing trial function is inherited by the forked workers
-    monkeypatch.setattr(growth, "_trial_row", failing_row)
+    monkeypatch.setattr(expcli, "_compete_row", failing_row)
     with pytest.raises(RunError, match="trial failed in a worker"):
         run(CONFIGS["compete"], out_root=str(tmp_path / "run"), echo=False)
     assert multiprocessing.active_children() == []
@@ -99,3 +104,36 @@ def test_trial_failing_in_a_worker_leaves_no_worker(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "run").exists()
     assert not (tmp_path / "cli").exists()
+
+
+@pytest.mark.parametrize("kind", ["compete-strict", "compete-lexicographic",
+                                  "compete-random", "ends"])
+def test_one_solve_per_trial(tmp_path, monkeypatch, kind):
+    # a compete trial makes one multi-source solve, from all its seeds,
+    # and an ends trial one single-source solve, from the origin
+    kind, _, policy = kind.partition("-")
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["indices"])
+        return dijkstra(*args, **kwargs)
+    monkeypatch.setattr(lattice, "_csgraph_dijkstra", spy)
+    window, seeds = Window.square(10), [(-5, 0), (5, 0), (0, 5), (0, -5)]
+    if kind == "compete":
+        params = {"seeds": [list(s) for s in seeds], "tie_policy": policy,
+                  "survival_threshold": 1}
+        want = [window.index(s) for s in seeds]
+    else:
+        params, want = {"m_grid": [2, 4]}, window.index((0, 0))
+    for i, dist in enumerate((UNIF12, point_mass(1.0))):
+        calls.clear()
+        cfg = {"kind": kind, "seed": 0, "trials": 3, "params": dict(
+            params, dist=dist.to_dict(), window=10)}
+        with one_cpu():  # the trials run here, where the spy counts
+            art = run(cfg, out_root=str(tmp_path / str(i)), echo=False)
+        assert calls == [want] * 3
+    if kind == "compete":
+        with open(art.payloads[0]) as f:
+            rows = json.load(f)["per_trial"]
+        # unit weights tie along the diagonals
+        assert sum(r["ties"] for r in rows) > 0

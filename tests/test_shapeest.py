@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from fpplab._rng import derive_seed
-from fpplab.convex import hausdorff, l1_ball
+from fpplab.convex import extreme_points, hausdorff, l1_ball
 from fpplab.lattice import EdgeField, GridGraph, Window, round_site
 from fpplab.measure import levy_distance, mk_distribution, point_mass
 from fpplab.shapeest import (ShapeEstimateError, empirical_shape,
-                             eps_density, sides_estimate, time_constant)
+                             eps_density, time_constant)
 from oracles import EPS_ATOM, UNIF12, ZERO_ATOM
 
 
@@ -127,7 +127,7 @@ class TestEmpiricalShape:
 class TestShapeStatistics:
     def test_sides_of_unit_ball_estimate(self):
         est = empirical_shape(point_mass(1.0), 9, 60, 3, 1)
-        assert sides_estimate(est, theta_stat=0.05) == 4
+        assert len(extreme_points(est.shape, 0.05)) == 4
 
     def test_eps_density(self):
         assert eps_density(l1_ball(1.0), eps=2.1)
